@@ -28,7 +28,7 @@ def as_square_array(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 

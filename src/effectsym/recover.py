@@ -31,9 +31,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .effects import leq, rank_one_projection
+from .effects import rank_one_projection
 from .extension import EffectMapOracle, is_affine
-from .linalg import adjoint, frobenius_norm, hermitize, hermiticity_defect
+from .linalg import (
+    adjoint,
+    eigenvalues_hermitian,
+    frobenius_norm,
+    hermitize,
+    hermiticity_defect,
+    matching_dims,
+)
 from .rng import Stream
 from .sampling import (
     nested_projections,
@@ -203,8 +210,11 @@ def preservation_probe(
             fail("orthocomplement", (p,), comp_defect)
 
         p_low, p_high = nested_projections(dim, s.next_u64())
-        if not leq(phi(p_low), phi(p_high), tol):
-            fail("order", (p_low, p_high), math.nan)
+        img_low, img_high = phi(p_low), phi(p_high)
+        matching_dims(img_low, img_high)
+        gap = eigenvalues_hermitian(img_high - img_low)[0]
+        if not gap >= -tol:
+            fail("order", (p_low, p_high), float(-gap))
 
         q1, q2 = orthogonal_projections(dim, s.next_u64())
         prod = frobenius_norm(phi(q1) @ phi(q2))

@@ -18,6 +18,21 @@ on Hermitian matrices are real-linear in the coordinates of the
 trace-orthonormal basis from :func:`hermitian_basis`, so a real
 ``dim^2 x dim^2`` matrix plus a constant is a faithful, serializable
 black-box format.
+
+The coordinates c_k = tr(B_k A) need no basis stack.  With s = 1/sqrt(2)
+they are, in order:
+
+* ``A[k, k].real`` for k = 0..dim-1;
+* then for each pair k < l in lexicographic order (row k, then column l)
+  two entries, ``A[k, l].real * s + A[l, k].real * s`` followed by
+  ``A[k, l].imag * s - A[l, k].imag * s``.
+
+For Hermitian A the pair is sqrt(2) Re A[k, l], sqrt(2) Im A[k, l].
+Decoding writes the diagonal back and puts ``c_sym * s + i c_anti * s``
+at ``[k, l]`` and its conjugate at ``[l, k]``.  Both directions are
+O(dim^2) index gathers and scatters; written as above, with an exact
+zero always +0.0, they agree bit for bit with the trace against
+:func:`hermitian_basis` on every finite input.
 """
 
 from __future__ import annotations
@@ -36,6 +51,8 @@ ANTIUNITARY = "antiunitary"
 
 UNITARITY_TOL = 1e-10
 GAUGE_CUTOFF = 1e-8
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 AFFINE = "affine"
 TRIPLE_EFFECTS = "triple_effects"
@@ -58,25 +75,61 @@ def hermitian_basis(dim: int) -> np.ndarray:
     for k in range(dim):
         mats[k, k, k] = 1.0
     idx = dim
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for k in range(dim):
         for l in range(k + 1, dim):
-            mats[idx, k, l] = inv_sqrt2
-            mats[idx, l, k] = inv_sqrt2
+            mats[idx, k, l] = _INV_SQRT2
+            mats[idx, l, k] = _INV_SQRT2
             idx += 1
-            mats[idx, k, l] = 1j * inv_sqrt2
-            mats[idx, l, k] = -1j * inv_sqrt2
+            mats[idx, k, l] = 1j * _INV_SQRT2
+            mats[idx, l, k] = -1j * _INV_SQRT2
             idx += 1
     mats.setflags(write=False)
     return mats
 
 
-def encode_hermitian(a, basis: np.ndarray | None = None) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _index_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal indices and the rows and columns of the pairs k < l."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    diag = np.arange(dim)
+    rows, cols = np.triu_indices(dim, 1)
+    for a in (diag, rows, cols):
+        a.setflags(write=False)
+    return diag, rows, cols
+
+
+def _encode(m: np.ndarray) -> np.ndarray:
+    """Coordinates of a validated square matrix; see the module docstring."""
+    n = m.shape[0]
+    _, rows, cols = _index_pairs(n)
+    upper, lower = m[rows, cols], m[cols, rows]
+    out = np.empty(n * n)
+    out[:n] = m.diagonal().real
+    out[n::2] = upper.real * _INV_SQRT2 + lower.real * _INV_SQRT2
+    out[n + 1::2] = upper.imag * _INV_SQRT2 - lower.imag * _INV_SQRT2
+    out += 0.0  # turns -0.0 into +0.0, as the trace's sum does
+    return out
+
+
+def _decode(c: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian matrix of a coordinate vector of length dim**2."""
+    diag, rows, cols = _index_pairs(dim)
+    sym = c[dim::2] * _INV_SQRT2
+    anti = c[dim + 1::2] * _INV_SQRT2
+    out = np.zeros((dim, dim), dtype=complex)
+    out.real[diag, diag] = c[:dim]
+    out.real[rows, cols] = sym
+    out.real[cols, rows] = sym
+    out.imag[rows, cols] = anti
+    out.imag[cols, rows] = -anti
+    out += 0.0  # as in _encode
+    return out
+
+
+def encode_hermitian(a) -> np.ndarray:
     """Real coordinates c_k = tr(B_k A) of a Hermitian matrix."""
-    m = as_square_array(a)
-    if basis is None:
-        basis = hermitian_basis(m.shape[0])
-    return np.einsum("kij,ji->k", basis, m).real
+    return _encode(as_square_array(a))
 
 
 def decode_hermitian(coords, dim: int) -> np.ndarray:
@@ -84,7 +137,7 @@ def decode_hermitian(coords, dim: int) -> np.ndarray:
     c = np.asarray(coords, dtype=float)
     if c.shape != (dim * dim,):
         raise ValueError(f"expected {dim * dim} coordinates, got shape {c.shape}")
-    return np.einsum("k,kij->ij", c, hermitian_basis(dim))
+    return _decode(c, dim)
 
 
 @dataclass(frozen=True)
@@ -208,17 +261,17 @@ class AffineMapRep:
 
 
 def apply_affine_rep(rep: AffineMapRep, a) -> np.ndarray:
+    """Evaluate the represented map; ``a`` is validated once, here."""
     m = as_square_array(a)
     if m.shape[0] != rep.dim:
         raise ValueError(f"dimension mismatch: rep {rep.dim}, input {m.shape[0]}")
-    return decode_hermitian(rep.linear @ encode_hermitian(m), rep.dim) + rep.constant
+    return _decode(rep.linear @ _encode(m), rep.dim) + rep.constant
 
 
 def to_affine_rep(d: SymmetryDescriptor) -> AffineMapRep:
     """Flatten a descriptor to coordinates by evaluating it on the basis."""
-    basis = hermitian_basis(d.dim)
     const = hermitize(apply_symmetry(d, np.zeros((d.dim, d.dim))))
-    cols = [encode_hermitian(apply_symmetry(d, b) - const, basis) for b in basis]
+    cols = [encode_hermitian(apply_symmetry(d, b) - const) for b in hermitian_basis(d.dim)]
     return AffineMapRep(linear=np.column_stack(cols), constant=const)
 
 

@@ -4,6 +4,7 @@ import pytest
 from effectsym.linalg import (
     ConvergenceError,
     adjoint,
+    as_square_array,
     eig_hermitian,
     eigenvalues_hermitian,
     frobenius_norm,
@@ -48,6 +49,15 @@ def test_square_and_finite_validation():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         eig_hermitian(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_real_or_imaginary_part_is_rejected(bad, part):
+    m = np.full((2, 2), 0.5 + 0.5j)
+    getattr(m, part)[1, 0] = bad
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        as_square_array(m)
 
 
 @pytest.mark.parametrize("method", ["lapack", "jacobi"])

@@ -70,6 +70,17 @@ def test_preservation_probe_halving_map():
     assert set(report.failed_checks()) >= {"projections", "orthocomplement"}
 
 
+def test_order_reversing_map_gets_a_finite_order_defect():
+    eye = np.eye(3, dtype=complex)
+    report = preservation_probe(oracle(3, lambda a: eye - np.asarray(a, complex)), trials=8)
+    assert not report.order_preserved
+    order = [w for w in report.witnesses if w.check == "order"]
+    assert order
+    for w in order:
+        # phi(Q) - phi(P) = P - Q for nested P < Q, whose lowest eigenvalue is -1
+        assert w.defect == pytest.approx(1.0, abs=1e-12)
+
+
 def test_probe_witnesses_iff_flags_false():
     good = preservation_probe(identity_oracle(3), trials=5)
     assert good.all_preserved and not good.witnesses

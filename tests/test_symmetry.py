@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from effectsym.linalg import adjoint, frobenius_norm
+from effectsym.extension import EffectMapOracle
+from effectsym.linalg import adjoint, frobenius_norm, hermitize
 from effectsym.rng import Stream
-from effectsym.sampling import haar_unitary, random_effect
+from effectsym.sampling import complex_gaussian, haar_unitary, random_effect, random_hermitian
 from effectsym.symmetry import (
     AFFINE,
     ANTIUNITARY,
@@ -58,6 +64,97 @@ def test_encode_decode_roundtrip():
         coords = encode_hermitian(h)
         assert coords.dtype == np.float64
         assert np.allclose(decode_hermitian(coords, 4), h, atol=1e-12)
+
+
+def reference_encode(m):
+    """The definition of the coordinates: c_k = tr(B_k A) over the basis stack."""
+    return np.einsum("kij,ji->k", hermitian_basis(m.shape[0]), m).real
+
+
+def reference_decode(c, dim):
+    return np.einsum("k,kij->ij", c, hermitian_basis(dim))
+
+
+BITWISE_DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 16]
+
+
+def _coordinate_inputs(dim, seed):
+    s = Stream(seed)
+    return (
+        random_effect(dim, s.next_u64()),
+        random_hermitian(dim, s.next_u64()),
+        complex_gaussian(dim, s),
+    )
+
+
+@pytest.mark.parametrize("dim", BITWISE_DIMS)
+def test_closed_form_coordinates_match_basis_stack_bitwise(dim):
+    for seed in range(6):
+        for m in _coordinate_inputs(dim, seed):
+            coords = encode_hermitian(m)
+            assert coords.tobytes() == reference_encode(m).tobytes()
+            assert decode_hermitian(coords, dim).tobytes() == reference_decode(coords, dim).tobytes()
+
+
+@pytest.mark.parametrize("dim", BITWISE_DIMS)
+def test_to_affine_rep_matches_basis_stack_columns_bitwise(dim):
+    d = random_symmetry(dim, 40 + dim, family=AFFINE)
+    const = hermitize(apply_symmetry(d, np.zeros((dim, dim))))
+    cols = [reference_encode(apply_symmetry(d, b) - const) for b in hermitian_basis(dim)]
+    assert to_affine_rep(d).linear.tobytes() == np.column_stack(cols).tobytes()
+
+
+finite_matrices = st.integers(1, 6).flatmap(
+    lambda n: arrays(complex, (n, n), elements=st.complex_numbers(allow_nan=False, allow_infinity=False))
+)
+finite_coordinates = st.integers(1, 6).flatmap(
+    lambda n: arrays(float, n * n, elements=st.floats(allow_nan=False, allow_infinity=False))
+)
+
+
+@settings(deadline=None)
+@given(finite_matrices)
+@example(np.array([[complex(-0.0, -0.0)]]))
+@example(np.array([[complex(-0.0, 1.0), complex(-0.0, -0.0)], [complex(-0.0, 5e-324), complex(1e308, 0.0)]]))
+@example(np.array([[0.0, complex(1.7e308, -1.7e308)], [complex(1.7e308, 1.7e308), 0.0]]))
+def test_encode_matches_basis_stack_on_any_finite_matrix(m):
+    with np.errstate(over="ignore"):
+        assert encode_hermitian(m).tobytes() == reference_encode(m).tobytes()
+
+
+@settings(deadline=None)
+@given(finite_coordinates)
+@example(np.array([-0.0]))
+@example(np.array([-0.0, 1.0, -5e-324, -0.0]))
+def test_decode_matches_basis_stack_on_any_finite_coordinates(c):
+    dim = math.isqrt(c.size)
+    assert decode_hermitian(c, dim).tobytes() == reference_decode(c, dim).tobytes()
+
+
+def _with_entry(value):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = value
+    return m
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [_with_entry(np.nan), _with_entry(np.inf), _with_entry(complex(0.0, np.inf)), np.ones((3, 2)), np.eye(2)],
+    ids=["nan", "inf", "imag-inf", "non-square", "wrong-dim"],
+)
+def test_affine_rep_paths_reject_bad_input(bad):
+    rep = to_affine_rep(random_symmetry(3, 5, family=AFFINE))
+    with pytest.raises(ValueError):
+        apply_affine_rep(rep, bad)
+    with pytest.raises(ValueError):
+        EffectMapOracle.from_affine_rep(rep)(bad)
+
+
+def test_decode_rejects_wrong_number_of_coordinates():
+    with pytest.raises(ValueError, match="expected 9 coordinates"):
+        decode_hermitian(np.zeros(8), 3)
+    with pytest.raises(ValueError, match="expected 9 coordinates"):
+        decode_hermitian(np.zeros((3, 3)), 3)
 
 
 def test_descriptor_validation():
