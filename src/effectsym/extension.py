@@ -139,7 +139,10 @@ def boundedness_check(phi: EffectMapOracle, trials: int = 64, seed: int = 0) -> 
     if trials < 1:
         raise ValueError("trials must be at least 1")
     zero_img = phi(np.zeros((phi.dim, phi.dim)))
-    psi = EffectMapOracle(phi.dim, lambda a: phi(a) - zero_img, label="recentered")
+    # One validation per query: recenter phi's evaluator, not phi itself.
+    psi = EffectMapOracle(
+        phi.dim, lambda m: np.asarray(phi.evaluator(m), dtype=complex) - zero_img, label="recentered"
+    )
     s = Stream(seed)
     worst = 0.0
     for _ in range(trials):

@@ -3,31 +3,38 @@
 Given only an evaluator over effects (or over all Hermitian matrices),
 the routines here decide whether the map is one of the canonical
 symmetry families and, if so, recover a :class:`SymmetryDescriptor`
-for it:
+for it.  Each family is one chain of stages run by one runner; a stage
+that refuses the map ends the chain, and the runner builds the report
+from the fields found so far plus those of the refusing stage.
 
-* :func:`recover_affine` handles affine bijection candidates (dim >= 2):
-  probe affinity, classify the image of 0 (must be 0 or I, fixing the
-  complement flag), rebuild the (anti)unitary from the action on
-  rank-one projections, then verify on random effects.
-* :func:`recover_triple` handles triple-multiplicative candidates on
-  effects (dim >= 3): probe the triple identity and the structural
-  preservation properties, rebuild, check the rank-one scaling function
-  against the identity, then verify.
-* :func:`recover_triple_hermitian` handles the unbounded self-adjoint
-  domain (dim >= 3): classify the image of I (must be +-I, fixing the
-  sign), reduce to the effect-interval pipeline, then verify on
-  Gaussian Hermitian samples.
+* :func:`recover_affine` (dim >= 2): affinity probe (``witness``);
+  classify φ(0) ∈ {0, I}, fixing the complement flag; rebuild the
+  (anti)unitary from the action on rank-one projections; verify on
+  random effects (``descriptor``, ``max_residual``).
+* :func:`recover_triple` (dim >= 3): triple identity on effect pairs
+  (``witness``); preservation probe on projections (``probe``, plus
+  the first probe witness); rebuild; rank-one scaling function against
+  the identity (``scaling``); verify on random effects (``descriptor``,
+  ``max_residual``).
+* :func:`recover_triple_hermitian` (dim >= 3): classify φ(I) ∈ {I, −I},
+  fixing the sign; the triple chain on the sign-fixed map, whose verify
+  stage proposes a sign +1 candidate; verify the signed descriptor on
+  Gaussian Hermitian samples, which replaces the candidate's
+  ``descriptor`` and ``max_residual``.
 
-Every universally quantified hypothesis is checked on seeded samples,
-never proven; reports record the sample counts and carry witnesses for
-whichever probe fails first.  Runs are deterministic given (seed,
-oracle).
+A rebuild failure (:class:`ReconstructionError`) adds no field.  Sample
+counts are module constants: ``AFFINE_PROBE_TRIALS`` convex triples,
+``TRIPLE_PROBE_PAIRS`` effect pairs, ``TRIPLE_PROBE_TRIALS`` probe
+rounds, the ``SCALING_GRID`` {k/16}; probes compare against
+``PROBE_TOL`` and classifications against ``CLASSIFY_TOL``.  Every
+universally quantified hypothesis is checked on seeded samples, never
+proven.  Runs are deterministic given (seed, oracle).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +75,9 @@ RANK_ONE_TOL = 1e-6
 PHASE_CUTOFF = 1e-6
 
 SCALING_GRID = np.arange(17) / 16.0
+AFFINE_PROBE_TRIALS = 64
+TRIPLE_PROBE_PAIRS = 16
+TRIPLE_PROBE_TRIALS = 16
 
 CANONICAL = "canonical"
 REJECTED = "rejected"
@@ -78,6 +88,14 @@ HERMITIAN_DOMAIN = "hermitian"
 
 class ReconstructionError(RuntimeError):
     """The action does not come from a single (anti)unitary conjugation."""
+
+
+class _Rejected(Exception):
+    """A stage refuses the map: the reason plus the report fields it found."""
+
+    def __init__(self, reason: str, **fields):
+        super().__init__(reason)
+        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -169,10 +187,6 @@ class RecoveryReport:
     @property
     def canonical(self) -> bool:
         return self.verdict == CANONICAL
-
-
-def _rejected(family: str, reason: str, **kw) -> RecoveryReport:
-    return RecoveryReport(verdict=REJECTED, family=family, reason=reason, **kw)
 
 
 def preservation_probe(
@@ -403,221 +417,149 @@ def check_scaling_identity(samples: ScalingSamples, tol: float = PROBE_TOL) -> S
     return ScalingCheck(ok, id_dev, mult_dev, ortho_dev, prop_res)
 
 
-def recover_affine(
-    phi: EffectMapOracle,
-    tol: float = ACCEPT_TOL,
-    trials: int = 100,
-    seed: int = 0,
-    probe_trials: int = 64,
-    probe_tol: float = PROBE_TOL,
-) -> RecoveryReport:
-    """Classify an affine bijection candidate; see the module docstring."""
-    dim = phi.dim
-    if dim < 2:
-        raise ValueError("recover_affine needs dim >= 2")
-    s = Stream(seed)
-    eye = np.eye(dim, dtype=complex)
+def _classify(img: np.ndarray, candidates: tuple, reason: str) -> int:
+    """Index of the first candidate within CLASSIFY_TOL of ``img``; if
+    none is, reject with ``reason`` formatted with every distance."""
+    dists = [frobenius_norm(img - c) for c in candidates]
+    for i, dist in enumerate(dists):
+        if dist <= CLASSIFY_TOL:
+            return i
+    raise _Rejected(reason.format(*dists))
 
-    aff = is_affine(phi, probe_trials, probe_tol, seed=s.next_u64())
-    if not aff:
-        return _rejected(
-            AFFINE,
-            f"map is not affine: convex-combination defect {aff.max_deviation:.3e}",
-            witness=aff.witness,
-        )
 
-    zero_img = phi(np.zeros((dim, dim)))
-    dist0 = frobenius_norm(zero_img)
-    dist1 = frobenius_norm(zero_img - eye)
-    if dist0 <= CLASSIFY_TOL:
-        comp = False
-    elif dist1 <= CLASSIFY_TOL:
-        comp = True
-    else:
-        return _rejected(
-            AFFINE,
-            f"φ(0) not in {{0, I}} (‖φ(0)‖ = {dist0:.3e}, ‖φ(0) − I‖ = {dist1:.3e})",
-        )
-
-    action = (lambda p: eye - phi(p)) if comp else phi
-    try:
-        u, kind = reconstruct_unitary_from_projection_action(
-            action, dim, tol=tol, seed=s.next_u64()
-        )
-    except ReconstructionError as err:
-        return _rejected(AFFINE, str(err))
-
-    d = gauge_normalize(SymmetryDescriptor(kind, u, complement=comp))
-    residual = verify_descriptor(phi, d, trials, seed=s.next_u64(), domain=EFFECTS_DOMAIN)
+def _verify(found: dict, phi, d: SymmetryDescriptor, tol: float, trials: int, seed: int,
+            domain: str, where: str = "") -> None:
+    """Accept the gauge-normalized ``d`` if its residual is within tol."""
+    d = gauge_normalize(d)
+    residual = verify_descriptor(phi, d, trials, seed=seed, domain=domain)
     if residual > tol:
-        return _rejected(
-            AFFINE,
-            f"canonical-form residual {residual:.3e} above tolerance {tol:g}",
+        raise _Rejected(
+            f"canonical-form residual {residual:.3e} above tolerance {tol:g}{where}",
             descriptor=d,
             max_residual=residual,
         )
-    return RecoveryReport(
-        verdict=CANONICAL, family=AFFINE, descriptor=d, max_residual=residual
-    )
+    found.update(descriptor=d, max_residual=residual)
 
 
-def recover_triple(
-    phi: EffectMapOracle,
-    tol: float = ACCEPT_TOL,
-    trials: int = 100,
-    seed: int = 0,
-    probe_tol: float = PROBE_TOL,
-    probe_pairs: int = 16,
-    probe_trials: int = 16,
-    grid=None,
-) -> RecoveryReport:
-    """Classify a triple-multiplicative candidate on effects (dim >= 3)."""
+def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
     dim = phi.dim
-    if dim < 3:
-        raise ValueError("recover_triple needs dim >= 3")
-    s = Stream(seed)
-    grid = SCALING_GRID if grid is None else np.asarray(grid, dtype=float)
+    eye = np.eye(dim, dtype=complex)
+    aff = is_affine(phi, AFFINE_PROBE_TRIALS, PROBE_TOL, seed=s.next_u64())
+    if not aff:
+        raise _Rejected(
+            f"map is not affine: convex-combination defect {aff.max_deviation:.3e}",
+            witness=aff.witness,
+        )
+    comp = bool(_classify(
+        phi(np.zeros((dim, dim))),
+        (0, eye),
+        "φ(0) not in {{0, I}} (‖φ(0)‖ = {:.3e}, ‖φ(0) − I‖ = {:.3e})",
+    ))
+    action = (lambda p: eye - phi(p)) if comp else phi
+    u, kind = reconstruct_unitary_from_projection_action(action, dim, tol=tol, seed=s.next_u64())
+    _verify(found, phi, SymmetryDescriptor(kind, u, complement=comp), tol, trials,
+            s.next_u64(), EFFECTS_DOMAIN)
 
+
+def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
+    dim = phi.dim
     pair_stream = s.spawn()
-    for _ in range(probe_pairs):
+    for _ in range(TRIPLE_PROBE_PAIRS):
         a = random_effect(dim, pair_stream.next_u64())
         b = random_effect(dim, pair_stream.next_u64())
-        lhs = phi(a @ b @ a)
-        rhs = phi(a) @ phi(b) @ phi(a)
-        dev = frobenius_norm(lhs - rhs)
-        if dev > probe_tol:
-            return _rejected(
-                TRIPLE_EFFECTS,
+        dev = frobenius_norm(phi(a @ b @ a) - phi(a) @ phi(b) @ phi(a))
+        if dev > PROBE_TOL:
+            raise _Rejected(
                 f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}",
                 witness=(a, b),
             )
 
-    probe = preservation_probe(phi, probe_trials, probe_tol, seed=s.next_u64())
+    probe = preservation_probe(phi, TRIPLE_PROBE_TRIALS, PROBE_TOL, seed=s.next_u64())
     if not probe.all_preserved:
-        failed = ", ".join(probe.failed_checks())
-        first = probe.witnesses[0]
-        return _rejected(
-            TRIPLE_EFFECTS,
-            f"projection-structure probe failed ({failed} not preserved)",
+        raise _Rejected(
+            f"projection-structure probe failed ({', '.join(probe.failed_checks())} not preserved)",
             probe=probe,
-            witness=first.inputs,
+            witness=probe.witnesses[0].inputs,
         )
+    found["probe"] = probe
 
-    try:
-        u, kind = reconstruct_unitary_from_projection_action(
-            phi, dim, tol=tol, seed=s.next_u64()
-        )
-    except ReconstructionError as err:
-        return _rejected(TRIPLE_EFFECTS, str(err), probe=probe)
-
-    d = gauge_normalize(SymmetryDescriptor(kind, u))
+    u, kind = reconstruct_unitary_from_projection_action(phi, dim, tol=tol, seed=s.next_u64())
 
     p = rank_one_projection(random_unit_vector(dim, s.next_u64()))
-    try:
-        samples = extract_scaling_function(phi, p, grid)
-    except ReconstructionError as err:
-        return _rejected(TRIPLE_EFFECTS, str(err), probe=probe)
-    scaling_check = check_scaling_identity(samples, probe_tol)
+    samples = extract_scaling_function(phi, p, SCALING_GRID)
+    scaling_check = check_scaling_identity(samples, PROBE_TOL)
     if not scaling_check:
-        return _rejected(
-            TRIPLE_EFFECTS,
+        raise _Rejected(
             "scaling function deviates from identity: "
             f"max |f(λ) − λ| = {scaling_check.max_identity_deviation:.3e}, "
             f"max proportionality residual = {scaling_check.max_proportionality_residual:.3e}",
-            probe=probe,
             scaling=samples,
+        )
+    found["scaling"] = samples
+
+    _verify(found, phi, SymmetryDescriptor(kind, u), tol, trials, s.next_u64(), EFFECTS_DOMAIN)
+
+
+def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
+    dim = phi.dim
+    eye = np.eye(dim, dtype=complex)
+    sign = (1, -1)[_classify(
+        phi(eye),
+        (eye, -eye),
+        "φ(I) ∉ {{I, −I}} (‖φ(I) − I‖ = {:.3e}, ‖φ(I) + I‖ = {:.3e})",
+    )]
+    if sign == 1:
+        psi = phi
+    else:
+        # One validation per query: negate phi's evaluator, not phi itself.
+        psi = EffectMapOracle(
+            dim, lambda m: -np.asarray(phi.evaluator(m), dtype=complex), label="sign_fixed"
         )
 
-    residual = verify_descriptor(phi, d, trials, seed=s.next_u64(), domain=EFFECTS_DOMAIN)
-    if residual > tol:
-        return _rejected(
-            TRIPLE_EFFECTS,
-            f"canonical-form residual {residual:.3e} above tolerance {tol:g}",
-            descriptor=d,
-            max_residual=residual,
-            probe=probe,
-            scaling=samples,
-        )
-    return RecoveryReport(
-        verdict=CANONICAL,
-        family=TRIPLE_EFFECTS,
-        descriptor=d,
-        max_residual=residual,
-        probe=probe,
-        scaling=samples,
-    )
+    _triple_chain(found, psi, tol, trials, Stream(s.next_u64()))
+    candidate = found["descriptor"]
+    _verify(found, phi, SymmetryDescriptor(candidate.kind, candidate.unitary, sign=sign), tol,
+            trials, s.next_u64(), HERMITIAN_DOMAIN, " on Hermitian samples")
+
+
+def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed: int) -> RecoveryReport:
+    """Run one family's chain; every report, canonical or rejected, is built here."""
+    found: dict = {}
+    try:
+        chain(found, phi, tol, trials, Stream(seed))
+    except (_Rejected, ReconstructionError) as err:
+        fields = {**found, **getattr(err, "fields", {})}
+        return RecoveryReport(verdict=REJECTED, family=family, reason=str(err), **fields)
+    return RecoveryReport(verdict=CANONICAL, family=family, **found)
+
+
+def recover_affine(
+    phi: EffectMapOracle, tol: float = ACCEPT_TOL, trials: int = 100, seed: int = 0
+) -> RecoveryReport:
+    """Classify an affine bijection candidate; see the module docstring."""
+    if phi.dim < 2:
+        raise ValueError("recover_affine needs dim >= 2")
+    return _run(AFFINE, _affine_chain, phi, tol, trials, seed)
+
+
+def recover_triple(
+    phi: EffectMapOracle, tol: float = ACCEPT_TOL, trials: int = 100, seed: int = 0
+) -> RecoveryReport:
+    """Classify a triple-multiplicative candidate on effects (dim >= 3)."""
+    if phi.dim < 3:
+        raise ValueError("recover_triple needs dim >= 3")
+    return _run(TRIPLE_EFFECTS, _triple_chain, phi, tol, trials, seed)
 
 
 def recover_triple_hermitian(
-    phi: EffectMapOracle,
-    tol: float = ACCEPT_TOL,
-    trials: int = 100,
-    seed: int = 0,
-    probe_tol: float = PROBE_TOL,
-    probe_pairs: int = 16,
-    probe_trials: int = 16,
+    phi: EffectMapOracle, tol: float = ACCEPT_TOL, trials: int = 100, seed: int = 0
 ) -> RecoveryReport:
     """Classify a triple-multiplicative candidate on all self-adjoints.
 
     The image of I fixes the sign; the sign-corrected restriction to
-    [0, I] must pass the effect-interval pipeline; the final residual is
+    [0, I] must pass the effect-interval chain; the final residual is
     taken over unbounded Gaussian Hermitian samples.
     """
-    dim = phi.dim
-    if dim < 3:
+    if phi.dim < 3:
         raise ValueError("recover_triple_hermitian needs dim >= 3")
-    s = Stream(seed)
-    eye = np.eye(dim, dtype=complex)
-
-    eye_img = phi(eye)
-    dist_plus = frobenius_norm(eye_img - eye)
-    dist_minus = frobenius_norm(eye_img + eye)
-    if dist_plus <= CLASSIFY_TOL:
-        sign = 1
-    elif dist_minus <= CLASSIFY_TOL:
-        sign = -1
-    else:
-        return _rejected(
-            TRIPLE_HERMITIAN,
-            f"φ(I) ∉ {{I, −I}} (‖φ(I) − I‖ = {dist_plus:.3e}, ‖φ(I) + I‖ = {dist_minus:.3e})",
-        )
-
-    if sign == -1:
-        psi = EffectMapOracle(dim, lambda a: -np.asarray(phi(a), dtype=complex), label="sign_fixed")
-    else:
-        psi = phi
-
-    inner = recover_triple(
-        psi,
-        tol=tol,
-        trials=trials,
-        seed=s.next_u64(),
-        probe_tol=probe_tol,
-        probe_pairs=probe_pairs,
-        probe_trials=probe_trials,
-    )
-    if not inner.canonical:
-        return replace(inner, family=TRIPLE_HERMITIAN)
-
-    d = gauge_normalize(
-        SymmetryDescriptor(inner.descriptor.kind, inner.descriptor.unitary, sign=sign)
-    )
-    residual = verify_descriptor(phi, d, trials, seed=s.next_u64(), domain=HERMITIAN_DOMAIN)
-    if residual > tol:
-        return _rejected(
-            TRIPLE_HERMITIAN,
-            f"canonical-form residual {residual:.3e} above tolerance {tol:g} "
-            f"on Hermitian samples",
-            descriptor=d,
-            max_residual=residual,
-            probe=inner.probe,
-            scaling=inner.scaling,
-        )
-    return RecoveryReport(
-        verdict=CANONICAL,
-        family=TRIPLE_HERMITIAN,
-        descriptor=d,
-        max_residual=residual,
-        probe=inner.probe,
-        scaling=inner.scaling,
-    )
+    return _run(TRIPLE_HERMITIAN, _hermitian_chain, phi, tol, trials, seed)

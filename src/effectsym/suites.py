@@ -455,21 +455,13 @@ def phase_gauge_suite(
     failures: list[str] = []
     families = [AFFINE] + ([TRIPLE_EFFECTS] if dim >= 3 else [])
     for family in families:
+        recover = recover_affine if family == AFFINE else recover_triple
         u0 = haar_unitary(dim, s.next_u64())
         rec_seed = s.next_u64()
         rounded: list[np.ndarray] = []
         for theta in thetas:
-            u_theta = np.exp(1j * theta) * u0
-            if family == AFFINE:
-                d = SymmetryDescriptor(UNITARY, u_theta)
-                report = recover_affine(
-                    EffectMapOracle.from_descriptor(d), trials=8, seed=rec_seed
-                )
-            else:
-                d = SymmetryDescriptor(UNITARY, u_theta)
-                report = recover_triple(
-                    EffectMapOracle.from_descriptor(d), trials=8, seed=rec_seed
-                )
+            d = SymmetryDescriptor(UNITARY, np.exp(1j * theta) * u0)
+            report = recover(EffectMapOracle.from_descriptor(d), trials=8, seed=rec_seed)
             if not report.canonical:
                 failures.append(f"{family}, theta={theta}: {report.reason}")
                 continue

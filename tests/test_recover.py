@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from effectsym.extension import EffectMapOracle
-from effectsym.linalg import adjoint, frobenius_norm
+from effectsym.linalg import adjoint, frobenius_norm, operator_norm
 from effectsym.recover import (
+    REJECTED,
     ReconstructionError,
     SCALING_GRID,
     check_scaling_identity,
@@ -439,3 +442,124 @@ def test_rejection_of_perturbed_conjugation():
         phi = perturbed_conjugation_oracle(4, seed, eps=1e-2)
         assert not recover_affine(phi, seed=seed, trials=8).canonical
         assert not recover_triple(phi, seed=seed, trials=8).canonical
+
+
+# ------------------------------------------------ report fields per stage
+
+
+def squared(a):
+    return a @ a
+
+
+def twice_beyond_unit_ball(sign):
+    """±A on the unit ball, ±2A beyond: right on effects, wrong on Hermitians."""
+    return lambda a: sign * (a if operator_norm(a) <= 1.0 + 1e-12 else 2.0 * a)
+
+
+def conjugated_on_full_rank(sign):
+    """±A on rank-deficient effects, ±VAV* on full-rank ones: every probe
+    sees the identity, the effects verify does not."""
+    v = haar_unitary(3, 99)
+
+    def evaluate(a):
+        full = np.min(np.abs(np.linalg.eigvalsh(a))) > 1e-9
+        return sign * (v @ a @ adjoint(v) if full else a)
+
+    return evaluate
+
+
+def squared_on_scaled_rank_one(a):
+    """λP ↦ λ²P on rank-one multiples; the identity elsewhere."""
+    w = np.linalg.eigvalsh(a)
+    nonzero = w[np.abs(w) > 1e-9]
+    if len(nonzero) == 1 and abs(nonzero[0] - 1.0) > 1e-9:
+        return nonzero[0] * a
+    return a
+
+
+def phase_breaking(a):
+    """The identity, except that the projection onto (e0 + e1)/√2 goes to
+    the projection onto e2, which no phase can align."""
+    x = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    if frobenius_norm(a - np.outer(x, x)) < 1e-12:
+        return np.diag([0.0, 0.0, 1.0]).astype(complex)
+    return a
+
+
+VERIFY_REASON = "canonical-form residual"
+REJECTION_STAGES = [
+    # route, evaluator, family, reason prefix, fields set
+    (recover_affine, squared, AFFINE, "map is not affine", {"witness"}),
+    (recover_affine, lambda a: a / 2 + np.eye(3) / 4, AFFINE, "φ(0) not in {0, I}", set()),
+    (recover_affine, lambda a: a / 2, AFFINE, "image of basis projection 0", set()),
+    (recover_triple, lambda a: np.eye(3) - a, TRIPLE_EFFECTS, "triple identity violated", {"witness"}),
+    (recover_triple, lambda a: 0 * a, TRIPLE_EFFECTS, "projection-structure probe failed",
+     {"witness", "probe"}),
+    (recover_triple, phase_breaking, TRIPLE_EFFECTS, "phase alignment degenerate", {"probe"}),
+    (recover_triple, squared_on_scaled_rank_one, TRIPLE_EFFECTS, "scaling function deviates",
+     {"probe", "scaling"}),
+    (recover_triple, conjugated_on_full_rank(1), TRIPLE_EFFECTS, VERIFY_REASON,
+     {"probe", "scaling", "descriptor"}),
+    (recover_triple_hermitian, lambda a: a + np.eye(3), TRIPLE_HERMITIAN, "φ(I) ∉ {I, −I}", set()),
+    (recover_triple_hermitian, lambda a: -squared(a), TRIPLE_HERMITIAN, "triple identity violated",
+     {"witness"}),
+    (recover_triple_hermitian, conjugated_on_full_rank(-1), TRIPLE_HERMITIAN, VERIFY_REASON,
+     {"probe", "scaling", "descriptor"}),
+    (recover_triple_hermitian, twice_beyond_unit_ball(1), TRIPLE_HERMITIAN, VERIFY_REASON,
+     {"probe", "scaling", "descriptor"}),
+    (recover_triple_hermitian, twice_beyond_unit_ball(-1), TRIPLE_HERMITIAN, VERIFY_REASON,
+     {"probe", "scaling", "descriptor"}),
+]
+
+
+@pytest.mark.parametrize(
+    "route, evaluate, family, prefix, fields",
+    REJECTION_STAGES,
+    ids=[
+        "affine-affinity", "affine-phi0", "affine-reconstruct",
+        "triple-identity", "triple-probe", "triple-reconstruct", "triple-scaling", "triple-verify",
+        "hermitian-phiI", "hermitian-inner-identity", "hermitian-inner-verify",
+        "hermitian-verify-plus", "hermitian-verify-minus",
+    ],
+)
+def test_rejection_report_fields(route, evaluate, family, prefix, fields):
+    report = route(oracle(3, evaluate), seed=1)
+    assert report.verdict == REJECTED
+    assert report.family == family
+    assert report.reason.startswith(prefix), report.reason
+    present = {f for f in ("witness", "probe", "scaling", "descriptor") if getattr(report, f) is not None}
+    assert present == fields
+    assert math.isnan(report.max_residual) == ("descriptor" not in fields)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hermitian_final_verify_reports_the_signed_descriptor(sign):
+    report = recover_triple_hermitian(oracle(3, twice_beyond_unit_ball(sign)), seed=1)
+    assert report.reason.endswith("on Hermitian samples")
+    assert report.descriptor.sign == sign
+    assert report.max_residual > 1.0
+
+
+def test_hermitian_inner_verify_reports_the_sign_plus_candidate():
+    report = recover_triple_hermitian(oracle(3, conjugated_on_full_rank(-1)), seed=1)
+    assert not report.reason.endswith("on Hermitian samples")
+    assert report.descriptor.sign == 1
+
+
+def test_hermitian_sign_costs_no_extra_oracle_calls(monkeypatch):
+    calls = []
+    original = EffectMapOracle.__call__
+
+    def counted(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(EffectMapOracle, "__call__", counted)
+    u0 = haar_unitary(3, 11)
+    counts = {}
+    for sign in (1, -1):
+        calls.clear()
+        d = SymmetryDescriptor(UNITARY, u0, sign=sign)
+        assert recover_triple_hermitian(EffectMapOracle.from_descriptor(d), seed=4).canonical
+        counts[sign] = len(calls)
+    assert counts[1] == counts[-1]
