@@ -6,85 +6,37 @@ families (unitary/antiunitary conjugations, optionally complemented or
 sign-flipped), linear extension of affine effect maps, and
 reconstruction of the underlying (anti)unitary from a black-box map,
 with seeded verification batteries for every structural claim.
+
+The package exports what the README quick start and the demos use;
+everything else is imported from its module (``effectsym.linalg``,
+``effectsym.suites``, ...).
 """
 
 from .effects import (
     NotSummableError,
-    are_orthogonal,
     as_effect,
-    as_projection,
-    convex_combine,
-    is_effect,
     is_extreme,
-    is_projection,
     jordan_triple,
     leq,
     orthocomplement,
     partial_add,
     positive_negative_parts,
-    projection_rank,
     rank_one_projection,
-    real_imag_parts,
 )
-from .extension import (
-    AffinityResult,
-    EffectMapOracle,
-    boundedness_check,
-    extend_linear,
-    is_affine,
-    unit_ball_decomposition,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    HermitianEig,
-    adjoint,
-    eig_hermitian,
-    eigenvalues_hermitian,
-    frobenius_norm,
-    hermitize,
-    is_hermitian,
-    operator_norm,
-)
+from .extension import EffectMapOracle, boundedness_check, extend_linear
 from .recover import (
-    ProbeReport,
-    ProbeWitness,
-    ReconstructionError,
-    RecoveryReport,
-    ScalingCheck,
-    ScalingSamples,
     check_scaling_identity,
     extract_scaling_function,
-    preservation_probe,
-    reconstruct_unitary_from_projection_action,
     recover_affine,
     recover_triple,
     recover_triple_hermitian,
-    verify_descriptor,
 )
-from .rng import Stream
-from .sampling import (
-    haar_unitary,
-    nested_projections,
-    orthogonal_projections,
-    random_effect,
-    random_hermitian,
-    random_projection,
-    random_unit_vector,
-)
+from .sampling import random_effect, random_hermitian, random_projection, random_unit_vector
 from .symmetry import (
-    AFFINE,
-    ANTIUNITARY,
-    FAMILIES,
-    TRIPLE_EFFECTS,
-    TRIPLE_HERMITIAN,
-    UNITARY,
-    AffineMapRep,
     SymmetryDescriptor,
     apply_affine_rep,
     apply_symmetry,
     compose,
-    decode_hermitian,
-    encode_hermitian,
     gauge_normalize,
     hermitian_basis,
     inverse,
@@ -95,75 +47,34 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFFINE",
-    "ANTIUNITARY",
-    "AffineMapRep",
-    "AffinityResult",
-    "DEFAULT_TOL",
     "EffectMapOracle",
-    "FAMILIES",
-    "HermitianEig",
     "NotSummableError",
-    "ProbeReport",
-    "ProbeWitness",
-    "ReconstructionError",
-    "RecoveryReport",
-    "ScalingCheck",
-    "ScalingSamples",
-    "Stream",
     "SymmetryDescriptor",
-    "TRIPLE_EFFECTS",
-    "TRIPLE_HERMITIAN",
-    "UNITARY",
-    "adjoint",
     "apply_affine_rep",
     "apply_symmetry",
-    "are_orthogonal",
     "as_effect",
-    "as_projection",
     "boundedness_check",
     "check_scaling_identity",
     "compose",
-    "convex_combine",
-    "decode_hermitian",
-    "eig_hermitian",
-    "eigenvalues_hermitian",
-    "encode_hermitian",
     "extend_linear",
     "extract_scaling_function",
-    "frobenius_norm",
     "gauge_normalize",
-    "haar_unitary",
     "hermitian_basis",
-    "hermitize",
     "inverse",
-    "is_affine",
-    "is_effect",
     "is_extreme",
-    "is_hermitian",
-    "is_projection",
     "jordan_triple",
     "leq",
-    "nested_projections",
-    "operator_norm",
     "orthocomplement",
-    "orthogonal_projections",
     "partial_add",
     "positive_negative_parts",
-    "preservation_probe",
-    "projection_rank",
     "random_effect",
     "random_hermitian",
     "random_projection",
     "random_symmetry",
     "random_unit_vector",
     "rank_one_projection",
-    "real_imag_parts",
-    "reconstruct_unitary_from_projection_action",
     "recover_affine",
     "recover_triple",
     "recover_triple_hermitian",
     "to_affine_rep",
-    "unit_ball_decomposition",
-    "verify_descriptor",
 ]

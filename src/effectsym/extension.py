@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .effects import positive_negative_parts, real_imag_parts
-from .linalg import as_square_array, frobenius_norm, operator_norm
+from .linalg import DEFAULT_TOL, as_square_array, frobenius_norm, operator_norm
 from .rng import Stream
 from .sampling import random_effect
 from .symmetry import (
@@ -112,14 +112,14 @@ def _extend_selfadjoint(phi: EffectMapOracle, h: np.ndarray) -> np.ndarray:
     return _extend_positive(phi, pos) - _extend_positive(phi, neg)
 
 
-def extend_linear(phi: EffectMapOracle, m, tol: float = 1e-9) -> np.ndarray:
+def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:
     """Linear extension of an affine, zero-fixing oracle to any matrix.
 
-    Requires ``||phi(0)||_F <= tol``; affinity itself is the caller's
-    responsibility (probe with :func:`is_affine` first).
+    Requires ``||phi(0)||_F <= DEFAULT_TOL``; affinity itself is the
+    caller's responsibility (probe with :func:`is_affine` first).
     """
     z = frobenius_norm(phi(np.zeros((phi.dim, phi.dim))))
-    if z > tol:
+    if z > DEFAULT_TOL:
         raise ValueError(f"oracle does not fix 0 (||phi(0)|| = {z:.3e})")
     mat = as_square_array(m)
     if mat.shape[0] != phi.dim:
@@ -151,12 +151,13 @@ def boundedness_check(phi: EffectMapOracle, trials: int = 64, seed: int = 0) -> 
     return worst
 
 
-def unit_ball_decomposition(m, tol: float = 1e-9) -> tuple[np.ndarray, ...]:
-    """Write a matrix of spectral norm <= 1 as A1 - A2 + i(A3 - A4) with
-    all four pieces effects; recomposition is exact to rounding."""
+def unit_ball_decomposition(m) -> tuple[np.ndarray, ...]:
+    """Write a matrix of spectral norm <= 1 (up to ``DEFAULT_TOL``) as
+    A1 - A2 + i(A3 - A4) with all four pieces effects; recomposition is
+    exact to rounding."""
     mat = as_square_array(m)
     nrm = operator_norm(mat)
-    if nrm > 1.0 + tol:
+    if nrm > 1.0 + DEFAULT_TOL:
         raise ValueError(f"matrix has spectral norm {nrm:.6f} > 1")
     re, im = real_imag_parts(mat)
     a1, a2 = positive_negative_parts(re)

@@ -18,14 +18,15 @@ from the fields found so far plus those of the refusing stage.
   ``max_residual``).
 * :func:`recover_triple_hermitian` (dim >= 3): classify φ(I) ∈ {I, −I},
   fixing the sign; the triple chain on the sign-fixed map, whose verify
-  stage proposes a sign +1 candidate; verify the signed descriptor on
-  Gaussian Hermitian samples, which replaces the candidate's
-  ``descriptor`` and ``max_residual``.
+  stage proposes a candidate (a rejection there reports it with the
+  sign); verify the signed descriptor on Gaussian Hermitian samples,
+  which replaces the candidate's ``descriptor`` and ``max_residual``.
 
 A rebuild failure (:class:`ReconstructionError`) adds no field.  Sample
 counts are module constants: ``AFFINE_PROBE_TRIALS`` convex triples,
 ``TRIPLE_PROBE_PAIRS`` effect pairs, ``TRIPLE_PROBE_TRIALS`` probe
-rounds, the ``SCALING_GRID`` {k/16}; probes compare against
+rounds, the ``SCALING_GRID`` {k/16}, ``RECONSTRUCT_CHECKS`` rank-one
+checks of a rebuilt unitary; probes compare against
 ``PROBE_TOL`` and classifications against ``CLASSIFY_TOL``.  Every
 universally quantified hypothesis is checked on seeded samples, never
 proven.  Runs are deterministic given (seed, oracle).
@@ -34,7 +35,7 @@ proven.  Runs are deterministic given (seed, oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,6 +79,7 @@ SCALING_GRID = np.arange(17) / 16.0
 AFFINE_PROBE_TRIALS = 64
 TRIPLE_PROBE_PAIRS = 16
 TRIPLE_PROBE_TRIALS = 16
+RECONSTRUCT_CHECKS = 20
 
 CANONICAL = "canonical"
 REJECTED = "rejected"
@@ -269,7 +271,6 @@ def reconstruct_unitary_from_projection_action(
     dim: int,
     tol: float = ACCEPT_TOL,
     seed: int = 0,
-    checks: int = 20,
 ) -> tuple[np.ndarray, str]:
     """Rebuild (U, kind) from an action on rank-one projections.
 
@@ -277,7 +278,8 @@ def reconstruct_unitary_from_projection_action(
     vectors f_i of the basis projections, align the phase of each f_j
     (j >= 1) against the image of the projection onto (e_0 + e_j)/sqrt2,
     decide unitary vs antiunitary from the image of the projection onto
-    (e_0 + i e_1)/sqrt2, then verify on random rank-one projections.
+    (e_0 + i e_1)/sqrt2, then verify on ``RECONSTRUCT_CHECKS`` random
+    rank-one projections.
     Raises :class:`ReconstructionError` whenever the action strays from
     a single-conjugation form.
     """
@@ -323,7 +325,7 @@ def reconstruct_unitary_from_projection_action(
 
     vs = Stream(seed)
     worst = 0.0
-    for _ in range(checks):
+    for _ in range(RECONSTRUCT_CHECKS):
         x = random_unit_vector(dim, vs.next_u64())
         px = np.outer(x, np.conj(x))
         expected = u @ (np.conj(px) if kind == ANTIUNITARY else px) @ adjoint(u)
@@ -516,7 +518,12 @@ def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int,
             dim, lambda m: -np.asarray(phi.evaluator(m), dtype=complex), label="sign_fixed"
         )
 
-    _triple_chain(found, psi, tol, trials, Stream(s.next_u64()))
+    try:
+        _triple_chain(found, psi, tol, trials, Stream(s.next_u64()))
+    except _Rejected as err:
+        if "descriptor" in err.fields:
+            err.fields["descriptor"] = replace(err.fields["descriptor"], sign=sign)
+        raise
     candidate = found["descriptor"]
     _verify(found, phi, SymmetryDescriptor(candidate.kind, candidate.unitary, sign=sign), tol,
             trials, s.next_u64(), HERMITIAN_DOMAIN, " on Hermitian samples")

@@ -31,8 +31,7 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    data = [[[float(z.real), float(z.imag)] for z in row] for row in a]
-    return {"dim": a.shape[0], "data": data}
+    return {"dim": a.shape[0], "data": np.stack([a.real, a.imag], axis=-1).tolist()}
 
 
 def matrix_from_obj(obj: Any) -> np.ndarray:
@@ -75,7 +74,7 @@ def descriptor_from_obj(obj: Any) -> SymmetryDescriptor:
 def affine_rep_to_obj(rep: AffineMapRep) -> dict:
     return {
         "dim": rep.dim,
-        "linear": [[float(x) for x in row] for row in rep.linear],
+        "linear": rep.linear.tolist(),
         "constant": matrix_to_obj(rep.constant),
     }
 

@@ -6,6 +6,22 @@ rejection battery, the scaling-identity grid, the extension machinery,
 the projection probes).  The CLI ``verify`` subcommand and the
 acceptance tests both run these; the CLI scales sample counts from its
 ``--trials`` flag, the acceptance suite pins the counts it needs.
+
+Only the recovery tolerance ``tol`` (the CLI's ``--tol``, default
+``RESIDUAL_TOL = 1e-8``) is a parameter.  Every other bound is a module
+constant:
+
+* ``U_MATCH_TOL = 1e-7``: gauge-normalized unitary distance in the
+  three round-trip suites, which verify each recovery on
+  ``VERIFY_TRIALS = 50`` samples;
+* ``SCALING_TOL = 1e-9``: scaling-function deviation, in the triple
+  round-trip and the scaling grid;
+* ``EIG_BAND_TOL = 1e-9``: eigenvalue slack of the closure band [0, 1];
+* ``ORDER_TOL = 1e-8``: order and pinching tolerance of the probe suite;
+* ``LINEARITY_TOL = 1e-8`` and ``BOUND_SLACK = 1e-9``: the extension
+  suite's linearity defect and its slack over the norm bound 2;
+* ``REJECTION_EPS = 1e-2``: the perturbation of the rejection battery;
+* ``GAUGE_THETAS = (0, 1, 2, 4)``: the phases of the gauge suite.
 """
 
 from __future__ import annotations
@@ -56,6 +72,12 @@ U_MATCH_TOL = 1e-7
 RESIDUAL_TOL = 1e-8
 EIG_BAND_TOL = 1e-9
 SCALING_TOL = 1e-9
+ORDER_TOL = 1e-8
+LINEARITY_TOL = 1e-8
+BOUND_SLACK = 1e-9
+VERIFY_TRIALS = 50
+REJECTION_EPS = 1e-2
+GAUGE_THETAS = (0.0, 1.0, 2.0, 4.0)
 
 
 @dataclass
@@ -70,7 +92,7 @@ def _skipped(name: str, why: str) -> SuiteResult:
     return SuiteResult(name, passed=True, skipped=True, details={"skipped_because": why})
 
 
-def closure_suite(dim: int, seed: int, pairs: int, tol: float = EIG_BAND_TOL) -> SuiteResult:
+def closure_suite(dim: int, seed: int, pairs: int) -> SuiteResult:
     """Triple products of random effect pairs stay inside [0, I]."""
     s = Stream(seed)
     triples = np.empty((pairs, dim, dim), dtype=complex)
@@ -82,52 +104,57 @@ def closure_suite(dim: int, seed: int, pairs: int, tol: float = EIG_BAND_TOL) ->
     lo, hi = float(w.min()), float(w.max())
     return SuiteResult(
         "triple_closure",
-        passed=(lo >= -tol and hi <= 1.0 + tol),
+        passed=(lo >= -EIG_BAND_TOL and hi <= 1.0 + EIG_BAND_TOL),
         details={"dim": dim, "pairs": pairs, "min_eigenvalue": lo, "max_eigenvalue": hi},
     )
 
 
-def _u_distance(d_rec: SymmetryDescriptor, d_true: SymmetryDescriptor) -> float:
-    return frobenius_norm(
-        gauge_normalize(d_rec).unitary - gauge_normalize(d_true).unitary
-    )
-
-
-def affine_roundtrip_suite(
-    dim: int,
-    seed: int,
-    descriptors: int,
-    verify_trials: int = 50,
-    tol: float = RESIDUAL_TOL,
-    u_tol: float = U_MATCH_TOL,
-) -> SuiteResult:
-    """Synthesize affine-family maps (all kind x complement combos),
-    recover them, and compare flags, unitary, and residual."""
-    s = Stream(seed)
+def _roundtrip(
+    s: Stream, dim: int, descriptors: int, family: str, recover, flags, tol: float
+) -> tuple[list[str], float, float, list]:
+    """Synthesize ``family`` maps with ``flags(i)``, recover each and
+    compare; return the failures, the worst unitary distance and
+    residual, and the canonical reports whose flags match."""
     failures: list[str] = []
+    reports = []
     max_u = 0.0
     max_res = 0.0
-    combos_seen = set()
     for i in range(descriptors):
-        kind = (UNITARY, ANTIUNITARY)[i % 2]
-        comp = (i // 2) % 2 == 1
-        combos_seen.add((kind, comp))
-        d_true = random_symmetry(dim, s.next_u64(), family=AFFINE, kind=kind, complement=comp)
+        want = flags(i)
+        d_true = random_symmetry(dim, s.next_u64(), family=family, **want)
         phi = EffectMapOracle.from_descriptor(d_true)
-        report = recover_affine(phi, tol=tol, trials=verify_trials, seed=s.next_u64())
+        report = recover(phi, tol=tol, trials=VERIFY_TRIALS, seed=s.next_u64())
         if not report.canonical:
             failures.append(f"descriptor {i}: {report.reason}")
             continue
-        d_rec = report.descriptor
-        if d_rec.kind != kind or d_rec.complement != comp:
-            failures.append(f"descriptor {i}: flags {d_rec.kind}/{d_rec.complement}")
+        got = {key: getattr(report.descriptor, key) for key in want}
+        if got != want:
+            failures.append(f"descriptor {i}: got {', '.join(f'{k} {v}' for k, v in got.items())}")
             continue
-        max_u = max(max_u, _u_distance(d_rec, d_true))
+        reports.append(report)
+        u_rec, u_true = gauge_normalize(report.descriptor).unitary, gauge_normalize(d_true).unitary
+        max_u = max(max_u, frobenius_norm(u_rec - u_true))
         max_res = max(max_res, report.max_residual)
-    passed = not failures and max_u <= u_tol and max_res <= tol
+    return failures, max_u, max_res, reports
+
+
+def _kind(i: int) -> str:
+    return (UNITARY, ANTIUNITARY)[i % 2]
+
+
+def affine_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = RESIDUAL_TOL) -> SuiteResult:
+    """Synthesize affine-family maps (all kind x complement combos),
+    recover them, and compare flags, unitary, and residual."""
+    def flags(i):
+        return {"kind": _kind(i), "complement": (i // 2) % 2 == 1}
+
+    failures, max_u, max_res, _ = _roundtrip(
+        Stream(seed), dim, descriptors, AFFINE, recover_affine, flags, tol
+    )
+    combos_seen = {(f["kind"], f["complement"]) for f in map(flags, range(descriptors))}
     return SuiteResult(
         "affine_roundtrip",
-        passed=passed,
+        passed=not failures and max_u <= U_MATCH_TOL and max_res <= tol,
         details={
             "dim": dim,
             "descriptors": descriptors,
@@ -139,43 +166,21 @@ def affine_roundtrip_suite(
     )
 
 
-def triple_roundtrip_suite(
-    dim: int,
-    seed: int,
-    descriptors: int,
-    verify_trials: int = 50,
-    tol: float = RESIDUAL_TOL,
-    u_tol: float = U_MATCH_TOL,
-    scaling_tol: float = SCALING_TOL,
-) -> SuiteResult:
+def triple_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = RESIDUAL_TOL) -> SuiteResult:
     """Synthesize triple-family maps (both kinds), recover, compare."""
     if dim < 3:
         return _skipped("triple_roundtrip", "needs dim >= 3")
-    s = Stream(seed)
-    failures: list[str] = []
-    max_u = 0.0
-    max_res = 0.0
-    max_scaling = 0.0
-    for i in range(descriptors):
-        kind = (UNITARY, ANTIUNITARY)[i % 2]
-        d_true = random_symmetry(dim, s.next_u64(), family=TRIPLE_EFFECTS, kind=kind)
-        phi = EffectMapOracle.from_descriptor(d_true)
-        report = recover_triple(phi, tol=tol, trials=verify_trials, seed=s.next_u64())
-        if not report.canonical:
-            failures.append(f"descriptor {i}: {report.reason}")
-            continue
-        if report.descriptor.kind != kind:
-            failures.append(f"descriptor {i}: kind {report.descriptor.kind}")
-            continue
-        max_u = max(max_u, _u_distance(report.descriptor, d_true))
-        max_res = max(max_res, report.max_residual)
-        max_scaling = max(
-            max_scaling, float(np.max(np.abs(report.scaling.values - report.scaling.lambdas)))
-        )
-    passed = not failures and max_u <= u_tol and max_res <= tol and max_scaling <= scaling_tol
+    failures, max_u, max_res, reports = _roundtrip(
+        Stream(seed), dim, descriptors, TRIPLE_EFFECTS, recover_triple,
+        lambda i: {"kind": _kind(i)}, tol,
+    )
+    max_scaling = max(
+        [0.0] + [float(np.max(np.abs(r.scaling.values - r.scaling.lambdas))) for r in reports]
+    )
     return SuiteResult(
         "triple_roundtrip",
-        passed=passed,
+        passed=(not failures and max_u <= U_MATCH_TOL and max_res <= tol
+                and max_scaling <= SCALING_TOL),
         details={
             "dim": dim,
             "descriptors": descriptors,
@@ -187,38 +192,16 @@ def triple_roundtrip_suite(
     )
 
 
-def hermitian_sign_suite(
-    dim: int,
-    seed: int,
-    descriptors: int,
-    verify_trials: int = 50,
-    tol: float = RESIDUAL_TOL,
-    u_tol: float = U_MATCH_TOL,
-) -> SuiteResult:
+def hermitian_sign_suite(dim: int, seed: int, descriptors: int, tol: float = RESIDUAL_TOL) -> SuiteResult:
     """Synthesize sign-family maps (kind x sign combos), recover,
     compare; also check that the shifted map A -> A + I is refused."""
     if dim < 3:
         return _skipped("hermitian_sign", "needs dim >= 3")
     s = Stream(seed)
-    failures: list[str] = []
-    max_u = 0.0
-    max_res = 0.0
-    for i in range(descriptors):
-        kind = (UNITARY, ANTIUNITARY)[i % 2]
-        sign = 1 if (i // 2) % 2 == 0 else -1
-        d_true = random_symmetry(dim, s.next_u64(), family=TRIPLE_HERMITIAN, kind=kind, sign=sign)
-        phi = EffectMapOracle.from_descriptor(d_true)
-        report = recover_triple_hermitian(phi, tol=tol, trials=verify_trials, seed=s.next_u64())
-        if not report.canonical:
-            failures.append(f"descriptor {i}: {report.reason}")
-            continue
-        if report.descriptor.sign != sign or report.descriptor.kind != kind:
-            failures.append(
-                f"descriptor {i}: got kind {report.descriptor.kind}, sign {report.descriptor.sign}"
-            )
-            continue
-        max_u = max(max_u, _u_distance(report.descriptor, d_true))
-        max_res = max(max_res, report.max_residual)
+    failures, max_u, max_res, _ = _roundtrip(
+        s, dim, descriptors, TRIPLE_HERMITIAN, recover_triple_hermitian,
+        lambda i: {"kind": _kind(i), "sign": 1 if (i // 2) % 2 == 0 else -1}, tol,
+    )
 
     eye = np.eye(dim, dtype=complex)
     shifted = EffectMapOracle(dim, lambda a: np.asarray(a, dtype=complex) + eye, label="shift")
@@ -227,10 +210,9 @@ def hermitian_sign_suite(
     if not shift_refused:
         failures.append("shifted map A -> A + I was not refused with the φ(I) reason")
 
-    passed = not failures and max_u <= u_tol and max_res <= tol
     return SuiteResult(
         "hermitian_sign",
-        passed=passed,
+        passed=not failures and max_u <= U_MATCH_TOL and max_res <= tol,
         details={
             "dim": dim,
             "descriptors": descriptors,
@@ -242,7 +224,7 @@ def hermitian_sign_suite(
     )
 
 
-def perturbed_conjugation_oracle(dim: int, seed: int, eps: float = 1e-2) -> EffectMapOracle:
+def perturbed_conjugation_oracle(dim: int, seed: int, eps: float = REJECTION_EPS) -> EffectMapOracle:
     """The rejection battery's target: (1-eps) U A U* + eps (U A U*)^2."""
     u = haar_unitary(dim, seed)
 
@@ -253,20 +235,14 @@ def perturbed_conjugation_oracle(dim: int, seed: int, eps: float = 1e-2) -> Effe
     return EffectMapOracle(dim, evaluate, label="perturbed")
 
 
-def rejection_suite(
-    dim: int,
-    seed: int,
-    oracles: int,
-    eps: float = 1e-2,
-    tol: float = RESIDUAL_TOL,
-) -> SuiteResult:
+def rejection_suite(dim: int, seed: int, oracles: int, tol: float = RESIDUAL_TOL) -> SuiteResult:
     """Perturbed conjugations must be rejected by both recovery routes;
     the complemented map A -> I - A must be rejected by the triple route
     with a triple-identity witness."""
     s = Stream(seed)
     failures: list[str] = []
     for k in range(oracles):
-        phi = perturbed_conjugation_oracle(dim, s.next_u64(), eps)
+        phi = perturbed_conjugation_oracle(dim, s.next_u64())
         affine_report = recover_affine(phi, tol=tol, trials=8, seed=s.next_u64())
         if affine_report.canonical:
             failures.append(f"oracle {k}: affine route accepted a perturbed map")
@@ -294,19 +270,14 @@ def rejection_suite(
         details={
             "dim": dim,
             "oracles": oracles,
-            "eps": eps,
+            "eps": REJECTION_EPS,
             "complemented_rejected": complemented_rejected,
             "failures": failures[:5],
         },
     )
 
 
-def scaling_grid_suite(
-    dim: int,
-    seed: int,
-    oracles: int,
-    tol: float = SCALING_TOL,
-) -> SuiteResult:
+def scaling_grid_suite(dim: int, seed: int, oracles: int) -> SuiteResult:
     """Canonical triple maps satisfy all three scaling identities on the
     17-point grid {k/16}."""
     if dim < 3:
@@ -319,13 +290,13 @@ def scaling_grid_suite(
         phi = EffectMapOracle.from_descriptor(d)
         p = rank_one_projection(random_unit_vector(dim, s.next_u64()))
         samples = extract_scaling_function(phi, p, SCALING_GRID)
-        chk = check_scaling_identity(samples, tol)
+        chk = check_scaling_identity(samples, SCALING_TOL)
         max_id = max(max_id, chk.max_identity_deviation)
         max_mult = max(max_mult, chk.max_multiplicative_deviation)
         max_ortho = max(max_ortho, chk.max_orthoadditive_deviation)
         if not chk:
             failures.append(f"oracle {k}: identity deviation {chk.max_identity_deviation:.3e}")
-    passed = not failures and max(max_id, max_mult, max_ortho) <= tol
+    passed = not failures and max(max_id, max_mult, max_ortho) <= SCALING_TOL
     return SuiteResult(
         "scaling_grid",
         passed=passed,
@@ -340,22 +311,14 @@ def scaling_grid_suite(
     )
 
 
-def extension_suite(
-    dim: int,
-    seed: int,
-    oracles: int,
-    probes: int = 200,
-    linearity_tol: float = 1e-8,
-    bound_slack: float = 1e-9,
-) -> SuiteResult:
+def extension_suite(dim: int, seed: int, oracles: int, probes: int = 200) -> SuiteResult:
     """Linearity of the extension and the norm bound 2 for effect maps."""
     s = Stream(seed)
     failures: list[str] = []
     max_lin = 0.0
     max_bound = 0.0
     for k in range(max(1, oracles)):
-        kind = (UNITARY, ANTIUNITARY)[k % 2]
-        d = random_symmetry(dim, s.next_u64(), family=AFFINE, kind=kind, complement=False)
+        d = random_symmetry(dim, s.next_u64(), family=AFFINE, kind=_kind(k), complement=False)
         phi = EffectMapOracle.from_descriptor(d)
         lin_stream = s.spawn()
         for _ in range(probes):
@@ -367,13 +330,13 @@ def extension_suite(
             rhs = alpha * extend_linear(phi, m) + beta * extend_linear(phi, n)
             dev = frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n))
             max_lin = max(max_lin, dev)
-        if max_lin > linearity_tol:
+        if max_lin > LINEARITY_TOL:
             failures.append(f"oracle {k}: linearity deviation {max_lin:.3e}")
 
         d_any = random_symmetry(dim, s.next_u64(), family=AFFINE)
         bound = boundedness_check(EffectMapOracle.from_descriptor(d_any), trials=32, seed=s.next_u64())
         max_bound = max(max_bound, bound)
-        if bound > 2.0 + bound_slack:
+        if bound > 2.0 + BOUND_SLACK:
             failures.append(f"oracle {k}: extension norm {bound:.6f} above 2")
 
         ball_stream = s.spawn()
@@ -398,13 +361,7 @@ def extension_suite(
     )
 
 
-def probe_suite(
-    dim: int,
-    seed: int,
-    oracles: int,
-    projection_pairs: int = 100,
-    tol: float = 1e-8,
-) -> SuiteResult:
+def probe_suite(dim: int, seed: int, oracles: int, projection_pairs: int = 100) -> SuiteResult:
     """Preservation probes pass on canonical maps, and the order
     predicate agrees with the pinching identity P Q P = P."""
     s = Stream(seed)
@@ -424,8 +381,8 @@ def probe_suite(
         else:
             p = random_projection(dim, s.next_u64())
             q = random_projection(dim, s.next_u64())
-        order = leq(p, q, tol)
-        pinch = frobenius_norm(p @ q @ p - p) <= tol
+        order = leq(p, q, ORDER_TOL)
+        pinch = frobenius_norm(p @ q @ p - p) <= ORDER_TOL
         if order != pinch:
             mismatches += 1
     if mismatches:
@@ -444,11 +401,7 @@ def probe_suite(
     )
 
 
-def phase_gauge_suite(
-    dim: int,
-    seed: int,
-    thetas=(0.0, 1.0, 2.0, 4.0),
-) -> SuiteResult:
+def phase_gauge_suite(dim: int, seed: int) -> SuiteResult:
     """Oracles built from exp(i theta) U recover one gauge-normalized U,
     bitwise identical after rounding entries to 1e-12."""
     s = Stream(seed)
@@ -459,7 +412,7 @@ def phase_gauge_suite(
         u0 = haar_unitary(dim, s.next_u64())
         rec_seed = s.next_u64()
         rounded: list[np.ndarray] = []
-        for theta in thetas:
+        for theta in GAUGE_THETAS:
             d = SymmetryDescriptor(UNITARY, np.exp(1j * theta) * u0)
             report = recover(EffectMapOracle.from_descriptor(d), trials=8, seed=rec_seed)
             if not report.canonical:
@@ -468,11 +421,11 @@ def phase_gauge_suite(
             rounded.append(np.round(gauge_normalize(report.descriptor).unitary, 12))
         for k in range(1, len(rounded)):
             if not np.array_equal(rounded[0], rounded[k]):
-                failures.append(f"{family}: recovered U differs at theta={thetas[k]}")
+                failures.append(f"{family}: recovered U differs at theta={GAUGE_THETAS[k]}")
     return SuiteResult(
         "phase_gauge",
         passed=not failures,
-        details={"dim": dim, "thetas": list(thetas), "failures": failures[:5]},
+        details={"dim": dim, "thetas": list(GAUGE_THETAS), "failures": failures[:5]},
     )
 
 

@@ -11,6 +11,7 @@ from effectsym.extension import EffectMapOracle, boundedness_check, extend_linea
 from effectsym.linalg import frobenius_norm
 from effectsym.rng import Stream
 from effectsym.sampling import complex_gaussian
+from effectsym import suites
 from effectsym.suites import (
     affine_roundtrip_suite,
     closure_suite,
@@ -32,8 +33,9 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_triple_closure():
+    assert suites.EIG_BAND_TOL == 1e-9
     start = time.perf_counter()
-    results = [closure_suite(dim, seed=1000 + dim, pairs=1000, tol=1e-9) for dim in range(2, 9)]
+    results = [closure_suite(dim, seed=1000 + dim, pairs=1000) for dim in range(2, 9)]
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in results) and elapsed < 10.0
     lo = min(r.details["min_eigenvalue"] for r in results)
@@ -43,9 +45,10 @@ def test_criterion_1_triple_closure():
 
 
 def test_criterion_2_affine_roundtrip():
+    assert suites.U_MATCH_TOL == 1e-7
     start = time.perf_counter()
     results = [
-        affine_roundtrip_suite(dim, seed=2000 + dim, descriptors=100, tol=1e-8, u_tol=1e-7)
+        affine_roundtrip_suite(dim, seed=2000 + dim, descriptors=100, tol=1e-8)
         for dim in range(2, 7)
     ]
     elapsed = time.perf_counter() - start
@@ -58,9 +61,9 @@ def test_criterion_2_affine_roundtrip():
 
 
 def test_criterion_3_triple_roundtrip():
+    assert suites.SCALING_TOL == 1e-9
     results = [
-        triple_roundtrip_suite(dim, seed=3000 + dim, descriptors=100,
-                               tol=1e-8, scaling_tol=1e-9)
+        triple_roundtrip_suite(dim, seed=3000 + dim, descriptors=100, tol=1e-8)
         for dim in range(3, 7)
     ]
     max_res = max(r.details["max_residual"] for r in results)
@@ -82,7 +85,8 @@ def test_criterion_4_sign_dichotomy():
 
 
 def test_criterion_5_rejection_battery():
-    result = rejection_suite(4, seed=5000, oracles=20, eps=1e-2)
+    assert suites.REJECTION_EPS == 1e-2
+    result = rejection_suite(4, seed=5000, oracles=20)
     ok = result.passed and result.details["complemented_rejected"]
     _report(5, "rejection battery (perturbed + complemented)", ok,
             f"oracles = {result.details['oracles']}")
@@ -125,8 +129,9 @@ def test_criterion_6_extension_machinery():
 
 
 def test_criterion_7_proof_step_probes():
+    assert suites.ORDER_TOL == 1e-8
     results = [
-        probe_suite(dim, seed=7000 + dim, oracles=25, projection_pairs=250, tol=1e-8)
+        probe_suite(dim, seed=7000 + dim, oracles=25, projection_pairs=250)
         for dim in range(3, 7)
     ]
     total_oracles = sum(r.details["oracles"] for r in results)
@@ -138,7 +143,7 @@ def test_criterion_7_proof_step_probes():
 
 
 def test_criterion_8_phase_gauge_invariance():
-    results = [phase_gauge_suite(dim, seed=8000 + dim, thetas=(0.0, 1.0, 2.0, 4.0))
-               for dim in (3, 4)]
+    assert suites.GAUGE_THETAS == (0.0, 1.0, 2.0, 4.0)
+    results = [phase_gauge_suite(dim, seed=8000 + dim) for dim in (3, 4)]
     ok = all(r.passed for r in results)
     _report(8, "phase-gauge invariance θ ∈ {0,1,2,4}", ok)

@@ -540,10 +540,10 @@ def test_hermitian_final_verify_reports_the_signed_descriptor(sign):
     assert report.max_residual > 1.0
 
 
-def test_hermitian_inner_verify_reports_the_sign_plus_candidate():
+def test_hermitian_inner_verify_reports_the_signed_candidate():
     report = recover_triple_hermitian(oracle(3, conjugated_on_full_rank(-1)), seed=1)
     assert not report.reason.endswith("on Hermitian samples")
-    assert report.descriptor.sign == 1
+    assert report.descriptor.sign == -1
 
 
 def test_hermitian_sign_costs_no_extra_oracle_calls(monkeypatch):
