@@ -47,7 +47,7 @@ summarize("affine recovery", report, hidden)
 
 print("\n  the recentered linear extension of any effect-to-effect map")
 print("  stays bounded by 2 on effects:",
-      f"{boundedness_check(oracle, trials=32):.4f}")
+      f"{boundedness_check(oracle):.4f}")
 
 # --- triple family on effects --------------------------------------------
 hidden_t = random_symmetry(dim, seed=102, family="triple_effects")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -28,7 +29,6 @@ from .serialize import (
     affine_rep_to_obj,
     descriptor_to_obj,
     dump_json,
-    json_default,
     load_json,
     oracle_from_obj,
     report_to_obj,
@@ -102,11 +102,7 @@ def _affine_output_path(path: str) -> str:
 
 def _write(obj, path: str | None) -> None:
     try:
-        if path is None:
-            json.dump(obj, sys.stdout, indent=2, ensure_ascii=False, default=json_default)
-            sys.stdout.write("\n")
-        else:
-            dump_json(obj, path)
+        dump_json(obj, path)
     except OSError as err:
         raise CliError(f"cannot write output: {err}", EXIT_IO) from err
 
@@ -147,8 +143,8 @@ _RECOVER_DISPATCH = {
 def cmd_recover(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CliError("recover needs --trials >= 1", EXIT_BAD_INPUT)
-    if args.tol <= 0:
-        raise CliError("recover needs --tol > 0", EXIT_BAD_INPUT)
+    if not 0 < args.tol < math.inf:
+        raise CliError("recover needs a finite --tol > 0", EXIT_BAD_INPUT)
     try:
         obj = load_json(args.input)
     except (OSError, json.JSONDecodeError) as err:
@@ -186,8 +182,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError("verify needs --dim >= 2", EXIT_BAD_INPUT)
     if args.trials < 1:
         raise CliError("verify needs --trials >= 1", EXIT_BAD_INPUT)
-    if args.tol <= 0:
-        raise CliError("verify needs --tol > 0", EXIT_BAD_INPUT)
+    if not 0 < args.tol < math.inf:
+        raise CliError("verify needs a finite --tol > 0", EXIT_BAD_INPUT)
     start = time.perf_counter()
     results = run_verify_suites(args.dim, args.seed, args.trials, tol=args.tol)
     elapsed = time.perf_counter() - start

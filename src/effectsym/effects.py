@@ -1,11 +1,13 @@
 """The operator interval [0, I]: effects, projections, and their algebra.
 
 Effects and projections are plain Hermitian ``numpy`` arrays; the
-constructors :func:`as_effect` and :func:`as_projection` validate (and,
-for effects, clamp) a candidate matrix and hand back a clean copy.
-Operations assume validated inputs and do not re-check spectra, so the
-hot paths stay cheap; closure properties are enforced by the callers
-that need them and by the test suites.
+constructor :func:`as_effect` validates and clamps a candidate matrix
+and hands back a clean copy.  Operations assume validated inputs and do
+not re-check spectra, so the hot paths stay cheap; closure properties
+are enforced by the callers that need them and by the test suites.
+``as_effect``, ``partial_add`` and ``is_extreme`` bound spectra within
+``linalg.DEFAULT_TOL = 1e-9``, the tolerance of every Hermiticity check
+here too; ``leq`` takes its tolerance as an argument, with that default.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from .linalg import (
     as_square_array,
     eig_hermitian,
     eigenvalues_hermitian,
-    frobenius_norm,
     hermitize,
     matching_dims,
-    require_hermitian,
 )
 
 
@@ -29,56 +29,21 @@ class NotSummableError(ValueError):
     """A + B leaves the interval [0, I], so the partial sum is undefined."""
 
 
-def as_effect(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def as_effect(a) -> np.ndarray:
     """Validate a matrix as an effect and clamp its spectrum to [0, 1].
 
     Accepts Hermitian matrices whose eigenvalues lie in
-    ``[-tol, 1 + tol]``; anything further out is rejected.  Clamping
-    keeps floating-point drift from accumulating across long pipelines.
+    ``[-DEFAULT_TOL, 1 + DEFAULT_TOL]``; anything further out is
+    rejected.  Clamping keeps floating-point drift from accumulating
+    across long pipelines.
     """
-    dec = eig_hermitian(a, tol)
-    w = dec.eigenvalues
-    if w[0] < -tol or w[-1] > 1.0 + tol:
+    w, v = eig_hermitian(a)
+    if w[0] < -DEFAULT_TOL or w[-1] > 1.0 + DEFAULT_TOL:
         raise ValueError(
             f"matrix is not an effect: eigenvalues span [{w[0]:.3e}, {w[-1]:.3e}]"
         )
     clamped = np.clip(w, 0.0, 1.0)
-    v = dec.eigenvectors
     return hermitize((v * clamped) @ adjoint(v))
-
-
-def is_effect(a, tol: float = DEFAULT_TOL) -> bool:
-    try:
-        as_effect(a, tol)
-    except ValueError:
-        return False
-    return True
-
-
-def as_projection(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a Hermitian idempotent; returns the symmetrized copy."""
-    m = require_hermitian(a, tol)
-    defect = frobenius_norm(m @ m - m)
-    if defect > tol * max(1.0, frobenius_norm(m)):
-        raise ValueError(f"matrix is not a projection (idempotency defect {defect:.3e})")
-    return hermitize(m)
-
-
-def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
-    try:
-        as_projection(a, tol)
-    except ValueError:
-        return False
-    return True
-
-
-def projection_rank(p, tol: float = 0.01) -> int:
-    """Rank of a projection, recovered from its trace."""
-    tr = float(np.trace(np.asarray(p)).real)
-    rank = round(tr)
-    if abs(tr - rank) > tol:
-        raise ValueError(f"trace {tr:.6f} is not close to an integer rank")
-    return rank
 
 
 def jordan_triple(a, b) -> np.ndarray:
@@ -93,24 +58,16 @@ def orthocomplement(a) -> np.ndarray:
     return np.eye(m.shape[0], dtype=complex) - m
 
 
-def convex_combine(lam: float, a, b) -> np.ndarray:
-    """lam*A + (1-lam)*B for lam in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"convex weight {lam} outside [0, 1]")
-    matching_dims(a, b)
-    return lam * np.asarray(a, dtype=complex) + (1.0 - lam) * np.asarray(b, dtype=complex)
-
-
-def partial_add(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
+def partial_add(a, b) -> np.ndarray:
     """A + B where defined, i.e. when the sum stays below I.
 
     Raises :class:`NotSummableError` when the top eigenvalue of A + B
-    exceeds ``1 + tol``.
+    exceeds ``1 + DEFAULT_TOL``.
     """
     matching_dims(a, b)
     s = np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
     top = eigenvalues_hermitian(s)[-1]
-    if top > 1.0 + tol:
+    if top > 1.0 + DEFAULT_TOL:
         raise NotSummableError(f"A + B has top eigenvalue {top:.6f} > 1")
     return s
 
@@ -122,20 +79,19 @@ def leq(a, b, tol: float = DEFAULT_TOL) -> bool:
     return bool(eigenvalues_hermitian(diff)[0] >= -tol)
 
 
-def is_extreme(a, tol: float = DEFAULT_TOL) -> bool:
+def is_extreme(a) -> bool:
     """True iff the effect is extreme in [0, I], i.e. a projection.
 
-    Checked spectrally: every eigenvalue within ``tol`` of {0, 1}.
+    Checked spectrally: every eigenvalue within ``DEFAULT_TOL`` of {0, 1}.
     """
     w = eigenvalues_hermitian(a)
-    return bool(np.all(np.minimum(np.abs(w), np.abs(w - 1.0)) <= tol))
+    return bool(np.all(np.minimum(np.abs(w), np.abs(w - 1.0)) <= DEFAULT_TOL))
 
 
-def positive_negative_parts(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def positive_negative_parts(a) -> tuple[np.ndarray, np.ndarray]:
     """Split a Hermitian matrix as A = A_pos - A_neg with both parts psd
     and A_pos A_neg = 0."""
-    dec = eig_hermitian(a, tol)
-    w, v = dec.eigenvalues, dec.eigenvectors
+    w, v = eig_hermitian(a)
     pos = hermitize((v * np.clip(w, 0.0, None)) @ adjoint(v))
     neg = hermitize((v * np.clip(-w, 0.0, None)) @ adjoint(v))
     return pos, neg
@@ -155,9 +111,3 @@ def rank_one_projection(x) -> np.ndarray:
         raise ValueError("cannot project onto the zero vector")
     v = v / nrm
     return np.outer(v, np.conj(v))
-
-
-def are_orthogonal(p, q, tol: float = DEFAULT_TOL) -> bool:
-    """True iff PQ = 0 within tol (Frobenius)."""
-    matching_dims(p, q)
-    return frobenius_norm(np.asarray(p) @ np.asarray(q)) <= tol

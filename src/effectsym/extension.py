@@ -13,6 +13,12 @@ The spectral norm is the right normalizer: for psd A the rescaled
 A/||A|| stays inside [0, I], which a Frobenius rescaling would not
 guarantee.  Linearity of the result is a property the test suites
 check on samples, not an assumption.
+
+Sample counts and tolerances are module constants: :func:`is_affine`
+probes ``AFFINE_PROBE_TRIALS = 64`` convex triples against
+``PROBE_TOL = 1e-9``, :func:`boundedness_check` takes the maximum over
+``BOUNDEDNESS_TRIALS = 32`` random effects, and :func:`extend_linear`
+requires ``||phi(0)||_F <= DEFAULT_TOL = 1e-9``.
 """
 
 from __future__ import annotations
@@ -26,14 +32,12 @@ from .effects import positive_negative_parts, real_imag_parts
 from .linalg import DEFAULT_TOL, as_square_array, frobenius_norm, operator_norm
 from .rng import Stream
 from .sampling import random_effect
-from .symmetry import (
-    AffineMapRep,
-    SymmetryDescriptor,
-    apply_affine_rep,
-    apply_symmetry,
-)
+from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
 
 ZERO_NORM_CUTOFF = 1e-12
+PROBE_TOL = 1e-9
+AFFINE_PROBE_TRIALS = 64
+BOUNDEDNESS_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -50,13 +54,14 @@ class EffectMapOracle:
             raise ValueError(f"oracle expects dim {self.dim}, got {m.shape[0]}")
         return np.asarray(self.evaluator(m), dtype=complex)
 
+    # __call__ has validated the input, so the evaluators skip the checks.
     @classmethod
     def from_descriptor(cls, d: SymmetryDescriptor) -> "EffectMapOracle":
-        return cls(d.dim, lambda a: apply_symmetry(d, a), label="descriptor")
+        return cls(d.dim, lambda m: _apply_symmetry(d, m), label="descriptor")
 
     @classmethod
     def from_affine_rep(cls, rep: AffineMapRep) -> "EffectMapOracle":
-        return cls(rep.dim, lambda a: apply_affine_rep(rep, a), label="affine_rep")
+        return cls(rep.dim, lambda m: _apply_affine_rep(rep, m), label="affine_rep")
 
 
 @dataclass(frozen=True)
@@ -75,19 +80,12 @@ class AffinityResult:
         return self.ok
 
 
-def is_affine(
-    phi: EffectMapOracle,
-    trials: int = 64,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> AffinityResult:
+def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
     """Probe phi(lam*A + (1-lam)*B) = lam*phi(A) + (1-lam)*phi(B) on
     random triples; stop at the first violation."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     s = Stream(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(AFFINE_PROBE_TRIALS):
         lam = s.uniform()
         a = random_effect(phi.dim, s.next_u64())
         b = random_effect(phi.dim, s.next_u64())
@@ -95,7 +93,7 @@ def is_affine(
         rhs = lam * phi(a) + (1.0 - lam) * phi(b)
         dev = frobenius_norm(lhs - rhs)
         worst = max(worst, dev)
-        if dev > tol:
+        if dev > PROBE_TOL:
             return AffinityResult(False, worst, (lam, a, b))
     return AffinityResult(True, worst)
 
@@ -128,7 +126,7 @@ def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:
     return _extend_selfadjoint(phi, re) + 1j * _extend_selfadjoint(phi, im)
 
 
-def boundedness_check(phi: EffectMapOracle, trials: int = 64, seed: int = 0) -> float:
+def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:
     """Max spectral norm of the recentered extension over random effects.
 
     Recentered means psi(A) = phi(A) - phi(0).  For any oracle that maps
@@ -136,8 +134,6 @@ def boundedness_check(phi: EffectMapOracle, trials: int = 64, seed: int = 0) -> 
     inequality through phi(0)), which makes this a cheap sanity screen
     for range violations.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     zero_img = phi(np.zeros((phi.dim, phi.dim)))
     # One validation per query: recenter phi's evaluator, not phi itself.
     psi = EffectMapOracle(
@@ -145,7 +141,7 @@ def boundedness_check(phi: EffectMapOracle, trials: int = 64, seed: int = 0) -> 
     )
     s = Stream(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(BOUNDEDNESS_TRIALS):
         a = random_effect(phi.dim, s.next_u64())
         worst = max(worst, operator_norm(extend_linear(psi, a)))
     return worst

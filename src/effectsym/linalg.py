@@ -2,12 +2,11 @@
 
 Matrices are plain square ``numpy`` arrays of ``complex128``.
 Eigendecompositions use LAPACK (``numpy.linalg.eigh`` / ``eigvalsh``)
-on the symmetrized input.
+on the symmetrized input.  Hermiticity is checked against
+``DEFAULT_TOL = 1e-9`` relative to the Frobenius norm.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +46,12 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return frobenius_norm(a - adjoint(a))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
+def require_hermitian(a) -> np.ndarray:
     m = as_square_array(a)
-    scale = max(frobenius_norm(m), 1e-300)
-    return hermiticity_defect(m) <= tol * scale
-
-
-def require_hermitian(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    m = as_square_array(a)
-    if not is_hermitian(m, tol):
+    defect = hermiticity_defect(m)
+    if not defect <= DEFAULT_TOL * max(frobenius_norm(m), 1e-300):
         raise ValueError(
-            f"matrix is not Hermitian within tolerance {tol:g} "
-            f"(defect {hermiticity_defect(m):.3e})"
+            f"matrix is not Hermitian within tolerance {DEFAULT_TOL:g} (defect {defect:.3e})"
         )
     return m
 
@@ -70,34 +63,16 @@ def matching_dims(a: np.ndarray, b: np.ndarray) -> int:
     return ma.shape[0]
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and matching orthonormal eigenvector
+    columns of a Hermitian matrix, as ``numpy.linalg.eigh`` returns them.
 
-    ``eigenvalues`` are real and ascending; the columns of
-    ``eigenvectors`` are the matching orthonormal eigenvectors.
+    The input must be Hermitian within ``DEFAULT_TOL`` relative to its
+    Frobenius norm; it is symmetrized before factorization.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ adjoint(v)
+    return np.linalg.eigh(hermitize(require_hermitian(a)))
 
 
-def eig_hermitian(a, tol: float = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    The input must be Hermitian within ``tol`` relative to its Frobenius
-    norm; it is symmetrized before factorization.
-    """
-    m = require_hermitian(a, tol)
-    w, v = np.linalg.eigh(hermitize(m))
-    return HermitianEig(w, v)
-
-
-def eigenvalues_hermitian(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def eigenvalues_hermitian(a) -> np.ndarray:
     """Ascending eigenvalues only."""
-    m = require_hermitian(a, tol)
-    return np.linalg.eigvalsh(hermitize(m))
+    return np.linalg.eigvalsh(hermitize(require_hermitian(a)))

@@ -23,11 +23,12 @@ from the fields found so far plus those of the refusing stage.
   which replaces the candidate's ``descriptor`` and ``max_residual``.
 
 A rebuild failure (:class:`ReconstructionError`) adds no field.  Sample
-counts are module constants: ``AFFINE_PROBE_TRIALS`` convex triples,
-``TRIPLE_PROBE_PAIRS`` effect pairs, ``TRIPLE_PROBE_TRIALS`` probe
-rounds, the ``SCALING_GRID`` {k/16}, ``RECONSTRUCT_CHECKS`` rank-one
-checks of a rebuilt unitary; probes compare against
-``PROBE_TOL`` and classifications against ``CLASSIFY_TOL``.  Every
+counts are module constants: ``TRIPLE_PROBE_PAIRS`` effect pairs,
+``TRIPLE_PROBE_TRIALS`` probe rounds, the ``SCALING_GRID`` {k/16},
+``RECONSTRUCT_CHECKS`` rank-one checks of a rebuilt unitary (the
+affinity probe's count lives in :mod:`effectsym.extension`).  Probes
+and the scaling check compare against ``extension.PROBE_TOL``,
+classifications against ``CLASSIFY_TOL``.  Every
 universally quantified hypothesis is checked on seeded samples, never
 proven.  Runs are deterministic given (seed, oracle).
 """
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .effects import rank_one_projection
-from .extension import EffectMapOracle, is_affine
+from .extension import PROBE_TOL, EffectMapOracle, is_affine
 from .linalg import (
     adjoint,
     eigenvalues_hermitian,
@@ -70,13 +71,11 @@ from .symmetry import (
 )
 
 ACCEPT_TOL = 1e-8
-PROBE_TOL = 1e-9
 CLASSIFY_TOL = 1e-6
 RANK_ONE_TOL = 1e-6
 PHASE_CUTOFF = 1e-6
 
 SCALING_GRID = np.arange(17) / 16.0
-AFFINE_PROBE_TRIALS = 64
 TRIPLE_PROBE_PAIRS = 16
 TRIPLE_PROBE_TRIALS = 16
 RECONSTRUCT_CHECKS = 20
@@ -191,12 +190,7 @@ class RecoveryReport:
         return self.verdict == CANONICAL
 
 
-def preservation_probe(
-    phi: EffectMapOracle,
-    trials: int = 20,
-    tol: float = PROBE_TOL,
-    seed: int = 0,
-) -> ProbeReport:
+def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) -> ProbeReport:
     """Check that images of random projections behave like projections.
 
     Per trial: one Haar projection (is its image an idempotent, and do
@@ -219,22 +213,22 @@ def preservation_probe(
         p = random_projection(dim, s.next_u64())
         img = phi(p)
         defect = max(hermiticity_defect(img), frobenius_norm(img @ img - img))
-        if defect > tol:
+        if defect > PROBE_TOL:
             fail("projections", (p,), defect)
         comp_defect = frobenius_norm(img + phi(eye - p) - eye)
-        if comp_defect > tol:
+        if comp_defect > PROBE_TOL:
             fail("orthocomplement", (p,), comp_defect)
 
         p_low, p_high = nested_projections(dim, s.next_u64())
         img_low, img_high = phi(p_low), phi(p_high)
         matching_dims(img_low, img_high)
         gap = eigenvalues_hermitian(img_high - img_low)[0]
-        if not gap >= -tol:
+        if not gap >= -PROBE_TOL:
             fail("order", (p_low, p_high), float(-gap))
 
         q1, q2 = orthogonal_projections(dim, s.next_u64())
         prod = frobenius_norm(phi(q1) @ phi(q2))
-        if prod > tol:
+        if prod > PROBE_TOL:
             fail("orthogonality", (q1, q2), prod)
 
     return ProbeReport(
@@ -386,12 +380,12 @@ def extract_scaling_function(phi, p: np.ndarray, lambdas) -> ScalingSamples:
     return ScalingSamples(projection=p, lambdas=lams, values=values, residuals=residuals)
 
 
-def check_scaling_identity(samples: ScalingSamples, tol: float = PROBE_TOL) -> ScalingCheck:
+def check_scaling_identity(samples: ScalingSamples) -> ScalingCheck:
     """Compare sampled f with the identity.
 
-    Passing requires max |f(lam) - lam| <= tol and trustworthy samples
-    (proportionality residuals <= tol).  The multiplicative identity
-    f(lam^2) = f(lam)^2 and the orthoadditive identity
+    Passing requires max |f(lam) - lam| <= PROBE_TOL and trustworthy
+    samples (proportionality residuals <= PROBE_TOL).  The multiplicative
+    identity f(lam^2) = f(lam)^2 and the orthoadditive identity
     f(lam^2) + f(1 - lam^2) = 1 are evaluated wherever the grid contains
     the needed points and reported as diagnostics.
     """
@@ -415,7 +409,7 @@ def check_scaling_identity(samples: ScalingSamples, tol: float = PROBE_TOL) -> S
         if k is not None:
             ortho_dev = max(ortho_dev, abs(f[j] + f[k] - 1.0))
 
-    ok = id_dev <= tol and prop_res <= tol
+    ok = id_dev <= PROBE_TOL and prop_res <= PROBE_TOL
     return ScalingCheck(ok, id_dev, mult_dev, ortho_dev, prop_res)
 
 
@@ -446,7 +440,7 @@ def _verify(found: dict, phi, d: SymmetryDescriptor, tol: float, trials: int, se
 def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
     dim = phi.dim
     eye = np.eye(dim, dtype=complex)
-    aff = is_affine(phi, AFFINE_PROBE_TRIALS, PROBE_TOL, seed=s.next_u64())
+    aff = is_affine(phi, seed=s.next_u64())
     if not aff:
         raise _Rejected(
             f"map is not affine: convex-combination defect {aff.max_deviation:.3e}",
@@ -476,7 +470,7 @@ def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
                 witness=(a, b),
             )
 
-    probe = preservation_probe(phi, TRIPLE_PROBE_TRIALS, PROBE_TOL, seed=s.next_u64())
+    probe = preservation_probe(phi, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
     if not probe.all_preserved:
         raise _Rejected(
             f"projection-structure probe failed ({', '.join(probe.failed_checks())} not preserved)",
@@ -489,7 +483,7 @@ def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
 
     p = rank_one_projection(random_unit_vector(dim, s.next_u64()))
     samples = extract_scaling_function(phi, p, SCALING_GRID)
-    scaling_check = check_scaling_identity(samples, PROBE_TOL)
+    scaling_check = check_scaling_identity(samples)
     if not scaling_check:
         raise _Rejected(
             "scaling function deviates from identity: "

@@ -10,7 +10,7 @@ order is part of the contract so streams stay reproducible:
 * ``random_effect``: the stream's first output seeds the Haar rotation,
   then ``dim`` uniforms give the eigenvalues.
 * ``random_projection``: first output seeds the Haar rotation, then one
-  integer draw picks the rank uniformly in 1..dim-1 (unless given).
+  integer draw picks the rank uniformly in 1..dim-1.
 """
 
 from __future__ import annotations
@@ -49,17 +49,13 @@ def random_effect(dim: int, seed: int) -> np.ndarray:
     return hermitize((u * lam) @ adjoint(u))
 
 
-def random_projection(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
-    """Haar-rotated orthogonal projection of the given (or random) rank."""
+def random_projection(dim: int, seed: int) -> np.ndarray:
+    """Haar-rotated orthogonal projection of random rank in 1..dim-1."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
     s = Stream(seed)
     u = haar_unitary(dim, s.next_u64())
-    if rank is None:
-        rank = 1 + s.integer(dim - 1)
-    if not 0 < rank < dim + 1:
-        raise ValueError(f"rank {rank} out of range for dim {dim}")
-    cols = u[:, :rank]
+    cols = u[:, :1 + s.integer(dim - 1)]
     return hermitize(cols @ adjoint(cols))
 
 

@@ -16,8 +16,10 @@ double is recovered exactly by any IEEE-754 JSON reader.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sys
 from typing import Any
 
 import numpy as np
@@ -146,8 +148,11 @@ def json_default(value: Any):
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
-def dump_json(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def dump_json(obj: Any, path: str | None) -> None:
+    """Write ``obj`` as strict JSON (NaN and inf refused) to ``path``, or
+    to stdout when ``path`` is None."""
+    target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+    with target as fh:
         json.dump(obj, fh, indent=2, ensure_ascii=False, allow_nan=False, default=json_default)
         fh.write("\n")
 

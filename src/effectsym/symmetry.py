@@ -179,6 +179,11 @@ def apply_symmetry(d: SymmetryDescriptor, a) -> np.ndarray:
     m = as_square_array(a)
     if m.shape[0] != d.dim:
         raise ValueError(f"dimension mismatch: descriptor {d.dim}, input {m.shape[0]}")
+    return _apply_symmetry(d, m)
+
+
+def _apply_symmetry(d: SymmetryDescriptor, m: np.ndarray) -> np.ndarray:
+    """:func:`apply_symmetry` on a validated square array of dim ``d.dim``."""
     if d.complement:
         m = np.eye(d.dim, dtype=complex) - m
     if d.kind == ANTIUNITARY:
@@ -265,6 +270,11 @@ def apply_affine_rep(rep: AffineMapRep, a) -> np.ndarray:
     m = as_square_array(a)
     if m.shape[0] != rep.dim:
         raise ValueError(f"dimension mismatch: rep {rep.dim}, input {m.shape[0]}")
+    return _apply_affine_rep(rep, m)
+
+
+def _apply_affine_rep(rep: AffineMapRep, m: np.ndarray) -> np.ndarray:
+    """:func:`apply_affine_rep` on a validated square array of dim ``rep.dim``."""
     return _decode(rep.linear @ _encode(m), rep.dim) + rep.constant
 
 

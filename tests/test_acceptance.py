@@ -11,7 +11,7 @@ from effectsym.extension import EffectMapOracle, boundedness_check, extend_linea
 from effectsym.linalg import frobenius_norm
 from effectsym.rng import Stream
 from effectsym.sampling import complex_gaussian
-from effectsym import suites
+from effectsym import extension, suites
 from effectsym.suites import (
     affine_roundtrip_suite,
     closure_suite,
@@ -93,6 +93,7 @@ def test_criterion_5_rejection_battery():
 
 
 def test_criterion_6_extension_machinery():
+    assert extension.BOUNDEDNESS_TRIALS == 32
     max_lin = 0.0
     max_bound = 0.0
     ok = True
@@ -120,8 +121,7 @@ def test_criterion_6_extension_machinery():
             d = random_symmetry(dim, s.next_u64(), family=AFFINE,
                                 kind=("unitary", "antiunitary")[k % 2],
                                 complement=(k // 2) % 2 == 1)
-            bound = boundedness_check(EffectMapOracle.from_descriptor(d),
-                                      trials=32, seed=s.next_u64())
+            bound = boundedness_check(EffectMapOracle.from_descriptor(d), seed=s.next_u64())
             max_bound = max(max_bound, bound)
     ok &= max_bound <= 2.0 + 1e-9
     _report(6, "extension linearity + norm bound", bool(ok),

@@ -117,7 +117,9 @@ def test_recover_invalid_config(tmp_path):
     mapfile = tmp_path / "m.json"
     assert run(["synth", "--dim", 3, "--output", mapfile]) == 0
     assert run(["recover", "--input", mapfile, "--trials", 0]) == 2
-    assert run(["recover", "--input", mapfile, "--tol", 0]) == 2
+    for tol in (0, "nan", "inf"):
+        assert run(["recover", "--input", mapfile, "--tol", tol, "--output", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_recover_triple_family_dim_guard(tmp_path):
@@ -138,6 +140,24 @@ def test_recover_report_reproducible(tmp_path):
     first.pop("wall_time_s")
     second.pop("wall_time_s")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["recover", "verify"])
+def test_stdout_report_matches_output_file(tmp_path, capsys, command):
+    mapfile = tmp_path / "m.json"
+    assert run(["synth", "--dim", 3, "--seed", 5, "--output", mapfile]) == 0
+    args = (["recover", "--input", mapfile, "--seed", 2] if command == "recover"
+            else ["verify", "--dim", 3, "--seed", 2, "--trials", 5])
+    capsys.readouterr()
+    assert run(args) == 0
+    printed = json.loads(capsys.readouterr().out)
+    out = tmp_path / "r.json"
+    assert run([*args, "--output", out]) == 0
+    written = load_json(out)
+    for report in (printed, written):
+        report.pop("wall_time_s")
+        report["config"].pop("output")
+    assert printed == written
 
 
 def test_verify_report_reproducible(tmp_path):
@@ -180,7 +200,8 @@ def test_verify_dim_two_skips_triple_suites(tmp_path):
 def test_verify_rejects_dim_one():
     assert run(["verify", "--dim", 1]) == 2
     assert run(["verify", "--dim", 3, "--trials", 0]) == 2
-    assert run(["verify", "--dim", 3, "--tol", 0]) == 2
+    for tol in (0, "nan", "inf"):
+        assert run(["verify", "--dim", 3, "--tol", tol]) == 2
 
 
 def test_verify_exits_one_on_failing_suite(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from effectsym.rng import Stream
 from effectsym.sampling import complex_gaussian, haar_unitary, random_effect
 from effectsym.symmetry import (
     AFFINE,
+    apply_affine_rep,
     apply_symmetry,
     random_symmetry,
     to_affine_rep,
@@ -128,19 +129,19 @@ def test_extension_matches_affine_rep_linear_part():
 
 
 def test_boundedness_identity_and_complement():
-    assert boundedness_check(identity_oracle(3), trials=32) <= 1.0 + 1e-12
-    assert boundedness_check(complement_oracle(3), trials=32) <= 1.0 + 1e-12
+    assert boundedness_check(identity_oracle(3)) <= 1.0 + 1e-12
+    assert boundedness_check(complement_oracle(3)) <= 1.0 + 1e-12
 
 
 def test_boundedness_on_synthesized_oracles():
     for seed in range(8):
         d = random_symmetry(3, seed, family=AFFINE)
         phi = EffectMapOracle.from_descriptor(d)
-        assert boundedness_check(phi, trials=32, seed=seed) <= 2.0 + 1e-9
+        assert boundedness_check(phi, seed=seed) <= 2.0 + 1e-9
 
 
 def test_unit_ball_decomposition():
-    from effectsym.effects import is_effect
+    from effectsym.effects import as_effect
 
     s = Stream(10)
     for _ in range(50):
@@ -148,7 +149,7 @@ def test_unit_ball_decomposition():
         g = g / max(operator_norm(g), 1.0)
         a1, a2, a3, a4 = unit_ball_decomposition(g)
         for part in (a1, a2, a3, a4):
-            assert is_effect(part, tol=1e-9)
+            as_effect(part)  # raises unless part is an effect
         recomposed = a1 - a2 + 1j * (a3 - a4)
         assert frobenius_norm(recomposed - g) <= 1e-12
 
@@ -166,3 +167,27 @@ def test_oracle_from_descriptor_and_rep_agree():
         a = random_effect(3, seed)
         assert np.allclose(phi_desc(a), phi_rep(a), atol=1e-11)
         assert np.allclose(phi_desc(a), apply_symmetry(d, a))
+
+
+@pytest.mark.parametrize("form", ["descriptor", "affine_rep"])
+def test_oracle_query_validates_its_input_once(form, monkeypatch):
+    import effectsym.extension
+    import effectsym.symmetry
+    from effectsym.linalg import as_square_array
+
+    d = random_symmetry(4, 5, family=AFFINE)
+    rep = to_affine_rep(d)
+    phi = EffectMapOracle.from_descriptor(d) if form == "descriptor" else EffectMapOracle.from_affine_rep(rep)
+    a = random_effect(4, 9)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return as_square_array(m)
+
+    for module in (effectsym.extension, effectsym.symmetry):
+        monkeypatch.setattr(module, "as_square_array", counting)
+    out = phi(a)
+    assert len(calls) == 1
+    expected = apply_symmetry(d, a) if form == "descriptor" else apply_affine_rep(rep, a)
+    assert np.array_equal(out, expected)

@@ -1,7 +1,9 @@
-"""The README quick start runs, and the package exports exactly what the
-quick start and the demos import from ``effectsym``."""
+"""The README quick start runs, the package exports exactly what the
+quick start and the demos import from ``effectsym``, and the module map
+names only what its modules define."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -37,3 +39,15 @@ def test_public_surface_is_what_the_demos_and_readme_import():
     used = set().union(*map(names_imported_from_package, sources))
     assert sorted(effectsym.__all__) == sorted(used)
     assert all(hasattr(effectsym, name) for name in used)
+
+
+def test_module_map_names_resolve():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Module map\n", 1)[1].split("\n## ", 1)[0]
+    bullets = [b for b in re.split(r"^- ", section, flags=re.MULTILINE) if b.startswith("`effectsym.")]
+    assert len(bullets) >= 9
+    for bullet in bullets:
+        names = re.findall(r"`([^`]+)`", bullet)
+        modules = [importlib.import_module(n) for n in names if n.startswith("effectsym.")]
+        for name in filter(str.isidentifier, names):
+            assert any(hasattr(m, name) for m in modules), f"{name} is not in {bullet.split()[0]}"

@@ -316,7 +316,7 @@ def test_scaling_canonical_descriptor_grid():
     phi = EffectMapOracle.from_descriptor(d)
     p = np.outer(*(lambda x: (x, np.conj(x)))(random_unit_vector(3, 5)))
     samples = extract_scaling_function(phi, p, SCALING_GRID)
-    chk = check_scaling_identity(samples, tol=1e-9)
+    chk = check_scaling_identity(samples)
     assert chk.ok
     assert chk.max_identity_deviation <= 1e-9
     assert chk.max_multiplicative_deviation <= 1e-9

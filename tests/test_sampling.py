@@ -92,11 +92,6 @@ def test_random_projection_properties():
     assert ranks == {1, 2, 3, 4}
 
 
-def test_random_projection_fixed_rank():
-    p = random_projection(6, 3, rank=2)
-    assert round(np.trace(p).real) == 2
-
-
 def test_nested_projections_order():
     for seed in range(25):
         p, q = nested_projections(4, seed)
