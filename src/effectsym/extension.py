@@ -30,14 +30,22 @@ import numpy as np
 
 from .effects import positive_negative_parts, real_imag_parts
 from .linalg import DEFAULT_TOL, as_square_array, frobenius_norm, operator_norm
-from .rng import Stream
-from .sampling import random_effect
+from .rng import Stream, _unit_floats
+from .sampling import _doubling_effect_pairs, random_effects
 from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
 
 ZERO_NORM_CUTOFF = 1e-12
 PROBE_TOL = 1e-9
 AFFINE_PROBE_TRIALS = 64
 BOUNDEDNESS_TRIALS = 32
+
+
+class OracleError(ValueError):
+    """An oracle answered ``query`` with something other than a dim x dim matrix."""
+
+    def __init__(self, message: str, query: np.ndarray):
+        super().__init__(message)
+        self.query = query
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,10 @@ class EffectMapOracle:
         m = as_square_array(a)
         if m.shape[0] != self.dim:
             raise ValueError(f"oracle expects dim {self.dim}, got {m.shape[0]}")
-        return np.asarray(self.evaluator(m), dtype=complex)
+        out = np.asarray(self.evaluator(m), dtype=complex)
+        if out.shape != m.shape:
+            raise OracleError(f"oracle output has shape {out.shape}, expected {m.shape}", m.copy())
+        return out
 
     # __call__ has validated the input, so the evaluators skip the checks.
     @classmethod
@@ -83,18 +94,15 @@ class AffinityResult:
 def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
     """Probe phi(lam*A + (1-lam)*B) = lam*phi(A) + (1-lam)*phi(B) on
     random triples; stop at the first violation."""
-    s = Stream(seed)
     worst = 0.0
-    for _ in range(AFFINE_PROBE_TRIALS):
-        lam = s.uniform()
-        a = random_effect(phi.dim, s.next_u64())
-        b = random_effect(phi.dim, s.next_u64())
+    for head, a, b in _doubling_effect_pairs(phi.dim, Stream(seed), AFFINE_PROBE_TRIALS, lead=1):
+        lam = float(_unit_floats(head[0]))  # as Stream.uniform() draws it
         lhs = phi(lam * a + (1.0 - lam) * b)
         rhs = lam * phi(a) + (1.0 - lam) * phi(b)
         dev = frobenius_norm(lhs - rhs)
         worst = max(worst, dev)
         if dev > PROBE_TOL:
-            return AffinityResult(False, worst, (lam, a, b))
+            return AffinityResult(False, worst, (lam, a.copy(), b.copy()))
     return AffinityResult(True, worst)
 
 
@@ -116,9 +124,18 @@ def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:
     Requires ``||phi(0)||_F <= DEFAULT_TOL``; affinity itself is the
     caller's responsibility (probe with :func:`is_affine` first).
     """
+    _require_fixes_zero(phi)
+    return _extend(phi, m)
+
+
+def _require_fixes_zero(phi: EffectMapOracle) -> None:
     z = frobenius_norm(phi(np.zeros((phi.dim, phi.dim))))
     if z > DEFAULT_TOL:
         raise ValueError(f"oracle does not fix 0 (||phi(0)|| = {z:.3e})")
+
+
+def _extend(phi: EffectMapOracle, m) -> np.ndarray:
+    """:func:`extend_linear` for an oracle already known to fix 0."""
     mat = as_square_array(m)
     if mat.shape[0] != phi.dim:
         raise ValueError(f"dimension mismatch: oracle {phi.dim}, input {mat.shape[0]}")
@@ -135,15 +152,13 @@ def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:
     for range violations.
     """
     zero_img = phi(np.zeros((phi.dim, phi.dim)))
-    # One validation per query: recenter phi's evaluator, not phi itself.
+    # Recenter phi's evaluator, not phi (one validation per query); psi(0) is exactly 0.
     psi = EffectMapOracle(
         phi.dim, lambda m: np.asarray(phi.evaluator(m), dtype=complex) - zero_img, label="recentered"
     )
-    s = Stream(seed)
     worst = 0.0
-    for _ in range(BOUNDEDNESS_TRIALS):
-        a = random_effect(phi.dim, s.next_u64())
-        worst = max(worst, operator_norm(extend_linear(psi, a)))
+    for a in random_effects(phi.dim, Stream(seed).u64_block(BOUNDEDNESS_TRIALS)):
+        worst = max(worst, operator_norm(_extend(psi, a)))
     return worst
 
 

@@ -24,8 +24,8 @@ def as_square_array(a) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a).T)
+    """Conjugate transpose (of each matrix, for a stack)."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ from the fields found so far plus those of the refusing stage.
   sign); verify the signed descriptor on Gaussian Hermitian samples,
   which replaces the candidate's ``descriptor`` and ``max_residual``.
 
-A rebuild failure (:class:`ReconstructionError`) adds no field.  Sample
+A rebuild failure (:class:`ReconstructionError`) adds no field; an
+answer of the wrong shape (:class:`OracleError`) has its input as witness.  Sample
 counts are module constants: ``TRIPLE_PROBE_PAIRS`` effect pairs,
 ``TRIPLE_PROBE_TRIALS`` probe rounds, the ``SCALING_GRID`` {k/16},
 ``RECONSTRUCT_CHECKS`` rank-one checks of a rebuilt unitary (the
@@ -41,23 +42,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .effects import rank_one_projection
-from .extension import PROBE_TOL, EffectMapOracle, is_affine
+from .extension import PROBE_TOL, EffectMapOracle, OracleError, is_affine
 from .linalg import (
     adjoint,
     eigenvalues_hermitian,
     frobenius_norm,
     hermitize,
     hermiticity_defect,
-    matching_dims,
 )
 from .rng import Stream
 from .sampling import (
-    nested_projections,
-    orthogonal_projections,
-    random_effect,
-    random_hermitian,
-    random_projection,
+    _doubling_effect_pairs,
+    nested_projection_pairs,
+    orthogonal_projection_pairs,
+    random_effects,
+    random_hermitians,
+    random_projections,
     random_unit_vector,
+    random_unit_vectors,
 )
 from .symmetry import (
     AFFINE,
@@ -201,7 +203,9 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
         raise ValueError("trials must be at least 1")
     dim = phi.dim
     eye = np.eye(dim, dtype=complex)
-    s = Stream(seed)
+    seeds = Stream(seed).u64_block(3 * trials).reshape(trials, 3)
+    samples = zip(random_projections(dim, seeds[:, 0]), nested_projection_pairs(dim, seeds[:, 1]),
+                  orthogonal_projection_pairs(dim, seeds[:, 2]))
     flags = {"projections": True, "order": True, "orthogonality": True, "orthocomplement": True}
     witnesses: list[ProbeWitness] = []
 
@@ -209,8 +213,7 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
         flags[check] = False
         witnesses.append(ProbeWitness(check, inputs, defect))
 
-    for _ in range(trials):
-        p = random_projection(dim, s.next_u64())
+    for p, (p_low, p_high), (q1, q2) in samples:
         img = phi(p)
         defect = max(hermiticity_defect(img), frobenius_norm(img @ img - img))
         if defect > PROBE_TOL:
@@ -219,14 +222,11 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
         if comp_defect > PROBE_TOL:
             fail("orthocomplement", (p,), comp_defect)
 
-        p_low, p_high = nested_projections(dim, s.next_u64())
         img_low, img_high = phi(p_low), phi(p_high)
-        matching_dims(img_low, img_high)
         gap = eigenvalues_hermitian(img_high - img_low)[0]
         if not gap >= -PROBE_TOL:
             fail("order", (p_low, p_high), float(-gap))
 
-        q1, q2 = orthogonal_projections(dim, s.next_u64())
         prod = frobenius_norm(phi(q1) @ phi(q2))
         if prod > PROBE_TOL:
             fail("orthogonality", (q1, q2), prod)
@@ -317,10 +317,8 @@ def reconstruct_unitary_from_projection_action(
     u = _nearest_unitary(np.column_stack(frame))
     u = gauge_normalize(SymmetryDescriptor(kind, u)).unitary
 
-    vs = Stream(seed)
     worst = 0.0
-    for _ in range(RECONSTRUCT_CHECKS):
-        x = random_unit_vector(dim, vs.next_u64())
+    for x in random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS)):
         px = np.outer(x, np.conj(x))
         expected = u @ (np.conj(px) if kind == ANTIUNITARY else px) @ adjoint(u)
         worst = max(worst, frobenius_norm(np.asarray(action(px), dtype=complex) - expected))
@@ -346,13 +344,9 @@ def verify_descriptor(
     """
     if domain not in (EFFECTS_DOMAIN, HERMITIAN_DOMAIN):
         raise ValueError(f"unknown sampling domain {domain!r}")
-    s = Stream(seed)
+    sampler = random_effects if domain == EFFECTS_DOMAIN else random_hermitians
     worst = 0.0
-    for _ in range(trials):
-        if domain == EFFECTS_DOMAIN:
-            a = random_effect(d.dim, s.next_u64())
-        else:
-            a = random_hermitian(d.dim, s.next_u64())
+    for a in sampler(d.dim, Stream(seed).u64_block(trials)):
         worst = max(worst, frobenius_norm(np.asarray(phi(a), dtype=complex) - apply_symmetry(d, a)))
     return worst
 
@@ -459,15 +453,14 @@ def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
 
 def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
     dim = phi.dim
-    pair_stream = s.spawn()
-    for _ in range(TRIPLE_PROBE_PAIRS):
-        a = random_effect(dim, pair_stream.next_u64())
-        b = random_effect(dim, pair_stream.next_u64())
-        dev = frobenius_norm(phi(a @ b @ a) - phi(a) @ phi(b) @ phi(a))
+    for _, a, b in _doubling_effect_pairs(dim, s.spawn(), TRIPLE_PROBE_PAIRS):
+        lhs = phi(a @ b @ a)
+        phi_a = phi(a)
+        dev = frobenius_norm(lhs - phi_a @ phi(b) @ phi_a)
         if dev > PROBE_TOL:
             raise _Rejected(
                 f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}",
-                witness=(a, b),
+                witness=(a.copy(), b.copy()),
             )
 
     probe = preservation_probe(phi, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
@@ -528,6 +521,8 @@ def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed
     found: dict = {}
     try:
         chain(found, phi, tol, trials, Stream(seed))
+    except OracleError as err:
+        return RecoveryReport(REJECTED, family, str(err), **{**found, "witness": (err.query,)})
     except (_Rejected, ReconstructionError) as err:
         fields = {**found, **getattr(err, "fields", {})}
         return RecoveryReport(verdict=REJECTED, family=family, reason=str(err), **fields)

@@ -32,6 +32,10 @@ Derived values:
   Requests for an odd count still consume a whole pair.
 * ``integer(n)``: ``out % n``.  The modulo bias is below n / 2**64,
   irrelevant at the sample sizes used here.
+
+Batched form: :func:`u64_grid` draws a window of counters for many seeds at
+once; row i is bit for bit what ``Stream(seeds[i], counter)`` draws next
+(:meth:`Stream.u64_block` is one row); early-stopping stages draw 1, 2, 4, ... trials at a time.
 """
 
 from __future__ import annotations
@@ -52,10 +56,32 @@ def mix64(z: int) -> int:
 
 
 def _mix64_block(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-        return z ^ (z >> np.uint64(31))
+    # uint64 array arithmetic wraps mod 2**64 without overflow warnings
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
+    return z ^ (z >> np.uint64(31))
+
+
+def u64_grid(seeds, n: int, counter: int = 0) -> np.ndarray:
+    """Outputs ``counter + 1 .. counter + n`` of each seed's stream (seeds
+    reduced mod 2**64, as by :class:`Stream`), shape ``(len(seeds), n)``."""
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([int(seed) & _MASK for seed in seeds], dtype=np.uint64)
+    ks = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    return _mix64_block(seeds[:, None] + ks * np.uint64(_GAMMA))
+
+
+def _unit_floats(raw: np.ndarray) -> np.ndarray:
+    """``uniform`` of each raw output, elementwise."""
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _box_muller(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normals (z0, z1) of the output pairs (2j, 2j + 1) along the last axis."""
+    u1 = ((raw[..., 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * _unit_floats(raw[..., 1::2])
+    return radius * np.cos(angle), radius * np.sin(angle)
 
 
 class Stream:
@@ -83,11 +109,8 @@ class Stream:
 
     def u64_block(self, n: int) -> np.ndarray:
         """Next ``n`` outputs as a uint64 array (advances the counter by n)."""
-        ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            states = np.uint64(self._seed) + ks * np.uint64(_GAMMA)
-        return _mix64_block(states)
+        return u64_grid([self._seed], n, self._counter - n)[0]
 
     def spawn(self) -> "Stream":
         """Child stream seeded with this stream's next output."""
@@ -97,19 +120,13 @@ class Stream:
         """Uniform float64 in [0, 1); scalar if ``n`` is None, else shape (n,)."""
         if n is None:
             return (self.next_u64() >> 11) * 2.0 ** -53
-        return (self.u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return _unit_floats(self.u64_block(n))
 
     def gaussian(self, n: int) -> np.ndarray:
         """``n`` standard normals via Box-Muller (consumed in pairs)."""
-        m = (n + 1) // 2
-        raw = self.u64_block(2 * m)
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        out = np.empty(2 * m)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        raw = self.u64_block(2 * ((n + 1) // 2))
+        out = np.empty(len(raw))
+        out[0::2], out[1::2] = _box_muller(raw)
         return out[:n]
 
     def integer(self, n: int) -> int:

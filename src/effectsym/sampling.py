@@ -11,6 +11,14 @@ order is part of the contract so streams stay reproducible:
   then ``dim`` uniforms give the eigenvalues.
 * ``random_projection``: first output seeds the Haar rotation, then one
   integer draw picks the rank uniformly in 1..dim-1.
+
+Batched forms (``haar_unitaries``, ``random_effects``, ...) return one
+result per seed; result i is bit for bit the per-seed sampler (the
+one-row case) at ``seeds[i]``, each row drawing its stream as above, in
+one ``u64_grid`` pass, Box-Muller pass, stacked QR, phase fix and
+``(u * lam) @ u*``.  Projection rank slicing and unit-vector norms would
+not stay bit-identical stacked and run per row.  Stages that stop at
+their first failure draw in doubling chunks of 1, 2, 4, ... trials.
 """
 
 from __future__ import annotations
@@ -18,85 +26,130 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import adjoint, hermitize
-from .rng import Stream
+from .rng import Stream, _box_muller, _unit_floats, u64_grid
+
+
+def _doubling_effect_pairs(dim: int, stream: Stream, total: int, lead: int = 0):
+    """Per trial, ``lead`` raw outputs of ``stream``, then effects A and B
+    seeded by its next two; trials are drawn 1, 2, 4, ... at a time, so a
+    stage that stops at its first failure draws little it never uses."""
+    done, n = 0, 1
+    while done < total:
+        n = min(n, total - done)
+        raw = stream.u64_block((lead + 2) * n).reshape(n, lead + 2)
+        ab = random_effects(dim, raw[:, lead:].ravel())
+        yield from zip(raw[:, :lead], ab[0::2], ab[1::2])
+        done, n = done + n, 2 * n
 
 
 def complex_gaussian(dim: int, stream: Stream) -> np.ndarray:
     """dim x dim matrix of standard complex Gaussians (re + i*im)."""
-    z = stream.gaussian(2 * dim * dim)
-    return (z[0::2] + 1j * z[1::2]).reshape(dim, dim)
+    re, im = _box_muller(stream.u64_block(2 * dim * dim))
+    return (re + 1j * im).reshape(dim, dim)
+
+
+def complex_gaussians(dim: int, seeds) -> np.ndarray:
+    """:func:`complex_gaussian` of ``Stream(seed)`` for each seed."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    re, im = _box_muller(u64_grid(seeds, 2 * dim * dim))
+    return (re + 1j * im).reshape(-1, dim, dim)
+
+
+def haar_unitaries(dim: int, seeds) -> np.ndarray:
+    """Haar-distributed unitaries via QR of complex Gaussian matrices."""
+    q, r = np.linalg.qr(complex_gaussians(dim, seeds))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    absd = np.abs(d)
+    ph = np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
+    return q * ph[:, None, :]
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    return haar_unitaries(dim, [seed])[0]
+
+
+def random_effects(dim: int, seeds) -> np.ndarray:
+    """Random effects V diag(lambda) V* with Haar V and uniform eigenvalues."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    g = complex_gaussian(dim, Stream(seed))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    absd = np.abs(d)
-    ph = np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
-    return q * ph
+    raw = u64_grid(seeds, dim + 1)
+    u = haar_unitaries(dim, raw[:, 0])
+    return hermitize((u * _unit_floats(raw[:, 1:])[:, None, :]) @ adjoint(u))
 
 
 def random_effect(dim: int, seed: int) -> np.ndarray:
     """Random effect V diag(lambda) V* with Haar V and uniform eigenvalues."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    s = Stream(seed)
-    u = haar_unitary(dim, s.next_u64())
-    lam = s.uniform(dim)
-    return hermitize((u * lam) @ adjoint(u))
+    return random_effects(dim, [seed])[0]
+
+
+def _frames(dim: int, seeds):
+    """Per seed: the Haar frame of the stream's first output, and the next two outputs."""
+    if dim < 2:
+        raise ValueError("dim must be at least 2")
+    raw = u64_grid(seeds, 3)
+    return zip(haar_unitaries(dim, raw[:, 0]), raw[:, 1].tolist(), raw[:, 2].tolist())
+
+
+def _projection(cols: np.ndarray) -> np.ndarray:
+    return hermitize(cols @ adjoint(cols))
+
+
+def random_projections(dim: int, seeds) -> list[np.ndarray]:
+    """Haar-rotated orthogonal projections of random rank in 1..dim-1."""
+    return [_projection(u[:, :1 + x % (dim - 1)]) for u, x, _ in _frames(dim, seeds)]
 
 
 def random_projection(dim: int, seed: int) -> np.ndarray:
     """Haar-rotated orthogonal projection of random rank in 1..dim-1."""
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    s = Stream(seed)
-    u = haar_unitary(dim, s.next_u64())
-    cols = u[:, :1 + s.integer(dim - 1)]
-    return hermitize(cols @ adjoint(cols))
+    return random_projections(dim, [seed])[0]
+
+
+def nested_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pairs (P, Q) of projections with P <= Q, each sharing one Haar frame."""
+    frames = [(u, 1 + x % (dim - 1), y) for u, x, y in _frames(dim, seeds)]  # rank of Q
+    return [(_projection(u[:, :1 + y % q]), _projection(u[:, :q])) for u, q, y in frames]
 
 
 def nested_projections(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair (P, Q) of projections with P <= Q, sharing one Haar frame."""
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    s = Stream(seed)
-    u = haar_unitary(dim, s.next_u64())
-    rank_q = 1 + s.integer(dim - 1)
-    rank_p = 1 + s.integer(rank_q)
-    p_cols = u[:, :rank_p]
-    q_cols = u[:, :rank_q]
-    return hermitize(p_cols @ adjoint(p_cols)), hermitize(q_cols @ adjoint(q_cols))
+    return nested_projection_pairs(dim, [seed])[0]
+
+
+def orthogonal_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pairs (P, Q) of projections with PQ = 0, from disjoint Haar columns."""
+    frames = [(u, 1 + x % (dim - 1), y) for u, x, y in _frames(dim, seeds)]  # rank of P
+    return [(_projection(u[:, :p]), _projection(u[:, p:p + 1 + y % (dim - p)])) for u, p, y in frames]
 
 
 def orthogonal_projections(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair (P, Q) of projections with PQ = 0, from disjoint Haar columns."""
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    s = Stream(seed)
-    u = haar_unitary(dim, s.next_u64())
-    rank_p = 1 + s.integer(dim - 1)
-    rank_q = 1 + s.integer(dim - rank_p)
-    p_cols = u[:, :rank_p]
-    q_cols = u[:, rank_p:rank_p + rank_q]
-    return hermitize(p_cols @ adjoint(p_cols)), hermitize(q_cols @ adjoint(q_cols))
+    return orthogonal_projection_pairs(dim, [seed])[0]
+
+
+def random_hermitians(dim: int, seeds) -> np.ndarray:
+    """Unbounded Hermitian samples G + G* with complex Gaussian G."""
+    g = complex_gaussians(dim, seeds)
+    return g + adjoint(g)
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
     """Unbounded Hermitian sample G + G* with complex Gaussian G."""
+    return random_hermitians(dim, [seed])[0]
+
+
+def random_unit_vectors(dim: int, seeds) -> np.ndarray:
+    """Haar-uniform unit vectors (normalized complex Gaussians)."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    g = complex_gaussian(dim, Stream(seed))
-    return g + adjoint(g)
+    re, im = _box_muller(u64_grid(seeds, 2 * dim))
+    x = re + 1j * im
+    for row in x:
+        row /= np.linalg.norm(row)
+    return x
 
 
 def random_unit_vector(dim: int, seed: int) -> np.ndarray:
     """Haar-uniform unit vector (normalized complex Gaussian)."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    z = Stream(seed).gaussian(2 * dim)
-    x = z[0::2] + 1j * z[1::2]
-    return x / np.linalg.norm(x)
+    return random_unit_vectors(dim, [seed])[0]

@@ -34,8 +34,9 @@ import numpy as np
 from .effects import jordan_triple, leq, rank_one_projection
 from .extension import (
     EffectMapOracle,
+    _extend,
+    _require_fixes_zero,
     boundedness_check,
-    extend_linear,
     unit_ball_decomposition,
 )
 from .linalg import adjoint, frobenius_norm
@@ -52,9 +53,9 @@ from .rng import Stream
 from .sampling import (
     complex_gaussian,
     haar_unitary,
-    nested_projections,
-    random_effect,
-    random_projection,
+    nested_projection_pairs,
+    random_effects,
+    random_projections,
     random_unit_vector,
 )
 from .symmetry import (
@@ -94,11 +95,9 @@ def _skipped(name: str, why: str) -> SuiteResult:
 
 def closure_suite(dim: int, seed: int, pairs: int) -> SuiteResult:
     """Triple products of random effect pairs stay inside [0, I]."""
-    s = Stream(seed)
+    ab = random_effects(dim, Stream(seed).u64_block(2 * pairs))  # A and B of each pair
     triples = np.empty((pairs, dim, dim), dtype=complex)
-    for k in range(pairs):
-        a = random_effect(dim, s.next_u64())
-        b = random_effect(dim, s.next_u64())
+    for k, (a, b) in enumerate(zip(ab[0::2], ab[1::2])):
         triples[k] = jordan_triple(a, b)
     w = np.linalg.eigvalsh(triples)
     lo, hi = float(w.min()), float(w.max())
@@ -320,14 +319,15 @@ def extension_suite(dim: int, seed: int, oracles: int, probes: int = 200) -> Sui
     for k in range(max(1, oracles)):
         d = random_symmetry(dim, s.next_u64(), family=AFFINE, kind=_kind(k), complement=False)
         phi = EffectMapOracle.from_descriptor(d)
+        _require_fixes_zero(phi)
         lin_stream = s.spawn()
         for _ in range(probes):
             m = complex_gaussian(dim, lin_stream)
             n = complex_gaussian(dim, lin_stream)
             alpha = -2.0 + 4.0 * lin_stream.uniform()
             beta = -2.0 + 4.0 * lin_stream.uniform()
-            lhs = extend_linear(phi, alpha * m + beta * n)
-            rhs = alpha * extend_linear(phi, m) + beta * extend_linear(phi, n)
+            lhs = _extend(phi, alpha * m + beta * n)
+            rhs = alpha * _extend(phi, m) + beta * _extend(phi, n)
             dev = frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n))
             max_lin = max(max_lin, dev)
         if max_lin > LINEARITY_TOL:
@@ -374,13 +374,13 @@ def probe_suite(dim: int, seed: int, oracles: int, projection_pairs: int = 100) 
         if not probe.all_preserved:
             failures.append(f"oracle {k}: {probe.failed_checks()}")
 
+    # Pair k draws one seed (a nested pair) if k is even, else two (two projections).
+    seeds = s.u64_block(projection_pairs + projection_pairs // 2)
+    nested = iter(nested_projection_pairs(dim, seeds[0::3]))
+    plain = zip(random_projections(dim, seeds[1::3]), random_projections(dim, seeds[2::3]))
     mismatches = 0
     for k in range(projection_pairs):
-        if k % 2 == 0:
-            p, q = nested_projections(dim, s.next_u64())
-        else:
-            p = random_projection(dim, s.next_u64())
-            q = random_projection(dim, s.next_u64())
+        p, q = next(nested) if k % 2 == 0 else next(plain)
         order = leq(p, q, ORDER_TOL)
         pinch = frobenius_norm(p @ q @ p - p) <= ORDER_TOL
         if order != pinch:

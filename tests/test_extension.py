@@ -3,6 +3,7 @@ import pytest
 
 from effectsym.extension import (
     EffectMapOracle,
+    OracleError,
     boundedness_check,
     extend_linear,
     is_affine,
@@ -46,6 +47,7 @@ def test_is_affine_rejects_square_map():
     assert not result
     assert result.witness is not None
     lam, a, b = result.witness
+    assert type(lam) is float and a.flags.owndata and b.flags.owndata
     mid = phi(lam * a + (1 - lam) * b)
     avg = lam * phi(a) + (1 - lam) * phi(b)
     assert frobenius_norm(mid - avg) > 1e-9
@@ -81,8 +83,41 @@ def test_extend_linear_unitary_conjugation():
 
 
 def test_extend_linear_requires_zero_fixed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="oracle does not fix 0"):
         extend_linear(complement_oracle(2), np.eye(2))
+
+
+def test_oracle_rejects_wrong_shape_output():
+    for bad in (np.eye(3), np.ones(4), np.ones((4, 4, 1))):
+        phi = EffectMapOracle(4, lambda a, bad=bad: bad)
+        with pytest.raises(OracleError, match=r"oracle output has shape .*, expected \(4, 4\)") as err:
+            phi(0.5 * np.eye(4))
+        assert np.array_equal(err.value.query, 0.5 * np.eye(4))
+
+
+def zero_queries(monkeypatch) -> list:
+    """Count the oracle queries at the zero matrix from here on."""
+    zeros = []
+    original = EffectMapOracle.__call__
+
+    def counted(self, a):
+        if not np.any(a):
+            zeros.append(self.label)
+        return original(self, a)
+
+    monkeypatch.setattr(EffectMapOracle, "__call__", counted)
+    return zeros
+
+
+def test_extension_queries_phi_of_zero_once_per_oracle(monkeypatch):
+    from effectsym.suites import extension_suite
+
+    zeros = zero_queries(monkeypatch)
+    boundedness_check(EffectMapOracle.from_descriptor(random_symmetry(3, 4, family=AFFINE)), seed=1)
+    assert zeros == ["descriptor"]  # to recenter; the recentered map is not asked
+    zeros.clear()
+    assert extension_suite(3, 5, oracles=2, probes=10).passed
+    assert zeros == ["descriptor"] * 4  # per oracle: the linearity oracle and the bounded one
 
 
 def test_extension_linearity_invariant():

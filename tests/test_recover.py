@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -27,9 +28,11 @@ from effectsym.symmetry import (
     TRIPLE_HERMITIAN,
     UNITARY,
     SymmetryDescriptor,
+    apply_symmetry,
     gauge_normalize,
     random_symmetry,
 )
+from effectsym.suites import perturbed_conjugation_oracle
 
 
 def oracle(dim, func, label=""):
@@ -563,3 +566,88 @@ def test_hermitian_sign_costs_no_extra_oracle_calls(monkeypatch):
         assert recover_triple_hermitian(EffectMapOracle.from_descriptor(d), seed=4).canonical
         counts[sign] = len(calls)
     assert counts[1] == counts[-1]
+
+
+# ------------------------------------------- oracle input sequence and cost
+
+
+def recorded(evaluate, dim):
+    """Oracle over ``evaluate`` that logs the bytes of every input it gets."""
+    log = []
+
+    def logged(m):
+        log.append(m.tobytes())
+        return evaluate(m)
+
+    return oracle(dim, logged), log
+
+
+# sha256 of the concatenated inputs and their count, for the map
+# random_symmetry(4, 7, family) and seed 11.  Pinned from the per-sample
+# implementation; the triple routes omit the second φ(A) query that each
+# triple-identity pair used to make, and nothing else changed.
+INPUT_SEQUENCES = {
+    (AFFINE, 1): (321, "d4e113b85b82e16a067d5532062a7593fa4944d2d124f58454993dae806b5b7b"),
+    (TRIPLE_EFFECTS, 1): (290, "35767757064219916e77caed2e28cc8bf29b048aa905dcc141acef57f22e98e5"),
+    (TRIPLE_HERMITIAN, -1): (391, "e8d6d31b2ffbb2ece97b325fd36df43f791bfe69c16c05810558f88a560bb036"),
+}
+ROUTES = {AFFINE: recover_affine, TRIPLE_EFFECTS: recover_triple, TRIPLE_HERMITIAN: recover_triple_hermitian}
+
+
+@pytest.mark.parametrize("family, sign", sorted(INPUT_SEQUENCES))
+def test_oracle_input_sequence_is_pinned(family, sign):
+    d = random_symmetry(4, 7, family=family, **({"sign": sign} if family == TRIPLE_HERMITIAN else {}))
+    phi, log = recorded(lambda m: apply_symmetry(d, m), 4)
+    assert ROUTES[family](phi, seed=11).canonical
+    assert (len(log), hashlib.sha256(b"".join(log)).hexdigest()) == INPUT_SEQUENCES[family, sign]
+
+
+def test_queries_to_first_probe_rejection():
+    eye = np.eye(4, dtype=complex)
+    for seed in range(3):
+        phi, log = recorded(perturbed_conjugation_oracle(4, seed).evaluator, 4)
+        assert not recover_affine(phi, seed=seed).canonical
+        assert len(log) == 3  # φ(λA + (1 − λ)B), φ(A), φ(B)
+        log.clear()
+        assert not recover_triple(phi, seed=seed).canonical
+        assert len(log) == 3  # φ(ABA), φ(A), φ(B)
+    comp, log = recorded(lambda m: eye - m, 4)
+    report = recover_triple(comp, seed=3)
+    assert report.reason.startswith("triple identity violated") and len(log) == 3
+
+
+@pytest.mark.parametrize("stage, route", [("affinity", recover_affine), ("identity", recover_triple)])
+def test_first_violation_stages_draw_in_doubling_chunks(stage, route, monkeypatch):
+    import effectsym.sampling
+
+    sizes = []
+    original = effectsym.sampling.random_effects
+
+    def counted(dim, seeds):
+        sizes.append(len(seeds))
+        return original(dim, seeds)
+
+    monkeypatch.setattr(effectsym.sampling, "random_effects", counted)
+    route(identity_oracle(4), seed=2)
+    trials = [1, 2, 4, 8, 16, 32, 1] if stage == "affinity" else [1, 2, 4, 8, 1]
+    assert sizes[:len(trials)] == [2 * n for n in trials]  # A and B of each trial
+    sizes.clear()
+    route(oracle(4, squared), seed=2)  # rejected at the first trial
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("route", [recover_affine, recover_triple, recover_triple_hermitian])
+@pytest.mark.parametrize("bad", [lambda m: np.eye(3), lambda m: np.ones(4)], ids=["3x3", "1-D"])
+def test_wrong_shape_output_is_rejected_with_its_input(route, bad):
+    queries = []
+
+    def evaluate(m):
+        queries.append(m.copy())
+        return bad(m)
+
+    report = route(oracle(4, evaluate), seed=1)
+    assert report.verdict == REJECTED
+    assert report.reason.startswith("oracle output has shape")
+    assert "expected (4, 4)" in report.reason
+    (query,) = report.witness
+    assert np.array_equal(query, queries[-1])

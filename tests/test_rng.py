@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effectsym.rng import Stream, mix64
+from effectsym.rng import Stream, mix64, u64_grid
 
 # Published reference outputs of SplitMix64 for seed 0.
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -28,6 +28,15 @@ def test_block_splitting_is_contiguous():
     joined = a.u64_block(10)
     parts = np.concatenate([b.u64_block(3), b.u64_block(7)])
     assert np.array_equal(joined, parts)
+
+
+def test_grid_rows_are_streams_at_a_counter():
+    seeds = [0, 1, 2**64 - 1, 0xDEADBEEF, 2**64 + 5, -1]
+    grid = u64_grid(seeds, 9, counter=4)
+    assert grid.shape == (len(seeds), 9) and grid.dtype == np.uint64
+    for seed, row in zip(seeds, grid):
+        assert np.array_equal(row, Stream(seed, counter=4).u64_block(9))
+    assert np.array_equal(u64_grid(np.array(seeds[:4], dtype=np.uint64), 9, counter=4), grid[:4])
 
 
 def test_seed_wraps_to_64_bits():

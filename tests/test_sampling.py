@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from effectsym.linalg import adjoint, frobenius_norm
+from effectsym.linalg import adjoint, frobenius_norm, hermitize
+from effectsym.rng import Stream
 from effectsym.sampling import (
+    complex_gaussian,
+    complex_gaussians,
+    haar_unitaries,
     haar_unitary,
+    nested_projection_pairs,
     nested_projections,
+    orthogonal_projection_pairs,
     orthogonal_projections,
     random_effect,
+    random_effects,
     random_hermitian,
+    random_hermitians,
     random_projection,
+    random_projections,
     random_unit_vector,
+    random_unit_vectors,
 )
 
 # Frozen from this implementation's own seeded run; guards the whole
@@ -116,3 +128,116 @@ def test_random_unit_vector_norm():
     for seed in range(10):
         x = random_unit_vector(6, seed)
         assert abs(np.linalg.norm(x) - 1.0) < 1e-14
+
+
+# ------------------------------------------ batched forms vs per-seed loops
+
+# Reference loops: each sampler written per seed against the Stream API,
+# one draw at a time in the documented order.  The batched forms must
+# reproduce them bit for bit.
+
+
+def ref_complex_gaussian(dim, seed):
+    z = Stream(seed).gaussian(2 * dim * dim)
+    return (z[0::2] + 1j * z[1::2]).reshape(dim, dim)
+
+
+def ref_haar_unitary(dim, seed):
+    q, r = np.linalg.qr(ref_complex_gaussian(dim, seed))
+    d = np.diagonal(r)
+    absd = np.abs(d)
+    return q * np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
+
+
+def ref_random_effect(dim, seed):
+    s = Stream(seed)
+    u = ref_haar_unitary(dim, s.next_u64())
+    lam = s.uniform(dim)
+    return hermitize((u * lam) @ adjoint(u))
+
+
+def ref_random_projection(dim, seed):
+    s = Stream(seed)
+    u = ref_haar_unitary(dim, s.next_u64())
+    cols = u[:, :1 + s.integer(dim - 1)]
+    return hermitize(cols @ adjoint(cols))
+
+
+def ref_nested_projections(dim, seed):
+    s = Stream(seed)
+    u = ref_haar_unitary(dim, s.next_u64())
+    rank_q = 1 + s.integer(dim - 1)
+    p, q = u[:, :1 + s.integer(rank_q)], u[:, :rank_q]
+    return hermitize(p @ adjoint(p)), hermitize(q @ adjoint(q))
+
+
+def ref_orthogonal_projections(dim, seed):
+    s = Stream(seed)
+    u = ref_haar_unitary(dim, s.next_u64())
+    rank_p = 1 + s.integer(dim - 1)
+    p, q = u[:, :rank_p], u[:, rank_p:rank_p + 1 + s.integer(dim - rank_p)]
+    return hermitize(p @ adjoint(p)), hermitize(q @ adjoint(q))
+
+
+def ref_random_hermitian(dim, seed):
+    g = ref_complex_gaussian(dim, seed)
+    return g + adjoint(g)
+
+
+def ref_random_unit_vector(dim, seed):
+    z = Stream(seed).gaussian(2 * dim)
+    x = z[0::2] + 1j * z[1::2]
+    return x / np.linalg.norm(x)
+
+
+# batched form, per-seed form, reference loop, smallest dim
+SAMPLERS = {
+    "complex_gaussian": (complex_gaussians, lambda dim, seed: complex_gaussian(dim, Stream(seed)),
+                         ref_complex_gaussian, 1),
+    "haar_unitary": (haar_unitaries, haar_unitary, ref_haar_unitary, 1),
+    "random_effect": (random_effects, random_effect, ref_random_effect, 1),
+    "random_hermitian": (random_hermitians, random_hermitian, ref_random_hermitian, 1),
+    "random_unit_vector": (random_unit_vectors, random_unit_vector, ref_random_unit_vector, 1),
+    "random_projection": (random_projections, random_projection, ref_random_projection, 2),
+    "nested_projections": (nested_projection_pairs, nested_projections, ref_nested_projections, 2),
+    "orthogonal_projections": (orthogonal_projection_pairs, orthogonal_projections,
+                               ref_orthogonal_projections, 2),
+}
+DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 16]
+
+
+def _parts(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def assert_batch_equals_loop(name, dim, seeds, chunk):
+    batched, per_seed, reference, min_dim = SAMPLERS[name]
+    if dim < min_dim:
+        with pytest.raises(ValueError):
+            batched(dim, seeds)
+        return
+    whole = list(batched(dim, seeds))
+    split = [r for i in range(0, len(seeds), chunk) for r in batched(dim, seeds[i:i + chunk])]
+    assert len(whole) == len(split) == len(seeds)
+    for seed, w, c in zip(seeds, whole, split):
+        for parts in zip(_parts(w), _parts(c), _parts(per_seed(dim, seed)), _parts(reference(dim, seed))):
+            assert len({x.tobytes() for x in parts}) == 1, (name, dim, seed)
+            assert all(x.flags.c_contiguous for x in parts)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_batch_equals_loop_bitwise(name):
+    seeds = list(range(40)) + [2**63 + 1, 2**64 - 1]
+    for dim in DIMS:
+        assert_batch_equals_loop(name, dim, seeds, chunk=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from(DIMS),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+    chunk=st.integers(1, 12),
+)
+def test_batch_equals_loop_property(dim, seeds, chunk):
+    for name in SAMPLERS:
+        assert_batch_equals_loop(name, dim, seeds, chunk)
