@@ -3,16 +3,18 @@
 An :class:`EffectMapOracle` wraps an arbitrary deterministic evaluator
 from effects to Hermitian matrices.  For an oracle that is affine and
 fixes 0, :func:`extend_linear` evaluates the unique linear extension to
-all square matrices through the three-stage ladder
+all square matrices along one path: split M into Re M and Im M, split
+each into its positive and negative parts, so that
+M = A1 - A2 + i(A3 - A4) with every Aj psd, and scale each part into
+[0, I] by its spectral norm:
 
-    positives:      ext(A) = ||A|| * phi(A / ||A||)      (spectral norm)
-    self-adjoints:  ext(H) = ext(H_pos) - ext(H_neg)
-    general:        ext(M) = ext(Re M) + i * ext(Im M)
+    ext(M) = ext(A1) - ext(A2) + i * (ext(A3) - ext(A4)),
+    ext(A) = ||A|| * phi(A / ||A||).
 
 The spectral norm is the right normalizer: for psd A the rescaled
 A/||A|| stays inside [0, I], which a Frobenius rescaling would not
-guarantee.  Linearity of the result is a property the test suites
-check on samples, not an assumption.
+guarantee.  Linearity of the result is a property checked on samples
+by :func:`linearity_defect`, not an assumption.
 
 Sample counts and tolerances are module constants: :func:`is_affine`
 probes ``AFFINE_PROBE_TRIALS = 64`` convex triples against
@@ -31,7 +33,7 @@ import numpy as np
 from .effects import positive_negative_parts, real_imag_parts
 from .linalg import DEFAULT_TOL, as_square_array, frobenius_norm, operator_norm
 from .rng import Stream, _unit_floats
-from .sampling import _doubling_effect_pairs, random_effects
+from .sampling import _doubling_effect_pairs, complex_gaussian, random_effects
 from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
 
 ZERO_NORM_CUTOFF = 1e-12
@@ -106,18 +108,6 @@ def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
     return AffinityResult(True, worst)
 
 
-def _extend_positive(phi: EffectMapOracle, a: np.ndarray) -> np.ndarray:
-    nrm = operator_norm(a)
-    if nrm < ZERO_NORM_CUTOFF:
-        return np.zeros((phi.dim, phi.dim), dtype=complex)
-    return nrm * phi(a / nrm)
-
-
-def _extend_selfadjoint(phi: EffectMapOracle, h: np.ndarray) -> np.ndarray:
-    pos, neg = positive_negative_parts(h)
-    return _extend_positive(phi, pos) - _extend_positive(phi, neg)
-
-
 def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:
     """Linear extension of an affine, zero-fixing oracle to any matrix.
 
@@ -134,13 +124,43 @@ def _require_fixes_zero(phi: EffectMapOracle) -> None:
         raise ValueError(f"oracle does not fix 0 (||phi(0)|| = {z:.3e})")
 
 
+def _psd_parts(mat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(A1, A2, A3, A4), all psd, with mat = A1 - A2 + i(A3 - A4)."""
+    re, im = real_imag_parts(mat)
+    return (*positive_negative_parts(re), *positive_negative_parts(im))
+
+
 def _extend(phi: EffectMapOracle, m) -> np.ndarray:
     """:func:`extend_linear` for an oracle already known to fix 0."""
     mat = as_square_array(m)
     if mat.shape[0] != phi.dim:
         raise ValueError(f"dimension mismatch: oracle {phi.dim}, input {mat.shape[0]}")
-    re, im = real_imag_parts(mat)
-    return _extend_selfadjoint(phi, re) + 1j * _extend_selfadjoint(phi, im)
+
+    def positive(a: np.ndarray) -> np.ndarray:
+        nrm = operator_norm(a)
+        if nrm < ZERO_NORM_CUTOFF:
+            return np.zeros((phi.dim, phi.dim), dtype=complex)
+        return nrm * phi(a / nrm)
+
+    a1, a2, a3, a4 = (positive(a) for a in _psd_parts(mat))
+    return (a1 - a2) + 1j * (a3 - a4)
+
+
+def linearity_defect(phi: EffectMapOracle, stream: Stream, probes: int) -> float:
+    """Worst ||ext(aM + bN) - a ext(M) - b ext(N)|| / (||M|| + ||N||)
+    over ``probes`` draws from ``stream`` of Gaussian M, N and a, b
+    uniform on [-2, 2]; ``phi`` must fix 0 (checked once)."""
+    _require_fixes_zero(phi)
+    worst = 0.0
+    for _ in range(probes):
+        m = complex_gaussian(phi.dim, stream)
+        n = complex_gaussian(phi.dim, stream)
+        alpha = -2.0 + 4.0 * stream.uniform()
+        beta = -2.0 + 4.0 * stream.uniform()
+        lhs = _extend(phi, alpha * m + beta * n)
+        rhs = alpha * _extend(phi, m) + beta * _extend(phi, n)
+        worst = max(worst, frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n)))
+    return worst
 
 
 def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:
@@ -170,7 +190,4 @@ def unit_ball_decomposition(m) -> tuple[np.ndarray, ...]:
     nrm = operator_norm(mat)
     if nrm > 1.0 + DEFAULT_TOL:
         raise ValueError(f"matrix has spectral norm {nrm:.6f} > 1")
-    re, im = real_imag_parts(mat)
-    a1, a2 = positive_negative_parts(re)
-    a3, a4 = positive_negative_parts(im)
-    return a1, a2, a3, a4
+    return _psd_parts(mat)

@@ -108,34 +108,24 @@ class ProbeWitness:
     defect: float
 
 
+PROBE_CHECKS = ("projections", "order", "orthogonality", "orthocomplement")
+
+
 @dataclass(frozen=True)
 class ProbeReport:
-    """Outcome of the structural preservation probe on random projections."""
+    """Outcome of the structural preservation probe on random projections;
+    a check failed exactly when it has a witness."""
 
-    projections_preserved: bool
-    order_preserved: bool
-    orthogonality_preserved: bool
-    orthocomplement_preserved: bool
     witnesses: tuple[ProbeWitness, ...]
     samples_used: int
 
+    def failed_checks(self) -> list[str]:
+        failed = {w.check for w in self.witnesses}
+        return [name for name in PROBE_CHECKS if name in failed]
+
     @property
     def all_preserved(self) -> bool:
-        return (
-            self.projections_preserved
-            and self.order_preserved
-            and self.orthogonality_preserved
-            and self.orthocomplement_preserved
-        )
-
-    def failed_checks(self) -> list[str]:
-        flags = {
-            "projections": self.projections_preserved,
-            "order": self.order_preserved,
-            "orthogonality": self.orthogonality_preserved,
-            "orthocomplement": self.orthocomplement_preserved,
-        }
-        return [name for name, ok in flags.items() if not ok]
+        return not self.witnesses
 
 
 @dataclass(frozen=True)
@@ -197,7 +187,9 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
 
     Per trial: one Haar projection (is its image an idempotent, and do
     the images of P and I - P sum to I?), one nested pair (is order
-    preserved?), one orthogonal pair (do images multiply to 0?).
+    preserved?  a difference of images that is not Hermitian fails it
+    with its hermiticity defect), one orthogonal pair (do images
+    multiply to 0?).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -206,39 +198,32 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
     seeds = Stream(seed).u64_block(3 * trials).reshape(trials, 3)
     samples = zip(random_projections(dim, seeds[:, 0]), nested_projection_pairs(dim, seeds[:, 1]),
                   orthogonal_projection_pairs(dim, seeds[:, 2]))
-    flags = {"projections": True, "order": True, "orthogonality": True, "orthocomplement": True}
     witnesses: list[ProbeWitness] = []
-
-    def fail(check: str, inputs: tuple, defect: float):
-        flags[check] = False
-        witnesses.append(ProbeWitness(check, inputs, defect))
 
     for p, (p_low, p_high), (q1, q2) in samples:
         img = phi(p)
         defect = max(hermiticity_defect(img), frobenius_norm(img @ img - img))
         if defect > PROBE_TOL:
-            fail("projections", (p,), defect)
+            witnesses.append(ProbeWitness("projections", (p,), defect))
         comp_defect = frobenius_norm(img + phi(eye - p) - eye)
         if comp_defect > PROBE_TOL:
-            fail("orthocomplement", (p,), comp_defect)
+            witnesses.append(ProbeWitness("orthocomplement", (p,), comp_defect))
 
         img_low, img_high = phi(p_low), phi(p_high)
-        gap = eigenvalues_hermitian(img_high - img_low)[0]
-        if not gap >= -PROBE_TOL:
-            fail("order", (p_low, p_high), float(-gap))
+        diff = img_high - img_low
+        skew = hermiticity_defect(diff)
+        if skew > PROBE_TOL:  # false on NaN, which eigenvalues_hermitian refuses
+            witnesses.append(ProbeWitness("order", (p_low, p_high), skew))
+        else:
+            gap = eigenvalues_hermitian(diff)[0]
+            if not gap >= -PROBE_TOL:
+                witnesses.append(ProbeWitness("order", (p_low, p_high), float(-gap)))
 
         prod = frobenius_norm(phi(q1) @ phi(q2))
         if prod > PROBE_TOL:
-            fail("orthogonality", (q1, q2), prod)
+            witnesses.append(ProbeWitness("orthogonality", (q1, q2), prod))
 
-    return ProbeReport(
-        projections_preserved=flags["projections"],
-        order_preserved=flags["order"],
-        orthogonality_preserved=flags["orthogonality"],
-        orthocomplement_preserved=flags["orthocomplement"],
-        witnesses=tuple(witnesses),
-        samples_used=trials,
-    )
+    return ProbeReport(witnesses=tuple(witnesses), samples_used=trials)
 
 
 def _rank_one_vector(img: np.ndarray, what: str) -> np.ndarray:
@@ -418,11 +403,12 @@ def _classify(img: np.ndarray, candidates: tuple, reason: str) -> int:
 
 
 def _verify(found: dict, phi, d: SymmetryDescriptor, tol: float, trials: int, seed: int,
-            domain: str, where: str = "") -> None:
+            domain: str) -> None:
     """Accept the gauge-normalized ``d`` if its residual is within tol."""
     d = gauge_normalize(d)
     residual = verify_descriptor(phi, d, trials, seed=seed, domain=domain)
     if residual > tol:
+        where = " on Hermitian samples" if domain == HERMITIAN_DOMAIN else ""
         raise _Rejected(
             f"canonical-form residual {residual:.3e} above tolerance {tol:g}{where}",
             descriptor=d,
@@ -513,7 +499,7 @@ def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int,
         raise
     candidate = found["descriptor"]
     _verify(found, phi, SymmetryDescriptor(candidate.kind, candidate.unitary, sign=sign), tol,
-            trials, s.next_u64(), HERMITIAN_DOMAIN, " on Hermitian samples")
+            trials, s.next_u64(), HERMITIAN_DOMAIN)
 
 
 def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed: int) -> RecoveryReport:

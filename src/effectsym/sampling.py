@@ -112,20 +112,10 @@ def nested_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarra
     return [(_projection(u[:, :1 + y % q]), _projection(u[:, :q])) for u, q, y in frames]
 
 
-def nested_projections(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (P, Q) of projections with P <= Q, sharing one Haar frame."""
-    return nested_projection_pairs(dim, [seed])[0]
-
-
 def orthogonal_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs (P, Q) of projections with PQ = 0, from disjoint Haar columns."""
     frames = [(u, 1 + x % (dim - 1), y) for u, x, y in _frames(dim, seeds)]  # rank of P
     return [(_projection(u[:, :p]), _projection(u[:, p:p + 1 + y % (dim - p)])) for u, p, y in frames]
-
-
-def orthogonal_projections(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (P, Q) of projections with PQ = 0, from disjoint Haar columns."""
-    return orthogonal_projection_pairs(dim, [seed])[0]
 
 
 def random_hermitians(dim: int, seeds) -> np.ndarray:

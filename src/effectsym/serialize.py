@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from .extension import EffectMapOracle
-from .recover import RecoveryReport
+from .recover import PROBE_CHECKS, RecoveryReport
 from .symmetry import AffineMapRep, SymmetryDescriptor
 
 
@@ -100,15 +100,10 @@ def oracle_from_obj(obj: Any) -> tuple[EffectMapOracle, str]:
 
 
 def probe_to_obj(probe) -> dict:
-    return {
-        "projections_preserved": probe.projections_preserved,
-        "order_preserved": probe.order_preserved,
-        "orthogonality_preserved": probe.orthogonality_preserved,
-        "orthocomplement_preserved": probe.orthocomplement_preserved,
-        "samples_used": probe.samples_used,
-        "witness_count": len(probe.witnesses),
-        "failed_checks": probe.failed_checks(),
-    }
+    failed = probe.failed_checks()
+    obj: dict[str, Any] = {f"{name}_preserved": name not in failed for name in PROBE_CHECKS}
+    obj.update(samples_used=probe.samples_used, witness_count=len(probe.witnesses), failed_checks=failed)
+    return obj
 
 
 def scaling_to_obj(scaling) -> dict:

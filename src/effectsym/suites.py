@@ -7,6 +7,13 @@ the projection probes).  The CLI ``verify`` subcommand and the
 acceptance tests both run these; the CLI scales sample counts from its
 ``--trials`` flag, the acceptance suite pins the counts it needs.
 
+Every suite but the closure one builds its result with one builder: it
+passes iff nothing failed and the suite's bounds hold, and its details
+are ``dim``, the suite's own keys, then the first five failures.  The
+extension suite's linearity check is
+:func:`effectsym.extension.linearity_defect`, which acceptance
+criterion 6 runs too.
+
 Only the recovery tolerance ``tol`` (the CLI's ``--tol``, default
 ``RESIDUAL_TOL = 1e-8``) is a parameter.  Every other bound is a module
 constant:
@@ -32,13 +39,7 @@ from typing import Any
 import numpy as np
 
 from .effects import jordan_triple, leq, rank_one_projection
-from .extension import (
-    EffectMapOracle,
-    _extend,
-    _require_fixes_zero,
-    boundedness_check,
-    unit_ball_decomposition,
-)
+from .extension import EffectMapOracle, boundedness_check, linearity_defect, unit_ball_decomposition
 from .linalg import adjoint, frobenius_norm
 from .recover import (
     check_scaling_identity,
@@ -91,6 +92,13 @@ class SuiteResult:
 
 def _skipped(name: str, why: str) -> SuiteResult:
     return SuiteResult(name, passed=True, skipped=True, details={"skipped_because": why})
+
+
+def _result(name: str, failures: list[str], dim: int, ok: bool = True, **details) -> SuiteResult:
+    """Passed iff nothing failed and ``ok``; details are ``dim``, the
+    suite's own, then the first five failures."""
+    return SuiteResult(name, passed=not failures and ok,
+                       details={"dim": dim, **details, "failures": failures[:5]})
 
 
 def closure_suite(dim: int, seed: int, pairs: int) -> SuiteResult:
@@ -151,17 +159,10 @@ def affine_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = R
         Stream(seed), dim, descriptors, AFFINE, recover_affine, flags, tol
     )
     combos_seen = {(f["kind"], f["complement"]) for f in map(flags, range(descriptors))}
-    return SuiteResult(
-        "affine_roundtrip",
-        passed=not failures and max_u <= U_MATCH_TOL and max_res <= tol,
-        details={
-            "dim": dim,
-            "descriptors": descriptors,
-            "combos_seen": sorted(f"{k}:{c}" for k, c in combos_seen),
-            "max_unitary_distance": max_u,
-            "max_residual": max_res,
-            "failures": failures[:5],
-        },
+    return _result(
+        "affine_roundtrip", failures, dim, max_u <= U_MATCH_TOL and max_res <= tol,
+        descriptors=descriptors, combos_seen=sorted(f"{k}:{c}" for k, c in combos_seen),
+        max_unitary_distance=max_u, max_residual=max_res,
     )
 
 
@@ -176,18 +177,11 @@ def triple_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = R
     max_scaling = max(
         [0.0] + [float(np.max(np.abs(r.scaling.values - r.scaling.lambdas))) for r in reports]
     )
-    return SuiteResult(
-        "triple_roundtrip",
-        passed=(not failures and max_u <= U_MATCH_TOL and max_res <= tol
-                and max_scaling <= SCALING_TOL),
-        details={
-            "dim": dim,
-            "descriptors": descriptors,
-            "max_unitary_distance": max_u,
-            "max_residual": max_res,
-            "max_scaling_deviation": max_scaling,
-            "failures": failures[:5],
-        },
+    return _result(
+        "triple_roundtrip", failures, dim,
+        max_u <= U_MATCH_TOL and max_res <= tol and max_scaling <= SCALING_TOL,
+        descriptors=descriptors, max_unitary_distance=max_u, max_residual=max_res,
+        max_scaling_deviation=max_scaling,
     )
 
 
@@ -209,17 +203,10 @@ def hermitian_sign_suite(dim: int, seed: int, descriptors: int, tol: float = RES
     if not shift_refused:
         failures.append("shifted map A -> A + I was not refused with the φ(I) reason")
 
-    return SuiteResult(
-        "hermitian_sign",
-        passed=not failures and max_u <= U_MATCH_TOL and max_res <= tol,
-        details={
-            "dim": dim,
-            "descriptors": descriptors,
-            "max_unitary_distance": max_u,
-            "max_residual": max_res,
-            "shift_refused": shift_refused,
-            "failures": failures[:5],
-        },
+    return _result(
+        "hermitian_sign", failures, dim, max_u <= U_MATCH_TOL and max_res <= tol,
+        descriptors=descriptors, max_unitary_distance=max_u, max_residual=max_res,
+        shift_refused=shift_refused,
     )
 
 
@@ -263,16 +250,9 @@ def rejection_suite(dim: int, seed: int, oracles: int, tol: float = RESIDUAL_TOL
         if not complemented_rejected:
             failures.append("complemented map was not rejected with a triple-identity witness")
 
-    return SuiteResult(
-        "rejection_battery",
-        passed=not failures,
-        details={
-            "dim": dim,
-            "oracles": oracles,
-            "eps": REJECTION_EPS,
-            "complemented_rejected": complemented_rejected,
-            "failures": failures[:5],
-        },
+    return _result(
+        "rejection_battery", failures, dim,
+        oracles=oracles, eps=REJECTION_EPS, complemented_rejected=complemented_rejected,
     )
 
 
@@ -295,18 +275,10 @@ def scaling_grid_suite(dim: int, seed: int, oracles: int) -> SuiteResult:
         max_ortho = max(max_ortho, chk.max_orthoadditive_deviation)
         if not chk:
             failures.append(f"oracle {k}: identity deviation {chk.max_identity_deviation:.3e}")
-    passed = not failures and max(max_id, max_mult, max_ortho) <= SCALING_TOL
-    return SuiteResult(
-        "scaling_grid",
-        passed=passed,
-        details={
-            "dim": dim,
-            "oracles": oracles,
-            "max_identity_deviation": max_id,
-            "max_multiplicative_deviation": max_mult,
-            "max_orthoadditive_deviation": max_ortho,
-            "failures": failures[:5],
-        },
+    return _result(
+        "scaling_grid", failures, dim, max(max_id, max_mult, max_ortho) <= SCALING_TOL,
+        oracles=oracles, max_identity_deviation=max_id,
+        max_multiplicative_deviation=max_mult, max_orthoadditive_deviation=max_ortho,
     )
 
 
@@ -318,20 +290,10 @@ def extension_suite(dim: int, seed: int, oracles: int, probes: int = 200) -> Sui
     max_bound = 0.0
     for k in range(max(1, oracles)):
         d = random_symmetry(dim, s.next_u64(), family=AFFINE, kind=_kind(k), complement=False)
-        phi = EffectMapOracle.from_descriptor(d)
-        _require_fixes_zero(phi)
-        lin_stream = s.spawn()
-        for _ in range(probes):
-            m = complex_gaussian(dim, lin_stream)
-            n = complex_gaussian(dim, lin_stream)
-            alpha = -2.0 + 4.0 * lin_stream.uniform()
-            beta = -2.0 + 4.0 * lin_stream.uniform()
-            lhs = _extend(phi, alpha * m + beta * n)
-            rhs = alpha * _extend(phi, m) + beta * _extend(phi, n)
-            dev = frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n))
-            max_lin = max(max_lin, dev)
-        if max_lin > LINEARITY_TOL:
-            failures.append(f"oracle {k}: linearity deviation {max_lin:.3e}")
+        lin = linearity_defect(EffectMapOracle.from_descriptor(d), s.spawn(), probes)
+        max_lin = max(max_lin, lin)
+        if lin > LINEARITY_TOL:
+            failures.append(f"oracle {k}: linearity deviation {lin:.3e}")
 
         d_any = random_symmetry(dim, s.next_u64(), family=AFFINE)
         bound = boundedness_check(EffectMapOracle.from_descriptor(d_any), seed=s.next_u64())
@@ -347,17 +309,9 @@ def extension_suite(dim: int, seed: int, oracles: int, probes: int = 200) -> Sui
         if frobenius_norm(recomp - g) > 1e-12:
             failures.append(f"oracle {k}: unit-ball recomposition error")
 
-    return SuiteResult(
-        "extension",
-        passed=not failures,
-        details={
-            "dim": dim,
-            "oracles": oracles,
-            "probes": probes,
-            "max_linearity_deviation": max_lin,
-            "max_extension_norm": max_bound,
-            "failures": failures[:5],
-        },
+    return _result(
+        "extension", failures, dim, oracles=oracles, probes=probes,
+        max_linearity_deviation=max_lin, max_extension_norm=max_bound,
     )
 
 
@@ -388,16 +342,9 @@ def probe_suite(dim: int, seed: int, oracles: int, projection_pairs: int = 100) 
     if mismatches:
         failures.append(f"{mismatches} order/pinching mismatches")
 
-    return SuiteResult(
-        "projection_probes",
-        passed=not failures,
-        details={
-            "dim": dim,
-            "oracles": oracles,
-            "projection_pairs": projection_pairs,
-            "order_pinching_mismatches": mismatches,
-            "failures": failures[:5],
-        },
+    return _result(
+        "projection_probes", failures, dim, oracles=oracles,
+        projection_pairs=projection_pairs, order_pinching_mismatches=mismatches,
     )
 
 
@@ -422,11 +369,7 @@ def phase_gauge_suite(dim: int, seed: int) -> SuiteResult:
         for k in range(1, len(rounded)):
             if not np.array_equal(rounded[0], rounded[k]):
                 failures.append(f"{family}: recovered U differs at theta={GAUGE_THETAS[k]}")
-    return SuiteResult(
-        "phase_gauge",
-        passed=not failures,
-        details={"dim": dim, "thetas": list(GAUGE_THETAS), "failures": failures[:5]},
-    )
+    return _result("phase_gauge", failures, dim, thetas=list(GAUGE_THETAS))
 
 
 def run_verify_suites(dim: int, seed: int, trials: int, tol: float = RESIDUAL_TOL) -> list[SuiteResult]:

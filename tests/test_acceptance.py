@@ -7,10 +7,8 @@ loudly on any regression.
 
 import time
 
-from effectsym.extension import EffectMapOracle, boundedness_check, extend_linear
-from effectsym.linalg import frobenius_norm
+from effectsym.extension import EffectMapOracle, boundedness_check, linearity_defect
 from effectsym.rng import Stream
-from effectsym.sampling import complex_gaussian
 from effectsym import extension, suites
 from effectsym.suites import (
     affine_roundtrip_suite,
@@ -103,17 +101,7 @@ def test_criterion_6_extension_machinery():
         for k in range(2):
             kind = ("unitary", "antiunitary")[k]
             d = random_symmetry(dim, s.next_u64(), family=AFFINE, kind=kind, complement=False)
-            phi = EffectMapOracle.from_descriptor(d)
-            probe_stream = s.spawn()
-            for _ in range(200):
-                m = complex_gaussian(dim, probe_stream)
-                n = complex_gaussian(dim, probe_stream)
-                alpha = -2.0 + 4.0 * probe_stream.uniform()
-                beta = -2.0 + 4.0 * probe_stream.uniform()
-                lhs = extend_linear(phi, alpha * m + beta * n)
-                rhs = alpha * extend_linear(phi, m) + beta * extend_linear(phi, n)
-                dev = frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n))
-                max_lin = max(max_lin, dev)
+            max_lin = max(max_lin, linearity_defect(EffectMapOracle.from_descriptor(d), s.spawn(), 200))
     ok &= max_lin <= 1e-8
     # norm bound on synthesized oracles of every affine combo
     for dim in (2, 3, 4):

@@ -101,11 +101,11 @@ def test_order_reversed_by_orthocomplement():
 
 def test_order_matches_pinching_on_projections():
     s = Stream(33)
-    from effectsym.sampling import nested_projections
+    from effectsym.sampling import nested_projection_pairs
 
     for k in range(200):
         if k % 2 == 0:
-            p, q = nested_projections(4, s.next_u64())
+            p, q = nested_projection_pairs(4, [s.next_u64()])[0]
         else:
             p = random_projection(4, s.next_u64())
             q = random_projection(4, s.next_u64())

@@ -7,6 +7,7 @@ from effectsym.extension import (
     boundedness_check,
     extend_linear,
     is_affine,
+    linearity_defect,
     unit_ball_decomposition,
 )
 from effectsym.linalg import adjoint, frobenius_norm, operator_norm
@@ -124,15 +125,7 @@ def test_extension_linearity_invariant():
     s = Stream(7)
     for seed in range(3):
         d = random_symmetry(3, seed, family=AFFINE, complement=False)
-        phi = EffectMapOracle.from_descriptor(d)
-        for _ in range(200):
-            m = complex_gaussian(3, s)
-            n = complex_gaussian(3, s)
-            alpha = -2.0 + 4.0 * s.uniform()
-            beta = -2.0 + 4.0 * s.uniform()
-            lhs = extend_linear(phi, alpha * m + beta * n)
-            rhs = alpha * extend_linear(phi, m) + beta * extend_linear(phi, n)
-            assert frobenius_norm(lhs - rhs) <= 1e-8 * (frobenius_norm(m) + frobenius_norm(n))
+        assert linearity_defect(EffectMapOracle.from_descriptor(d), s, 200) <= 1e-8
 
 
 def test_extension_agrees_with_oracle_on_effects():

@@ -69,17 +69,15 @@ def test_preservation_probe_conjugation():
 
 def test_preservation_probe_halving_map():
     report = preservation_probe(oracle(3, lambda a: 0.5 * np.asarray(a, complex)), trials=6)
-    assert not report.projections_preserved
-    assert report.witnesses
+    assert not report.all_preserved
     assert any(w.check == "projections" for w in report.witnesses)
-    assert not report.orthocomplement_preserved
     assert set(report.failed_checks()) >= {"projections", "orthocomplement"}
 
 
 def test_order_reversing_map_gets_a_finite_order_defect():
     eye = np.eye(3, dtype=complex)
     report = preservation_probe(oracle(3, lambda a: eye - np.asarray(a, complex)), trials=8)
-    assert not report.order_preserved
+    assert "order" in report.failed_checks()
     order = [w for w in report.witnesses if w.check == "order"]
     assert order
     for w in order:
@@ -651,3 +649,26 @@ def test_wrong_shape_output_is_rejected_with_its_input(route, bad):
     assert "expected (4, 4)" in report.reason
     (query,) = report.witness
     assert np.array_equal(query, queries[-1])
+
+
+def similarity_oracle(dim):
+    """A -> S A S^-1 for an upper unitriangular S: it keeps the triple
+    identity, but its images of Hermitian matrices are not Hermitian."""
+    s = np.eye(dim) + 0.3 * np.triu(np.ones((dim, dim)), 1)
+    s_inv = np.linalg.inv(s)
+    return oracle(dim, lambda a: s @ np.asarray(a, complex) @ s_inv)
+
+
+def test_order_probe_fails_closed_on_a_non_hermitian_difference():
+    report = preservation_probe(similarity_oracle(4), trials=8)
+    order = [w for w in report.witnesses if w.check == "order"]
+    assert order and all(math.isfinite(w.defect) and w.defect > 1e-9 for w in order)
+
+
+@pytest.mark.parametrize("route", [recover_affine, recover_triple, recover_triple_hermitian])
+def test_non_hermitian_similarity_is_rejected_without_raising(route):
+    report = route(similarity_oracle(4), seed=1)
+    assert report.verdict == REJECTED
+    if route is not recover_affine:
+        assert report.reason == "projection-structure probe failed (projections, order not preserved)"
+        assert report.witness is not None

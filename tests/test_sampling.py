@@ -11,9 +11,7 @@ from effectsym.sampling import (
     haar_unitaries,
     haar_unitary,
     nested_projection_pairs,
-    nested_projections,
     orthogonal_projection_pairs,
-    orthogonal_projections,
     random_effect,
     random_effects,
     random_hermitian,
@@ -106,14 +104,14 @@ def test_random_projection_properties():
 
 def test_nested_projections_order():
     for seed in range(25):
-        p, q = nested_projections(4, seed)
+        p, q = nested_projection_pairs(4, [seed])[0]
         assert frobenius_norm(p @ q @ p - p) < 1e-12
         assert np.linalg.eigvalsh(q - p)[0] >= -1e-12
 
 
 def test_orthogonal_projections_product():
     for seed in range(25):
-        p, q = orthogonal_projections(4, seed)
+        p, q = orthogonal_projection_pairs(4, [seed])[0]
         assert frobenius_norm(p @ q) < 1e-12
         assert np.trace(p).real >= 0.99 and np.trace(q).real >= 0.99
 
@@ -199,8 +197,11 @@ SAMPLERS = {
     "random_hermitian": (random_hermitians, random_hermitian, ref_random_hermitian, 1),
     "random_unit_vector": (random_unit_vectors, random_unit_vector, ref_random_unit_vector, 1),
     "random_projection": (random_projections, random_projection, ref_random_projection, 2),
-    "nested_projections": (nested_projection_pairs, nested_projections, ref_nested_projections, 2),
-    "orthogonal_projections": (orthogonal_projection_pairs, orthogonal_projections,
+    "nested_projections": (nested_projection_pairs,
+                           lambda dim, seed: nested_projection_pairs(dim, [seed])[0],
+                           ref_nested_projections, 2),
+    "orthogonal_projections": (orthogonal_projection_pairs,
+                               lambda dim, seed: orthogonal_projection_pairs(dim, [seed])[0],
                                ref_orthogonal_projections, 2),
 }
 DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 16]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from effectsym.extension import EffectMapOracle
+from effectsym.recover import recover_triple
 from effectsym.sampling import random_effect
 from effectsym.serialize import (
     affine_rep_from_obj,
@@ -10,6 +12,8 @@ from effectsym.serialize import (
     matrix_from_obj,
     matrix_to_obj,
     oracle_from_obj,
+    probe_to_obj,
+    report_to_obj,
 )
 from effectsym.symmetry import ANTIUNITARY, apply_symmetry, random_symmetry, to_affine_rep
 
@@ -69,3 +73,25 @@ def test_oracle_from_obj_both_forms():
     assert np.allclose(oracle_r(a), apply_symmetry(d, a), atol=1e-11)
     with pytest.raises(ValueError):
         oracle_from_obj({"something": 1})
+
+
+PROBE_KEYS = ["projections_preserved", "order_preserved", "orthogonality_preserved",
+              "orthocomplement_preserved", "samples_used", "witness_count", "failed_checks"]
+
+
+SIMILARITY = np.eye(4) + 0.3 * np.triu(np.ones((4, 4)), 1)
+
+
+@pytest.mark.parametrize("evaluate, failed", [
+    (lambda a: 0 * a, ["orthocomplement"]),
+    (lambda a: SIMILARITY @ a @ np.linalg.inv(SIMILARITY), ["projections", "order"]),
+], ids=["zero", "similarity"])
+def test_rejected_probe_json_keys_and_flags(evaluate, failed):
+    report = recover_triple(EffectMapOracle(4, evaluate), seed=3)
+    obj = report_to_obj(report)["probe"]
+    assert list(obj) == PROBE_KEYS
+    assert obj == probe_to_obj(report.probe)
+    assert obj["failed_checks"] == failed
+    for key in PROBE_KEYS[:4]:
+        assert obj[key] is (key[:-len("_preserved")] not in failed)
+    assert obj["witness_count"] == len(report.probe.witnesses) > 0

@@ -3,6 +3,32 @@ from dataclasses import replace
 from effectsym import suites
 from effectsym.recover import recover_triple_hermitian
 
+# Key order of each suite's details; the verify JSON is written in this order.
+VERIFY_DETAIL_KEYS = {
+    "triple_closure": ["dim", "pairs", "min_eigenvalue", "max_eigenvalue"],
+    "affine_roundtrip": ["dim", "descriptors", "combos_seen", "max_unitary_distance",
+                         "max_residual", "failures"],
+    "triple_roundtrip": ["dim", "descriptors", "max_unitary_distance", "max_residual",
+                         "max_scaling_deviation", "failures"],
+    "hermitian_sign": ["dim", "descriptors", "max_unitary_distance", "max_residual",
+                       "shift_refused", "failures"],
+    "rejection_battery": ["dim", "oracles", "eps", "complemented_rejected", "failures"],
+    "scaling_grid": ["dim", "oracles", "max_identity_deviation", "max_multiplicative_deviation",
+                     "max_orthoadditive_deviation", "failures"],
+    "extension": ["dim", "oracles", "probes", "max_linearity_deviation", "max_extension_norm",
+                  "failures"],
+    "projection_probes": ["dim", "oracles", "projection_pairs", "order_pinching_mismatches",
+                          "failures"],
+    "phase_gauge": ["dim", "thetas", "failures"],
+}
+
+
+def test_verify_suite_detail_keys_are_pinned():
+    results = suites.run_verify_suites(3, 0, 5)
+    assert {r.name: list(r.details) for r in results} == VERIFY_DETAIL_KEYS
+    assert list(VERIFY_DETAIL_KEYS) == [r.name for r in results]
+    assert all(r.passed and not r.skipped for r in results)
+
 
 def test_roundtrip_flag_mismatch_fails_the_suite(monkeypatch):
     def sign_flipped(phi, **kw):
@@ -19,3 +45,11 @@ def test_roundtrip_flag_mismatch_fails_the_suite(monkeypatch):
         "descriptor 1: got kind antiunitary, sign -1",
     ]
     assert result.details["max_unitary_distance"] == 0.0
+
+
+def test_extension_failure_names_only_the_nonlinear_oracle(monkeypatch):
+    defects = iter([1e-3, 0.0])
+    monkeypatch.setattr(suites, "linearity_defect", lambda phi, stream, probes: next(defects))
+    result = suites.extension_suite(3, 5, oracles=2, probes=2)
+    assert result.details["failures"] == ["oracle 0: linearity deviation 1.000e-03"]
+    assert result.details["max_linearity_deviation"] == 1e-3
