@@ -16,6 +16,17 @@ A/||A|| stays inside [0, I], which a Frobenius rescaling would not
 guarantee.  Linearity of the result is a property checked on samples
 by :func:`linearity_defect`, not an assumption.
 
+The extension runs on stacks: per chunk of ``EXTEND_CHUNK = 24``
+matrices, one ``eigh`` gives the parts and one stacked spectral norm
+their scales, and the oracle is then asked for A1..A4 of each matrix in
+turn, one input at a time, in the order a per-matrix loop would ask.
+:func:`extend_linear` and :func:`unit_ball_decomposition` are the
+one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
+extend all their samples as one stack, since they query every sample
+whatever the answers.  Reported norms are taken per matrix and folded
+with ``max``, so results are bit for bit those of the per-matrix loop.
+:func:`is_affine` stops at its first violation and stays per trial.
+
 Sample counts and tolerances are module constants: :func:`is_affine`
 probes ``AFFINE_PROBE_TRIALS = 64`` convex triples against
 ``PROBE_TOL = 1e-9``, :func:`boundedness_check` takes the maximum over
@@ -30,16 +41,16 @@ from typing import Callable
 
 import numpy as np
 
-from .effects import positive_negative_parts, real_imag_parts
-from .linalg import DEFAULT_TOL, as_square_array, frobenius_norm, operator_norm
-from .rng import Stream, _unit_floats
-from .sampling import _doubling_effect_pairs, complex_gaussian, random_effects
+from .linalg import DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, hermitize, operator_norm
+from .rng import Stream, _box_muller, _unit_floats
+from .sampling import _doubling_effect_pairs, random_effects
 from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
 
 ZERO_NORM_CUTOFF = 1e-12
 PROBE_TOL = 1e-9
 AFFINE_PROBE_TRIALS = 64
 BOUNDEDNESS_TRIALS = 32
+EXTEND_CHUNK = 24  # matrices per stacked eigh; bounds the temporaries, not the result
 
 
 class OracleError(ValueError):
@@ -115,7 +126,10 @@ def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:
     caller's responsibility (probe with :func:`is_affine` first).
     """
     _require_fixes_zero(phi)
-    return _extend(phi, m)
+    mat = as_square_array(m)
+    if mat.shape[0] != phi.dim:
+        raise ValueError(f"dimension mismatch: oracle {phi.dim}, input {mat.shape[0]}")
+    return _extend(phi, mat[None])[0]
 
 
 def _require_fixes_zero(phi: EffectMapOracle) -> None:
@@ -124,43 +138,54 @@ def _require_fixes_zero(phi: EffectMapOracle) -> None:
         raise ValueError(f"oracle does not fix 0 (||phi(0)|| = {z:.3e})")
 
 
-def _psd_parts(mat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(A1, A2, A3, A4), all psd, with mat = A1 - A2 + i(A3 - A4)."""
-    re, im = real_imag_parts(mat)
-    return (*positive_negative_parts(re), *positive_negative_parts(im))
+def _psd_parts(mats: np.ndarray) -> np.ndarray:
+    """Stack of (A1, A2, A3, A4), all psd, with mats[k] = A1 - A2 + i(A3 - A4):
+    the positive and negative parts of Re M and Im M, from one ``eigh``."""
+    re_im = np.stack((hermitize(mats), 0.5j * (adjoint(mats) - mats)), axis=1)
+    # Hermitian by construction; symmetrized again, as eig_hermitian does, so
+    # the parts equal those of effects.positive_negative_parts bit for bit.
+    w, v = np.linalg.eigh(hermitize(re_im))
+    vh = adjoint(v)
+    pos, neg = (hermitize((v * np.clip(x, 0.0, None)[..., None, :]) @ vh) for x in (w, -w))
+    return np.stack((pos, neg), axis=2).reshape(len(mats), 4, *mats.shape[1:])
 
 
-def _extend(phi: EffectMapOracle, m) -> np.ndarray:
-    """:func:`extend_linear` for an oracle already known to fix 0."""
-    mat = as_square_array(m)
-    if mat.shape[0] != phi.dim:
-        raise ValueError(f"dimension mismatch: oracle {phi.dim}, input {mat.shape[0]}")
-
-    def positive(a: np.ndarray) -> np.ndarray:
-        nrm = operator_norm(a)
-        if nrm < ZERO_NORM_CUTOFF:
-            return np.zeros((phi.dim, phi.dim), dtype=complex)
-        return nrm * phi(a / nrm)
-
-    a1, a2, a3, a4 = (positive(a) for a in _psd_parts(mat))
-    return (a1 - a2) + 1j * (a3 - a4)
+def _extend(phi: EffectMapOracle, mats: np.ndarray) -> np.ndarray:
+    """:func:`extend_linear` of each matrix of a validated stack, for an
+    oracle already known to fix 0.  Parts and norms are computed
+    ``EXTEND_CHUNK`` matrices at a time; the oracle is asked for A1..A4
+    of each matrix in turn."""
+    out = np.empty(mats.shape, dtype=complex)
+    zero = np.zeros(mats.shape[1:], dtype=complex)
+    for start in range(0, len(mats), EXTEND_CHUNK):
+        parts = _psd_parts(mats[start:start + EXTEND_CHUNK])
+        norms = np.linalg.norm(parts, 2, axis=(-2, -1)).tolist()
+        for k, (four, nrms) in enumerate(zip(parts, norms), start):
+            a1, a2, a3, a4 = (zero if nrm < ZERO_NORM_CUTOFF else nrm * phi(a / nrm)
+                              for a, nrm in zip(four, nrms))
+            out[k] = (a1 - a2) + 1j * (a3 - a4)
+    return out
 
 
 def linearity_defect(phi: EffectMapOracle, stream: Stream, probes: int) -> float:
     """Worst ||ext(aM + bN) - a ext(M) - b ext(N)|| / (||M|| + ||N||)
     over ``probes`` draws from ``stream`` of Gaussian M, N and a, b
-    uniform on [-2, 2]; ``phi`` must fix 0 (checked once)."""
+    uniform on [-2, 2]; ``phi`` must fix 0 (checked once).
+
+    Each probe draws M, N, a, b in that order, all probes in one block;
+    aM + bN, M and N of each probe are extended in that order."""
     _require_fixes_zero(phi)
-    worst = 0.0
-    for _ in range(probes):
-        m = complex_gaussian(phi.dim, stream)
-        n = complex_gaussian(phi.dim, stream)
-        alpha = -2.0 + 4.0 * stream.uniform()
-        beta = -2.0 + 4.0 * stream.uniform()
-        lhs = _extend(phi, alpha * m + beta * n)
-        rhs = alpha * _extend(phi, m) + beta * _extend(phi, n)
-        worst = max(worst, frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n)))
-    return worst
+    dim = phi.dim
+    width = 4 * dim * dim + 2
+    raw = stream.u64_block(probes * width).reshape(probes, width)
+    re, im = _box_muller(raw[:, :-2].reshape(2 * probes, 2 * dim * dim))
+    pairs = (re + 1j * im).reshape(probes, 2, dim, dim)
+    coefs = (-2.0 + 4.0 * _unit_floats(raw[:, -2:])).tolist()
+    mats = np.array([(a * m + b * n, m, n) for (m, n), (a, b) in zip(pairs, coefs)])
+    ext = _extend(phi, mats.reshape(-1, dim, dim)).reshape(mats.shape)
+    defects = [frobenius_norm(lhs - (a * em + b * en)) / (frobenius_norm(m) + frobenius_norm(n))
+               for (_, m, n), (lhs, em, en), (a, b) in zip(mats, ext, coefs)]
+    return max([0.0, *defects])
 
 
 def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:
@@ -176,10 +201,8 @@ def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:
     psi = EffectMapOracle(
         phi.dim, lambda m: np.asarray(phi.evaluator(m), dtype=complex) - zero_img, label="recentered"
     )
-    worst = 0.0
-    for a in random_effects(phi.dim, Stream(seed).u64_block(BOUNDEDNESS_TRIALS)):
-        worst = max(worst, operator_norm(_extend(psi, a)))
-    return worst
+    ext = _extend(psi, random_effects(phi.dim, Stream(seed).u64_block(BOUNDEDNESS_TRIALS)))
+    return max([0.0, *np.linalg.norm(ext, 2, axis=(-2, -1)).tolist()])
 
 
 def unit_ball_decomposition(m) -> tuple[np.ndarray, ...]:
@@ -190,4 +213,4 @@ def unit_ball_decomposition(m) -> tuple[np.ndarray, ...]:
     nrm = operator_norm(mat)
     if nrm > 1.0 + DEFAULT_TOL:
         raise ValueError(f"matrix has spectral norm {nrm:.6f} > 1")
-    return _psd_parts(mat)
+    return tuple(_psd_parts(mat[None])[0])

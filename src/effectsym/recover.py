@@ -32,6 +32,14 @@ and the scaling check compare against ``extension.PROBE_TOL``,
 classifications against ``CLASSIFY_TOL``.  Every
 universally quantified hypothesis is checked on seeded samples, never
 proven.  Runs are deterministic given (seed, oracle).
+
+Stages that query every sample whatever the answers (the verify stage,
+the rank-one checks of a rebuilt unitary, the scaling samples) ask the
+oracle one input at a time in a fixed order, then compute the expected
+side on the whole stack; each residual norm is taken per matrix and
+folded with ``max``, as a per-sample loop would.  The affinity probe,
+the triple identity and the preservation probe stop (or raise) at their
+first violation, so they stay per trial and ask nothing past it.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ import numpy as np
 from .effects import rank_one_projection
 from .extension import PROBE_TOL, EffectMapOracle, OracleError, is_affine
 from .linalg import (
-    adjoint,
     eigenvalues_hermitian,
     frobenius_norm,
     hermitize,
@@ -68,7 +75,7 @@ from .symmetry import (
     TRIPLE_HERMITIAN,
     UNITARY,
     SymmetryDescriptor,
-    apply_symmetry,
+    _apply_symmetry,
     gauge_normalize,
 )
 
@@ -299,20 +306,15 @@ def reconstruct_unitary_from_projection_action(
     d_minus = frobenius_norm(s_img - np.outer(minus, np.conj(minus)))
     kind = UNITARY if d_plus <= d_minus else ANTIUNITARY
 
-    u = _nearest_unitary(np.column_stack(frame))
-    u = gauge_normalize(SymmetryDescriptor(kind, u)).unitary
-
-    worst = 0.0
-    for x in random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS)):
-        px = np.outer(x, np.conj(x))
-        expected = u @ (np.conj(px) if kind == ANTIUNITARY else px) @ adjoint(u)
-        worst = max(worst, frobenius_norm(np.asarray(action(px), dtype=complex) - expected))
+    d = gauge_normalize(SymmetryDescriptor(kind, _nearest_unitary(np.column_stack(frame))))
+    xs = random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS))
+    worst = _residual(action, d, np.array([np.outer(x, np.conj(x)) for x in xs]))
     if worst > tol:
         raise ReconstructionError(
             f"reconstruction verification failed: rank-one residual {worst:.3e} "
             f"above {tol:g}"
         )
-    return u, kind
+    return d.unitary, kind
 
 
 def verify_descriptor(
@@ -329,11 +331,19 @@ def verify_descriptor(
     """
     if domain not in (EFFECTS_DOMAIN, HERMITIAN_DOMAIN):
         raise ValueError(f"unknown sampling domain {domain!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     sampler = random_effects if domain == EFFECTS_DOMAIN else random_hermitians
-    worst = 0.0
-    for a in sampler(d.dim, Stream(seed).u64_block(trials)):
-        worst = max(worst, frobenius_norm(np.asarray(phi(a), dtype=complex) - apply_symmetry(d, a)))
-    return worst
+    return _residual(phi, d, sampler(d.dim, Stream(seed).u64_block(trials)))
+
+
+def _residual(phi, d: SymmetryDescriptor, samples: np.ndarray) -> float:
+    """Max ||phi(A) - d(A)||_F over a stack of samples.  The oracle is
+    asked in order, then d is applied to the whole stack; each norm is
+    taken on its own matrix and a NaN norm is passed over, as by a
+    running ``max``."""
+    images = np.array([np.asarray(phi(a), dtype=complex) for a in samples])
+    return max([0.0, *(frobenius_norm(x) for x in images - _apply_symmetry(d, samples))])
 
 
 def extract_scaling_function(phi, p: np.ndarray, lambdas) -> ScalingSamples:
@@ -349,13 +359,9 @@ def extract_scaling_function(phi, p: np.ndarray, lambdas) -> ScalingSamples:
     _rank_one_vector(img_p, "image of the scaling projection")
     denom = float(np.trace(img_p @ img_p).real)
     lams = np.asarray(lambdas, dtype=float)
-    values = np.empty_like(lams)
-    residuals = np.empty_like(lams)
-    for i, lam in enumerate(lams):
-        img = np.asarray(phi(lam * p), dtype=complex)
-        f = float(np.trace(img @ img_p).real) / denom
-        values[i] = f
-        residuals[i] = frobenius_norm(img - f * img_p)
+    images = np.array([np.asarray(phi(lam * p), dtype=complex) for lam in lams]).reshape(-1, *p.shape)
+    values = np.trace(images @ img_p, axis1=-2, axis2=-1).real / denom
+    residuals = np.array([frobenius_norm(img - f * img_p) for img, f in zip(images, values.tolist())])
     return ScalingSamples(projection=p, lambdas=lams, values=values, residuals=residuals)
 
 
@@ -504,6 +510,8 @@ def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int,
 
 def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed: int) -> RecoveryReport:
     """Run one family's chain; every report, canonical or rejected, is built here."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     found: dict = {}
     try:
         chain(found, phi, tol, trials, Stream(seed))

@@ -164,6 +164,9 @@ class SymmetryDescriptor:
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
+        u_adj = adjoint(u)  # U*, computed once for every evaluation
+        u_adj.setflags(write=False)
+        object.__setattr__(self, "_u_adj", u_adj)
 
     @property
     def dim(self) -> int:
@@ -183,12 +186,13 @@ def apply_symmetry(d: SymmetryDescriptor, a) -> np.ndarray:
 
 
 def _apply_symmetry(d: SymmetryDescriptor, m: np.ndarray) -> np.ndarray:
-    """:func:`apply_symmetry` on a validated square array of dim ``d.dim``."""
+    """:func:`apply_symmetry` on a validated square array of dim ``d.dim``,
+    or on each matrix of a stack of them."""
     if d.complement:
         m = np.eye(d.dim, dtype=complex) - m
     if d.kind == ANTIUNITARY:
         m = np.conj(m)
-    out = d.unitary @ m @ adjoint(d.unitary)
+    out = d.unitary @ m @ d._u_adj
     return d.sign * out
 
 

@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from effectsym.effects import positive_negative_parts, real_imag_parts
 from effectsym.extension import (
+    BOUNDEDNESS_TRIALS,
+    ZERO_NORM_CUTOFF,
     EffectMapOracle,
     OracleError,
     boundedness_check,
@@ -15,6 +20,9 @@ from effectsym.rng import Stream
 from effectsym.sampling import complex_gaussian, haar_unitary, random_effect
 from effectsym.symmetry import (
     AFFINE,
+    ANTIUNITARY,
+    TRIPLE_HERMITIAN,
+    UNITARY,
     apply_affine_rep,
     apply_symmetry,
     random_symmetry,
@@ -219,3 +227,112 @@ def test_oracle_query_validates_its_input_once(form, monkeypatch):
     assert len(calls) == 1
     expected = apply_symmetry(d, a) if form == "descriptor" else apply_affine_rep(rep, a)
     assert np.array_equal(out, expected)
+
+
+# ------------------------------------- stacked extension vs a per-matrix loop
+
+
+def ref_extend(phi, m):
+    """The extension one matrix at a time: A1..A4 from real_imag_parts and
+    positive_negative_parts, each scaled into [0, I] by its spectral norm."""
+    re, im = real_imag_parts(m)
+    images = []
+    for a in (*positive_negative_parts(re), *positive_negative_parts(im)):
+        nrm = operator_norm(a)
+        images.append(np.zeros_like(a) if nrm < ZERO_NORM_CUTOFF else nrm * phi(a / nrm))
+    a1, a2, a3, a4 = images
+    return (a1 - a2) + 1j * (a3 - a4)
+
+
+def ref_linearity_defect(phi, stream, probes):
+    worst = 0.0
+    for _ in range(probes):
+        m, n = complex_gaussian(phi.dim, stream), complex_gaussian(phi.dim, stream)
+        alpha = -2.0 + 4.0 * stream.uniform()
+        beta = -2.0 + 4.0 * stream.uniform()
+        lhs = ref_extend(phi, alpha * m + beta * n)
+        rhs = alpha * ref_extend(phi, m) + beta * ref_extend(phi, n)
+        worst = max(worst, frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n)))
+    return worst
+
+
+def ref_boundedness(phi, seed):
+    zero_img = phi(np.zeros((phi.dim, phi.dim)))
+    worst = 0.0
+    for s in Stream(seed).u64_block(BOUNDEDNESS_TRIALS).tolist():
+        ext = ref_extend(lambda a: phi(a) - zero_img, random_effect(phi.dim, s))
+        worst = max(worst, operator_norm(ext))
+    return worst
+
+
+def zero_fixing_oracles(dim):
+    """Both kinds of linear canonical map, sign +1 and -1, and a nonlinear map."""
+    for kind in (UNITARY, ANTIUNITARY):
+        yield EffectMapOracle.from_descriptor(
+            random_symmetry(dim, dim, family=AFFINE, kind=kind, complement=False))
+        yield EffectMapOracle.from_descriptor(
+            random_symmetry(dim, dim + 1, family=TRIPLE_HERMITIAN, kind=kind, sign=-1))
+    yield EffectMapOracle(dim, lambda a: a @ a, label="squared")
+
+
+def any_oracles(dim):
+    yield from zero_fixing_oracles(dim)
+    for kind in (UNITARY, ANTIUNITARY):
+        yield EffectMapOracle.from_descriptor(
+            random_symmetry(dim, dim + 2, family=AFFINE, kind=kind, complement=True))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stacked_extension_equals_per_matrix_loop_bitwise(dim):
+    for phi in zero_fixing_oracles(dim):
+        for probes in (1, 7, 9):  # 3, 21 and 27 extensions: one chunk, and past it
+            assert linearity_defect(phi, Stream(probes), probes) == ref_linearity_defect(
+                phi, Stream(probes), probes)
+        s = Stream(dim)
+        for m in (complex_gaussian(dim, s), random_effect(dim, 5), np.zeros((dim, dim))):
+            assert np.array_equal(extend_linear(phi, m), ref_extend(phi, m))
+    for seed, phi in enumerate(any_oracles(dim)):
+        assert boundedness_check(phi, seed=seed) == ref_boundedness(phi, seed)
+    s = Stream(100 + dim)
+    for _ in range(10):
+        g = complex_gaussian(dim, s)
+        g = g / max(operator_norm(g), 1.0)
+        re, im = real_imag_parts(g)
+        expected = (*positive_negative_parts(re), *positive_negative_parts(im))
+        assert all(np.array_equal(a, b) for a, b in zip(unit_ball_decomposition(g), expected, strict=True))
+
+
+def recorded(evaluate, dim):
+    log = []
+
+    def logged(m):
+        log.append(m.tobytes())
+        return evaluate(m)
+
+    return EffectMapOracle(dim, logged), log
+
+
+# Query count and sha256 of the concatenated query inputs, taken from the
+# one-matrix-at-a-time implementation: the stacked extension asks the
+# oracle the same inputs in the same order.  Linearity: 20 probes from
+# Stream(3) on random_symmetry(dim, 5, AFFINE, complement=False);
+# boundedness: seed 2 on random_symmetry(dim, 6, AFFINE).
+EXTENSION_INPUT_SEQUENCES = {
+    ("linearity", 3): (240, "3efabd34588689d9ea4a388a5146e034f0d002a2b9681b31a3ad64fc136d1ce0"),
+    ("linearity", 6): (241, "c2feaf4f839a08a024623a8551fdc50fd6977e34467195c841b1a8d8f6a04a6b"),
+    ("boundedness", 3): (33, "3c4bf2af0edef5550e49ed60271d43c79783cdf9efa7c98c758be1e0c1d3a7f2"),
+    ("boundedness", 6): (33, "8017ff82c4e5d0b7f75364275f009179e6ed9e5d7dff3f9d872fcec8d847e680"),
+}
+
+
+@pytest.mark.parametrize("check, dim", sorted(EXTENSION_INPUT_SEQUENCES))
+def test_extension_input_sequence_is_pinned(check, dim):
+    if check == "linearity":
+        d = random_symmetry(dim, 5, family=AFFINE, complement=False)
+        phi, log = recorded(lambda m: apply_symmetry(d, m), dim)
+        linearity_defect(phi, Stream(3), 20)
+    else:
+        d = random_symmetry(dim, 6, family=AFFINE)
+        phi, log = recorded(lambda m: apply_symmetry(d, m), dim)
+        boundedness_check(phi, seed=2)
+    assert (len(log), hashlib.sha256(b"".join(log)).hexdigest()) == EXTENSION_INPUT_SEQUENCES[check, dim]

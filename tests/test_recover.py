@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from effectsym.extension import EffectMapOracle
+from effectsym.extension import EffectMapOracle, OracleError
 from effectsym.linalg import adjoint, frobenius_norm, operator_norm
 from effectsym.recover import (
+    RECONSTRUCT_CHECKS,
     REJECTED,
     ReconstructionError,
     SCALING_GRID,
@@ -20,7 +21,7 @@ from effectsym.recover import (
     verify_descriptor,
 )
 from effectsym.rng import Stream
-from effectsym.sampling import haar_unitary, random_unit_vector
+from effectsym.sampling import haar_unitary, random_effect, random_hermitian, random_unit_vector
 from effectsym.symmetry import (
     AFFINE,
     ANTIUNITARY,
@@ -387,6 +388,103 @@ def test_verify_descriptor_hermitian_domain():
         verify_descriptor(phi, d, trials=5, domain="unit_ball")
 
 
+@pytest.mark.parametrize("route", [recover_affine, recover_triple, recover_triple_hermitian])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_fewer_than_one_verify_trial_is_refused(route, trials):
+    calls = []
+    phi = oracle(3, lambda a: calls.append(1) or np.asarray(a, complex))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        route(phi, trials=trials, seed=1)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_descriptor(phi, SymmetryDescriptor(UNITARY, np.eye(3)), trials=trials)
+    assert calls == []
+
+
+# ----------------------------- stacked residuals vs a per-sample reference loop
+
+
+def ref_apply(d, a):
+    m = np.eye(d.dim, dtype=complex) - a if d.complement else a
+    m = np.conj(m) if d.kind == ANTIUNITARY else m
+    return d.sign * (d.unitary @ m @ adjoint(d.unitary))
+
+
+def ref_verify(phi, d, trials, seed, domain):
+    sampler = random_effect if domain == "effects" else random_hermitian
+    worst = 0.0
+    for s in Stream(seed).u64_block(trials).tolist():
+        a = sampler(d.dim, s)
+        worst = max(worst, frobenius_norm(phi(a) - ref_apply(d, a)))
+    return worst
+
+
+def ref_reconstruction_residual(action, u, kind, seed):
+    worst = 0.0
+    for s in Stream(seed).u64_block(RECONSTRUCT_CHECKS).tolist():
+        x = random_unit_vector(u.shape[0], s)
+        px = np.outer(x, np.conj(x))
+        expected = u @ (np.conj(px) if kind == ANTIUNITARY else px) @ adjoint(u)
+        worst = max(worst, frobenius_norm(action(px) - expected))
+    return worst
+
+
+def ref_scaling(phi, p, lambdas):
+    img_p = phi(p)
+    denom = float(np.trace(img_p @ img_p).real)
+    values, residuals = [], []
+    for lam in lambdas:
+        img = phi(lam * p)
+        values.append(float(np.trace(img @ img_p).real) / denom)
+        residuals.append(frobenius_norm(img - values[-1] * img_p))
+    return values, residuals
+
+
+def flagged_descriptors(dim):
+    """Both kinds, with and without the complement, and with sign +1 and -1."""
+    for kind in (UNITARY, ANTIUNITARY):
+        for complement in (False, True):
+            yield random_symmetry(dim, 2 * dim + complement, family=AFFINE, kind=kind, complement=complement)
+        for sign in (1, -1):
+            yield random_symmetry(dim, 3 * dim + sign, family=TRIPLE_HERMITIAN, kind=kind, sign=sign)
+
+
+def nan_above_half_trace(d):
+    """The descriptor's map, but NaN wherever tr A > dim / 2."""
+    return lambda a: np.full((d.dim, d.dim), np.nan) if np.trace(a).real > d.dim / 2 else apply_symmetry(d, a)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stacked_residuals_equal_per_sample_loop_bitwise(dim):
+    descriptors = list(flagged_descriptors(dim))
+    for d, other in zip(descriptors, descriptors[1:] + descriptors[:1]):
+        for evaluate in (lambda a: apply_symmetry(d, a), lambda a: apply_symmetry(other, a),
+                         nan_above_half_trace(d)):
+            phi = oracle(dim, evaluate)
+            for domain, trials in (("effects", 30), ("hermitian", 7)):
+                assert verify_descriptor(phi, d, trials, seed=dim, domain=domain) == ref_verify(
+                    phi, d, trials, dim, domain)
+
+        if d.sign == -1:
+            continue
+        eye = np.eye(dim, dtype=complex)
+        phi = EffectMapOracle.from_descriptor(d)
+        action = (lambda p: eye - phi(p)) if d.complement else phi
+        u, kind = reconstruct_unitary_from_projection_action(action, dim, seed=dim)
+        worst = ref_reconstruction_residual(action, u, kind, dim)
+        # The reconstruction accepts exactly when its residual is <= tol.
+        reconstruct_unitary_from_projection_action(action, dim, tol=worst, seed=dim)
+        with pytest.raises(ReconstructionError, match="reconstruction verification failed"):
+            reconstruct_unitary_from_projection_action(action, dim, tol=np.nextafter(worst, -1.0), seed=dim)
+
+        if not d.complement:
+            x = random_unit_vector(dim, dim)
+            p = np.outer(x, np.conj(x))
+            samples = extract_scaling_function(phi, p, SCALING_GRID)
+            values, residuals = ref_scaling(phi, p, SCALING_GRID)
+            assert np.array_equal(samples.values, values)
+            assert np.array_equal(samples.residuals, residuals)
+
+
 # ----------------------------------------------------- round-trip battery
 
 
@@ -598,6 +696,54 @@ def test_oracle_input_sequence_is_pinned(family, sign):
     phi, log = recorded(lambda m: apply_symmetry(d, m), 4)
     assert ROUTES[family](phi, seed=11).canonical
     assert (len(log), hashlib.sha256(b"".join(log)).hexdigest()) == INPUT_SEQUENCES[family, sign]
+
+
+# The same at dims 3 and 6, for random_symmetry(dim, 7, family) with the
+# complement set on the affine route and sign -1 on the Hermitian one, and
+# seed 11, taken from the one-matrix-at-a-time verify and reconstruction
+# checks: the stacked checks ask the same inputs in the same order.
+STACKED_INPUT_SEQUENCES = {
+    (AFFINE, 3): (319, "c81f94262ebe6aef01223ea8f60be3c6dee3aba012242c5c88be2cd87abe4974"),
+    (TRIPLE_EFFECTS, 3): (288, "0d41dd99bedbcf7ab40f2b3f41b262b4f1f61be91268f013647fbbd9528a9ef4"),
+    (TRIPLE_HERMITIAN, 3): (389, "c3340f40e85bd35d880a3b717e3040ed208e22461a96c8720114f4730259134b"),
+    (AFFINE, 6): (325, "5fdc17eadbe225523e47e5e7c91ce0f876a847fadf8d42fac0737b30a85cb13f"),
+    (TRIPLE_EFFECTS, 6): (294, "7239bc641e0b0518ba77f39e1b46a1e19c74f26346f2b5804d52cd8f4a8d9188"),
+    (TRIPLE_HERMITIAN, 6): (395, "5a4d1bf656692a851c653dc688d0b7d1bdf0efbe3e1f1180ca4e49601ead589a"),
+}
+ROUTE_FLAGS = {AFFINE: {"complement": True}, TRIPLE_EFFECTS: {}, TRIPLE_HERMITIAN: {"sign": -1}}
+
+
+@pytest.mark.parametrize("family, dim", sorted(STACKED_INPUT_SEQUENCES))
+def test_stacked_checks_keep_the_input_sequence(family, dim):
+    d = random_symmetry(dim, 7, family=family, **ROUTE_FLAGS[family])
+    phi, log = recorded(lambda m: apply_symmetry(d, m), dim)
+    assert ROUTES[family](phi, seed=11).canonical
+    assert (len(log), hashlib.sha256(b"".join(log)).hexdigest()) == STACKED_INPUT_SEQUENCES[family, dim]
+
+
+@pytest.mark.parametrize("family", sorted(ROUTES))
+@pytest.mark.parametrize("k", [1, 37, 100])
+def test_wrong_shape_at_the_kth_verify_query_stops_there(family, k):
+    d = random_symmetry(4, 7, family=family, **ROUTE_FLAGS[family])
+    phi, log = recorded(lambda m: apply_symmetry(d, m), 4)
+    assert ROUTES[family](phi, seed=11).canonical
+    bad_at = len(log) - 100 + k  # the k-th query of the final verify stage (100 trials)
+    queries = []
+
+    def evaluate(m):
+        queries.append(m.copy())
+        return np.eye(3) if len(queries) == bad_at else apply_symmetry(d, m)
+
+    report = ROUTES[family](oracle(4, evaluate), seed=11)
+    assert report.verdict == REJECTED and report.reason.startswith("oracle output has shape")
+    assert len(queries) == bad_at
+    assert np.array_equal(report.witness[0], queries[-1])
+
+    queries.clear()
+    bad_at = k
+    with pytest.raises(OracleError) as err:
+        verify_descriptor(oracle(4, evaluate), d, trials=100, seed=3)
+    assert len(queries) == k and np.array_equal(err.value.query, queries[-1])
 
 
 def test_queries_to_first_probe_rejection():
