@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .recover import recover_affine, recover_triple, recover_triple_hermitian
+from .recover import ACCEPT_TOL, recover_affine, recover_triple, recover_triple_hermitian
 from .serialize import (
     affine_rep_to_obj,
     descriptor_to_obj,
@@ -78,14 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--output", help="report path (stdout when omitted)")
     recover.add_argument("--dim", type=int, help="expected dimension (checked against the file)")
     recover.add_argument("--seed", type=int, default=0)
-    recover.add_argument("--tol", type=float, default=1e-8)
+    recover.add_argument("--tol", type=float, default=ACCEPT_TOL)
     recover.add_argument("--trials", type=int, default=100)
 
     verify = sub.add_parser("verify", help="run the verification suites at one dimension")
     verify.add_argument("--dim", type=int, required=True)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument("--tol", type=float, default=ACCEPT_TOL)
     verify.add_argument("--output", help="report path (stdout when omitted)")
     return parser
 

@@ -1,10 +1,11 @@
 """Black-box oracles over effects and their linear extension.
 
 An :class:`EffectMapOracle` wraps an arbitrary deterministic evaluator
-from effects to Hermitian matrices.  For an oracle that is affine and
-fixes 0, :func:`extend_linear` evaluates the unique linear extension to
-all square matrices along one path: split M into Re M and Im M, split
-each into its positive and negative parts, so that
+from effects to Hermitian matrices; a map derived from one, such as
+A -> phi(A) - phi(0), is the oracle ``phi.then(f)``.  For an oracle that
+is affine and fixes 0, :func:`extend_linear` evaluates the unique linear
+extension to all square matrices along one path: split M into Re M and
+Im M, split each into its positive and negative parts, so that
 M = A1 - A2 + i(A3 - A4) with every Aj psd, and scale each part into
 [0, I] by its spectral norm:
 
@@ -73,10 +74,18 @@ class EffectMapOracle:
         m = as_square_array(a)
         if m.shape[0] != self.dim:
             raise ValueError(f"oracle expects dim {self.dim}, got {m.shape[0]}")
+        return self._answer(m)
+
+    def _answer(self, m: np.ndarray) -> np.ndarray:
+        """phi(m) for a validated m; :class:`OracleError` unless it is dim x dim."""
         out = np.asarray(self.evaluator(m), dtype=complex)
         if out.shape != m.shape:
             raise OracleError(f"oracle output has shape {out.shape}, expected {m.shape}", m.copy())
         return out
+
+    def then(self, f: Callable[[np.ndarray], np.ndarray]) -> "EffectMapOracle":
+        """The oracle A -> f(phi(A)); phi's answer is shape-checked before ``f`` sees it."""
+        return EffectMapOracle(self.dim, lambda m: f(self._answer(m)), label=self.label)
 
     # __call__ has validated the input, so the evaluators skip the checks.
     @classmethod
@@ -92,16 +101,15 @@ class EffectMapOracle:
 class AffinityResult:
     """Outcome of the convex-combination probe.
 
-    ``witness`` is the first violating (lam, A, B) triple, if any;
-    ``max_deviation`` is the largest Frobenius defect seen.
+    ``witness`` is the first violating (lam, A, B) triple; the probe passed
+    iff there is none.  ``max_deviation`` is the largest defect seen.
     """
 
-    ok: bool
     max_deviation: float
     witness: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.witness is None
 
 
 def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
@@ -115,8 +123,8 @@ def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
         dev = frobenius_norm(lhs - rhs)
         worst = max(worst, dev)
         if dev > PROBE_TOL:
-            return AffinityResult(False, worst, (lam, a.copy(), b.copy()))
-    return AffinityResult(True, worst)
+            return AffinityResult(worst, (lam, a.copy(), b.copy()))
+    return AffinityResult(worst)
 
 
 def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:
@@ -197,10 +205,7 @@ def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:
     for range violations.
     """
     zero_img = phi(np.zeros((phi.dim, phi.dim)))
-    # Recenter phi's evaluator, not phi (one validation per query); psi(0) is exactly 0.
-    psi = EffectMapOracle(
-        phi.dim, lambda m: np.asarray(phi.evaluator(m), dtype=complex) - zero_img, label="recentered"
-    )
+    psi = phi.then(lambda x: x - zero_img)  # psi(0) is exactly 0
     ext = _extend(psi, random_effects(phi.dim, Stream(seed).u64_block(BOUNDEDNESS_TRIALS)))
     return max([0.0, *np.linalg.norm(ext, 2, axis=(-2, -1)).tolist()])
 

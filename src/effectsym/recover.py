@@ -3,9 +3,9 @@
 Given only an evaluator over effects (or over all Hermitian matrices),
 the routines here decide whether the map is one of the canonical
 symmetry families and, if so, recover a :class:`SymmetryDescriptor`
-for it.  Each family is one chain of stages run by one runner; a stage
-that refuses the map ends the chain, and the runner builds the report
-from the fields found so far plus those of the refusing stage.
+for it.  Each family is one chain of stages run by one runner.  A stage
+records what it found in ``found``, then raises :class:`ReconstructionError`
+if it refuses the map; the runner builds every report from ``found``.
 
 * :func:`recover_affine` (dim >= 2): affinity probe (``witness``);
   classify φ(0) ∈ {0, I}, fixing the complement flag; rebuild the
@@ -22,24 +22,25 @@ from the fields found so far plus those of the refusing stage.
   sign); verify the signed descriptor on Gaussian Hermitian samples,
   which replaces the candidate's ``descriptor`` and ``max_residual``.
 
-A rebuild failure (:class:`ReconstructionError`) adds no field; an
-answer of the wrong shape (:class:`OracleError`) has its input as witness.  Sample
-counts are module constants: ``TRIPLE_PROBE_PAIRS`` effect pairs,
-``TRIPLE_PROBE_TRIALS`` probe rounds, the ``SCALING_GRID`` {k/16},
-``RECONSTRUCT_CHECKS`` rank-one checks of a rebuilt unitary (the
-affinity probe's count lives in :mod:`effectsym.extension`).  Probes
-and the scaling check compare against ``extension.PROBE_TOL``,
-classifications against ``CLASSIFY_TOL``.  Every
-universally quantified hypothesis is checked on seeded samples, never
-proven.  Runs are deterministic given (seed, oracle).
+A rebuild failure adds no field; an answer of the wrong shape
+(:class:`OracleError`), also from the complement or sign-fixed map
+(``phi.then``), has its input as witness.  Sample counts are module
+constants: ``TRIPLE_PROBE_PAIRS`` effect pairs, ``TRIPLE_PROBE_TRIALS``
+probe rounds, the ``SCALING_GRID`` {k/16}, ``RECONSTRUCT_CHECKS``
+rank-one checks of a rebuilt unitary (the affinity probe's count lives
+in :mod:`effectsym.extension`).  Probes and the scaling check compare
+against ``extension.PROBE_TOL``, classifications against
+``CLASSIFY_TOL``.  Every universally quantified hypothesis is checked on
+seeded samples, never proven.  Runs are deterministic given (seed,
+oracle).
 
 Stages that query every sample whatever the answers (the verify stage,
 the rank-one checks of a rebuilt unitary, the scaling samples) ask the
 oracle one input at a time in a fixed order, then compute the expected
 side on the whole stack; each residual norm is taken per matrix and
-folded with ``max``, as a per-sample loop would.  The affinity probe,
-the triple identity and the preservation probe stop (or raise) at their
-first violation, so they stay per trial and ask nothing past it.
+folded with ``max``, as a per-sample loop would.  The affinity probe and
+the triple identity stop at their first violation; the preservation probe
+keeps every witness but can raise partway on NaN.  All three stay per trial.
 """
 
 from __future__ import annotations
@@ -97,15 +98,7 @@ HERMITIAN_DOMAIN = "hermitian"
 
 
 class ReconstructionError(RuntimeError):
-    """The action does not come from a single (anti)unitary conjugation."""
-
-
-class _Rejected(Exception):
-    """A stage refuses the map: the reason plus the report fields it found."""
-
-    def __init__(self, reason: str, **fields):
-        super().__init__(reason)
-        self.fields = fields
+    """A recovery stage (the rebuild among them) refuses the map as not canonical."""
 
 
 @dataclass(frozen=True)
@@ -253,12 +246,11 @@ def _nearest_unitary(frame: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_unitary_from_projection_action(
-    action,
-    dim: int,
+    phi: EffectMapOracle,
     tol: float = ACCEPT_TOL,
     seed: int = 0,
 ) -> tuple[np.ndarray, str]:
-    """Rebuild (U, kind) from an action on rank-one projections.
+    """Rebuild (U, kind) from the action of ``phi`` on rank-one projections.
 
     The algorithm mirrors the classical reconstruction: take the image
     vectors f_i of the basis projections, align the phase of each f_j
@@ -269,13 +261,14 @@ def reconstruct_unitary_from_projection_action(
     Raises :class:`ReconstructionError` whenever the action strays from
     a single-conjugation form.
     """
+    dim = phi.dim
     if dim < 2:
         raise ValueError("reconstruction needs dim >= 2")
     eye = np.eye(dim, dtype=complex)
 
     frame = []
     for i in range(dim):
-        img = np.asarray(action(np.outer(eye[i], eye[i])), dtype=complex)
+        img = phi(np.outer(eye[i], eye[i]))
         frame.append(_rank_one_vector(img, f"image of basis projection {i}"))
 
     for i in range(dim):
@@ -290,7 +283,7 @@ def reconstruct_unitary_from_projection_action(
     sqrt2 = np.sqrt(2.0)
     for j in range(1, dim):
         x = (eye[0] + eye[j]) / sqrt2
-        r = np.asarray(action(np.outer(x, np.conj(x))), dtype=complex)
+        r = phi(np.outer(x, np.conj(x)))
         z = np.vdot(frame[j], r @ frame[0])
         if abs(z) < PHASE_CUTOFF:
             raise ReconstructionError(
@@ -299,7 +292,7 @@ def reconstruct_unitary_from_projection_action(
         frame[j] = (z / abs(z)) * frame[j]
 
     x = (eye[0] + 1j * eye[1]) / sqrt2
-    s_img = np.asarray(action(np.outer(x, np.conj(x))), dtype=complex)
+    s_img = phi(np.outer(x, np.conj(x)))
     plus = (frame[0] + 1j * frame[1]) / sqrt2
     minus = (frame[0] - 1j * frame[1]) / sqrt2
     d_plus = frobenius_norm(s_img - np.outer(plus, np.conj(plus)))
@@ -308,7 +301,7 @@ def reconstruct_unitary_from_projection_action(
 
     d = gauge_normalize(SymmetryDescriptor(kind, _nearest_unitary(np.column_stack(frame))))
     xs = random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS))
-    worst = _residual(action, d, np.array([np.outer(x, np.conj(x)) for x in xs]))
+    worst = _residual(phi, d, np.array([np.outer(x, np.conj(x)) for x in xs]))
     if worst > tol:
         raise ReconstructionError(
             f"reconstruction verification failed: rank-one residual {worst:.3e} "
@@ -342,7 +335,7 @@ def _residual(phi, d: SymmetryDescriptor, samples: np.ndarray) -> float:
     asked in order, then d is applied to the whole stack; each norm is
     taken on its own matrix and a NaN norm is passed over, as by a
     running ``max``."""
-    images = np.array([np.asarray(phi(a), dtype=complex) for a in samples])
+    images = np.array([phi(a) for a in samples])
     return max([0.0, *(frobenius_norm(x) for x in images - _apply_symmetry(d, samples))])
 
 
@@ -355,11 +348,11 @@ def extract_scaling_function(phi, p: np.ndarray, lambdas) -> ScalingSamples:
     turns into a failure.
     """
     p = np.asarray(p, dtype=complex)
-    img_p = np.asarray(phi(p), dtype=complex)
+    img_p = phi(p)
     _rank_one_vector(img_p, "image of the scaling projection")
     denom = float(np.trace(img_p @ img_p).real)
     lams = np.asarray(lambdas, dtype=float)
-    images = np.array([np.asarray(phi(lam * p), dtype=complex) for lam in lams]).reshape(-1, *p.shape)
+    images = np.array([phi(lam * p) for lam in lams]).reshape(-1, *p.shape)
     values = np.trace(images @ img_p, axis1=-2, axis2=-1).real / denom
     residuals = np.array([frobenius_norm(img - f * img_p) for img, f in zip(images, values.tolist())])
     return ScalingSamples(projection=p, lambdas=lams, values=values, residuals=residuals)
@@ -405,22 +398,20 @@ def _classify(img: np.ndarray, candidates: tuple, reason: str) -> int:
     for i, dist in enumerate(dists):
         if dist <= CLASSIFY_TOL:
             return i
-    raise _Rejected(reason.format(*dists))
+    raise ReconstructionError(reason.format(*dists))
 
 
 def _verify(found: dict, phi, d: SymmetryDescriptor, tol: float, trials: int, seed: int,
             domain: str) -> None:
-    """Accept the gauge-normalized ``d`` if its residual is within tol."""
+    """Record the gauge-normalized ``d`` and its residual; reject it above tol."""
     d = gauge_normalize(d)
     residual = verify_descriptor(phi, d, trials, seed=seed, domain=domain)
+    found.update(descriptor=d, max_residual=residual)
     if residual > tol:
         where = " on Hermitian samples" if domain == HERMITIAN_DOMAIN else ""
-        raise _Rejected(
-            f"canonical-form residual {residual:.3e} above tolerance {tol:g}{where}",
-            descriptor=d,
-            max_residual=residual,
+        raise ReconstructionError(
+            f"canonical-form residual {residual:.3e} above tolerance {tol:g}{where}"
         )
-    found.update(descriptor=d, max_residual=residual)
 
 
 def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
@@ -428,99 +419,80 @@ def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
     eye = np.eye(dim, dtype=complex)
     aff = is_affine(phi, seed=s.next_u64())
     if not aff:
-        raise _Rejected(
-            f"map is not affine: convex-combination defect {aff.max_deviation:.3e}",
-            witness=aff.witness,
-        )
+        found["witness"] = aff.witness
+        raise ReconstructionError(f"map is not affine: convex-combination defect {aff.max_deviation:.3e}")
     comp = bool(_classify(
         phi(np.zeros((dim, dim))),
         (0, eye),
         "φ(0) not in {{0, I}} (‖φ(0)‖ = {:.3e}, ‖φ(0) − I‖ = {:.3e})",
     ))
-    action = (lambda p: eye - phi(p)) if comp else phi
-    u, kind = reconstruct_unitary_from_projection_action(action, dim, tol=tol, seed=s.next_u64())
+    action = phi.then(lambda x: eye - x) if comp else phi
+    u, kind = reconstruct_unitary_from_projection_action(action, tol=tol, seed=s.next_u64())
     _verify(found, phi, SymmetryDescriptor(kind, u, complement=comp), tol, trials,
             s.next_u64(), EFFECTS_DOMAIN)
 
 
 def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
-    dim = phi.dim
-    for _, a, b in _doubling_effect_pairs(dim, s.spawn(), TRIPLE_PROBE_PAIRS):
+    for _, a, b in _doubling_effect_pairs(phi.dim, s.spawn(), TRIPLE_PROBE_PAIRS):
         lhs = phi(a @ b @ a)
         phi_a = phi(a)
         dev = frobenius_norm(lhs - phi_a @ phi(b) @ phi_a)
         if dev > PROBE_TOL:
-            raise _Rejected(
-                f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}",
-                witness=(a.copy(), b.copy()),
-            )
+            found["witness"] = (a.copy(), b.copy())
+            raise ReconstructionError(f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}")
 
-    probe = preservation_probe(phi, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
+    probe = found["probe"] = preservation_probe(phi, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
     if not probe.all_preserved:
-        raise _Rejected(
-            f"projection-structure probe failed ({', '.join(probe.failed_checks())} not preserved)",
-            probe=probe,
-            witness=probe.witnesses[0].inputs,
+        found["witness"] = probe.witnesses[0].inputs
+        raise ReconstructionError(
+            f"projection-structure probe failed ({', '.join(probe.failed_checks())} not preserved)"
         )
-    found["probe"] = probe
 
-    u, kind = reconstruct_unitary_from_projection_action(phi, dim, tol=tol, seed=s.next_u64())
+    u, kind = reconstruct_unitary_from_projection_action(phi, tol=tol, seed=s.next_u64())
 
-    p = rank_one_projection(random_unit_vector(dim, s.next_u64()))
-    samples = extract_scaling_function(phi, p, SCALING_GRID)
+    p = rank_one_projection(random_unit_vector(phi.dim, s.next_u64()))
+    samples = found["scaling"] = extract_scaling_function(phi, p, SCALING_GRID)
     scaling_check = check_scaling_identity(samples)
     if not scaling_check:
-        raise _Rejected(
+        raise ReconstructionError(
             "scaling function deviates from identity: "
             f"max |f(λ) − λ| = {scaling_check.max_identity_deviation:.3e}, "
-            f"max proportionality residual = {scaling_check.max_proportionality_residual:.3e}",
-            scaling=samples,
+            f"max proportionality residual = {scaling_check.max_proportionality_residual:.3e}"
         )
-    found["scaling"] = samples
 
     _verify(found, phi, SymmetryDescriptor(kind, u), tol, trials, s.next_u64(), EFFECTS_DOMAIN)
 
 
 def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
-    dim = phi.dim
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(phi.dim, dtype=complex)
     sign = (1, -1)[_classify(
         phi(eye),
         (eye, -eye),
         "φ(I) ∉ {{I, −I}} (‖φ(I) − I‖ = {:.3e}, ‖φ(I) + I‖ = {:.3e})",
     )]
-    if sign == 1:
-        psi = phi
-    else:
-        # One validation per query: negate phi's evaluator, not phi itself.
-        psi = EffectMapOracle(
-            dim, lambda m: -np.asarray(phi.evaluator(m), dtype=complex), label="sign_fixed"
-        )
-
     try:
-        _triple_chain(found, psi, tol, trials, Stream(s.next_u64()))
-    except _Rejected as err:
-        if "descriptor" in err.fields:
-            err.fields["descriptor"] = replace(err.fields["descriptor"], sign=sign)
+        _triple_chain(found, phi if sign == 1 else phi.then(np.negative), tol, trials,
+                      Stream(s.next_u64()))
+    except ReconstructionError:
+        if "descriptor" in found:
+            found["descriptor"] = replace(found["descriptor"], sign=sign)
         raise
-    candidate = found["descriptor"]
-    _verify(found, phi, SymmetryDescriptor(candidate.kind, candidate.unitary, sign=sign), tol,
-            trials, s.next_u64(), HERMITIAN_DOMAIN)
+    _verify(found, phi, replace(found["descriptor"], sign=sign), tol, trials, s.next_u64(),
+            HERMITIAN_DOMAIN)
 
 
 def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed: int) -> RecoveryReport:
-    """Run one family's chain; every report, canonical or rejected, is built here."""
+    """Run one family's chain; every report is built here, from ``found``."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     found: dict = {}
     try:
         chain(found, phi, tol, trials, Stream(seed))
-    except OracleError as err:
-        return RecoveryReport(REJECTED, family, str(err), **{**found, "witness": (err.query,)})
-    except (_Rejected, ReconstructionError) as err:
-        fields = {**found, **getattr(err, "fields", {})}
-        return RecoveryReport(verdict=REJECTED, family=family, reason=str(err), **fields)
-    return RecoveryReport(verdict=CANONICAL, family=family, **found)
+    except (OracleError, ReconstructionError) as err:
+        if isinstance(err, OracleError):
+            found["witness"] = (err.query,)
+        return RecoveryReport(REJECTED, family, str(err), **found)
+    return RecoveryReport(CANONICAL, family, **found)
 
 
 def recover_affine(

@@ -39,7 +39,9 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 def matrix_from_obj(obj: Any) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise ValueError("matrix object needs 'dim' and 'data' fields")
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"matrix 'dim' must be a JSON integer, got {dim!r}")
     data = obj["data"]
     if len(data) != dim or any(len(row) != dim for row in data):
         raise ValueError("matrix data does not match its declared dim")

@@ -15,8 +15,8 @@ extension suite's linearity check is
 criterion 6 runs too.
 
 Only the recovery tolerance ``tol`` (the CLI's ``--tol``, default
-``RESIDUAL_TOL = 1e-8``) is a parameter.  Every other bound is a module
-constant:
+``RESIDUAL_TOL``, which is ``recover.ACCEPT_TOL = 1e-8``) is a
+parameter.  Every other bound is a module constant:
 
 * ``U_MATCH_TOL = 1e-7``: gauge-normalized unitary distance in the
   three round-trip suites, which verify each recovery on
@@ -42,6 +42,7 @@ from .effects import jordan_triple, leq, rank_one_projection
 from .extension import EffectMapOracle, boundedness_check, linearity_defect, unit_ball_decomposition
 from .linalg import adjoint, frobenius_norm
 from .recover import (
+    ACCEPT_TOL,
     check_scaling_identity,
     extract_scaling_function,
     preservation_probe,
@@ -71,7 +72,7 @@ from .symmetry import (
 )
 
 U_MATCH_TOL = 1e-7
-RESIDUAL_TOL = 1e-8
+RESIDUAL_TOL = ACCEPT_TOL
 EIG_BAND_TOL = 1e-9
 SCALING_TOL = 1e-9
 ORDER_TOL = 1e-8

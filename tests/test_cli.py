@@ -107,6 +107,16 @@ def test_recover_malformed_json(tmp_path):
     assert run(["recover", "--input", notmap, "--output", tmp_path / "r.json"]) == 2
 
 
+def test_recover_refuses_a_non_integer_matrix_dim(tmp_path):
+    mapfile = tmp_path / "m.json"
+    assert run(["synth", "--dim", 2, "--output", mapfile]) == 0
+    obj = load_json(mapfile)
+    obj["u"]["dim"] = 2.7  # was read as 2
+    mapfile.write_text(json.dumps(obj))
+    assert run(["recover", "--input", mapfile, "--output", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_recover_dim_mismatch(tmp_path):
     mapfile = tmp_path / "m.json"
     assert run(["synth", "--dim", 3, "--output", mapfile]) == 0

@@ -169,6 +169,22 @@ def test_boundedness_identity_and_complement():
     assert boundedness_check(complement_oracle(3)) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.ones(3), np.array(1.0)], ids=["1-D", "0-d"])
+def test_boundedness_rejects_a_wrong_shape_away_from_zero(bad):
+    """phi(0) is a 3x3 zero, so phi(A) - phi(0) would broadcast the bad
+    answer to 3x3; the answer must be refused before it is recentered."""
+    queries = []
+
+    def evaluate(m):
+        queries.append(m.copy())
+        return np.zeros((3, 3)) if not np.any(m) else bad
+
+    with pytest.raises(OracleError, match=r"oracle output has shape") as err:
+        boundedness_check(EffectMapOracle(3, evaluate), seed=1)
+    assert len(queries) == 2
+    assert np.array_equal(err.value.query, queries[-1])
+
+
 def test_boundedness_on_synthesized_oracles():
     for seed in range(8):
         d = random_symmetry(3, seed, family=AFFINE)

@@ -98,14 +98,14 @@ def test_probe_witnesses_iff_flags_false():
 
 
 def test_reconstruct_identity():
-    u, kind = reconstruct_unitary_from_projection_action(identity_oracle(3), 3)
+    u, kind = reconstruct_unitary_from_projection_action(identity_oracle(3))
     assert kind == UNITARY
     assert np.allclose(u, np.eye(3), atol=1e-12)
 
 
 def test_reconstruct_entrywise_conjugation():
     u, kind = reconstruct_unitary_from_projection_action(
-        oracle(3, lambda a: np.conj(np.asarray(a, dtype=complex))), 3
+        oracle(3, lambda a: np.conj(np.asarray(a, dtype=complex)))
     )
     assert kind == ANTIUNITARY
     assert np.allclose(u, np.eye(3), atol=1e-12)
@@ -114,7 +114,7 @@ def test_reconstruct_entrywise_conjugation():
 def test_reconstruct_haar_conjugation_roundtrip():
     u0 = haar_unitary(4, 7)
     action = conjugation_oracle(u0)
-    u, kind = reconstruct_unitary_from_projection_action(action, 4, tol=1e-9)
+    u, kind = reconstruct_unitary_from_projection_action(action, tol=1e-9)
     assert kind == UNITARY
     d_rec = SymmetryDescriptor(UNITARY, u)
     d_true = SymmetryDescriptor(UNITARY, u0)
@@ -129,7 +129,7 @@ def test_reconstruct_haar_conjugation_roundtrip():
 def test_reconstruct_rejects_non_projection_image():
     with pytest.raises(ReconstructionError, match="projection preservation"):
         reconstruct_unitary_from_projection_action(
-            oracle(3, lambda a: 0.5 * np.asarray(a, complex)), 3
+            oracle(3, lambda a: 0.5 * np.asarray(a, complex))
         )
 
 
@@ -142,12 +142,12 @@ def test_reconstruct_rejects_non_orthogonal_images():
         return e0
 
     with pytest.raises(ReconstructionError, match="not.*orthogonal|orthogonal"):
-        reconstruct_unitary_from_projection_action(oracle(3, collapse), 3)
+        reconstruct_unitary_from_projection_action(oracle(3, collapse))
 
 
 def test_reconstruct_needs_dim_two():
     with pytest.raises(ValueError):
-        reconstruct_unitary_from_projection_action(identity_oracle(1), 1)
+        reconstruct_unitary_from_projection_action(identity_oracle(1))
 
 
 # ------------------------------------------------------------- affine
@@ -468,13 +468,13 @@ def test_stacked_residuals_equal_per_sample_loop_bitwise(dim):
             continue
         eye = np.eye(dim, dtype=complex)
         phi = EffectMapOracle.from_descriptor(d)
-        action = (lambda p: eye - phi(p)) if d.complement else phi
-        u, kind = reconstruct_unitary_from_projection_action(action, dim, seed=dim)
+        action = phi.then(lambda x: eye - x) if d.complement else phi
+        u, kind = reconstruct_unitary_from_projection_action(action, seed=dim)
         worst = ref_reconstruction_residual(action, u, kind, dim)
         # The reconstruction accepts exactly when its residual is <= tol.
-        reconstruct_unitary_from_projection_action(action, dim, tol=worst, seed=dim)
+        reconstruct_unitary_from_projection_action(action, tol=worst, seed=dim)
         with pytest.raises(ReconstructionError, match="reconstruction verification failed"):
-            reconstruct_unitary_from_projection_action(action, dim, tol=np.nextafter(worst, -1.0), seed=dim)
+            reconstruct_unitary_from_projection_action(action, tol=np.nextafter(worst, -1.0), seed=dim)
 
         if not d.complement:
             x = random_unit_vector(dim, dim)
@@ -721,13 +721,21 @@ def test_stacked_checks_keep_the_input_sequence(family, dim):
     assert (len(log), hashlib.sha256(b"".join(log)).hexdigest()) == STACKED_INPUT_SEQUENCES[family, dim]
 
 
+FIRST_BASIS_PROJECTION = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
 @pytest.mark.parametrize("family", sorted(ROUTES))
-@pytest.mark.parametrize("k", [1, 37, 100])
+@pytest.mark.parametrize("k", [1, 37, 100, "rebuild"])
 def test_wrong_shape_at_the_kth_verify_query_stops_there(family, k):
     d = random_symmetry(4, 7, family=family, **ROUTE_FLAGS[family])
     phi, log = recorded(lambda m: apply_symmetry(d, m), 4)
     assert ROUTES[family](phi, seed=11).canonical
-    bad_at = len(log) - 100 + k  # the k-th query of the final verify stage (100 trials)
+    if k == "rebuild":
+        # The rebuild's first query; with the complement or sign -1 flag set
+        # it reaches the oracle through the derived (complement, negated) map.
+        bad_at = log.index(FIRST_BASIS_PROJECTION.tobytes()) + 1
+    else:
+        bad_at = len(log) - 100 + k  # the k-th query of the final verify stage (100 trials)
     queries = []
 
     def evaluate(m):
@@ -738,6 +746,9 @@ def test_wrong_shape_at_the_kth_verify_query_stops_there(family, k):
     assert report.verdict == REJECTED and report.reason.startswith("oracle output has shape")
     assert len(queries) == bad_at
     assert np.array_equal(report.witness[0], queries[-1])
+    if k == "rebuild":
+        assert np.array_equal(queries[-1], FIRST_BASIS_PROJECTION)
+        return
 
     queries.clear()
     bad_at = k

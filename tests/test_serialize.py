@@ -35,6 +35,12 @@ def test_matrix_obj_validation():
         matrix_to_obj(np.ones((2, 3)))
     with pytest.raises(ValueError):  # bare numbers instead of [re, im] pairs
         matrix_from_obj({"dim": 2, "data": [[1, 2], [3, 4]]})
+    data = matrix_to_obj(np.eye(2))["data"]
+    for dim in (2.7, 2.0, "2", None):
+        with pytest.raises(ValueError, match="'dim' must be a JSON integer"):
+            matrix_from_obj({"dim": dim, "data": data})
+    with pytest.raises(ValueError, match="'dim' must be a JSON integer"):
+        matrix_from_obj({"dim": True, "data": [[[1.0, 0.0]]]})  # would read as 1
 
 
 def test_descriptor_roundtrip():
