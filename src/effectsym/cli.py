@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .recover import ACCEPT_TOL, recover_affine, recover_triple, recover_triple_hermitian
+from .recover import ACCEPT_TOL, MIN_DIM, recover_affine, recover_triple, recover_triple_hermitian
 from .serialize import (
     affine_rep_to_obj,
     descriptor_to_obj,
@@ -108,23 +108,13 @@ def _write(obj, path: str | None) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.dim < 2:
-        raise CliError("synth needs --dim >= 2", EXIT_BAD_INPUT)
-    if args.family in (TRIPLE_EFFECTS, TRIPLE_HERMITIAN) and args.dim < 3:
-        raise CliError(f"family {args.family} needs --dim >= 3", EXIT_BAD_INPUT)
-    if args.family != AFFINE and args.complement:
-        raise CliError(f"--complement is only legal for the {AFFINE} family", EXIT_BAD_INPUT)
-    if args.family != TRIPLE_HERMITIAN and args.sign != 1:
-        raise CliError(f"--sign -1 is only legal for the {TRIPLE_HERMITIAN} family", EXIT_BAD_INPUT)
+    if args.dim < MIN_DIM[args.family]:
+        raise CliError(f"family {args.family} needs --dim >= {MIN_DIM[args.family]}", EXIT_BAD_INPUT)
     kind = None if args.kind == "random" else args.kind
     try:
         descriptor = random_symmetry(
-            args.dim,
-            args.seed,
-            family=args.family,
-            kind=kind,
-            complement=args.complement if args.family == AFFINE else None,
-            sign=args.sign if args.family == TRIPLE_HERMITIAN else None,
+            args.dim, args.seed, family=args.family, kind=kind,
+            complement=args.complement, sign=args.sign,
         )
     except ValueError as err:
         raise CliError(str(err), EXIT_BAD_INPUT) from err
@@ -141,10 +131,6 @@ _RECOVER_DISPATCH = {
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise CliError("recover needs --trials >= 1", EXIT_BAD_INPUT)
-    if not 0 < args.tol < math.inf:
-        raise CliError("recover needs a finite --tol > 0", EXIT_BAD_INPUT)
     try:
         obj = load_json(args.input)
     except (OSError, json.JSONDecodeError) as err:
@@ -178,8 +164,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.dim < 2:
-        raise CliError("verify needs --dim >= 2", EXIT_BAD_INPUT)
+    if args.dim < MIN_DIM[AFFINE]:
+        raise CliError(f"verify needs --dim >= {MIN_DIM[AFFINE]}", EXIT_BAD_INPUT)
     if args.trials < 1:
         raise CliError("verify needs --trials >= 1", EXIT_BAD_INPUT)
     if not 0 < args.tol < math.inf:

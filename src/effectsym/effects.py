@@ -97,12 +97,6 @@ def positive_negative_parts(a) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def real_imag_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian pair (H, K) with M = H + iK: H = (M+M*)/2, K = (M-M*)/2i."""
-    a = as_square_array(m)
-    return hermitize(a), 0.5j * (adjoint(a) - a)
-
-
 def rank_one_projection(x) -> np.ndarray:
     """Projection x x* onto the span of a vector (renormalized on entry)."""
     v = np.asarray(x, dtype=complex).reshape(-1)

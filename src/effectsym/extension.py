@@ -71,10 +71,7 @@ class EffectMapOracle:
     label: str = field(default="", compare=False)
 
     def __call__(self, a) -> np.ndarray:
-        m = as_square_array(a)
-        if m.shape[0] != self.dim:
-            raise ValueError(f"oracle expects dim {self.dim}, got {m.shape[0]}")
-        return self._answer(m)
+        return self._answer(as_square_array(a, self.dim))
 
     def _answer(self, m: np.ndarray) -> np.ndarray:
         """phi(m) for a validated m; :class:`OracleError` unless it is dim x dim."""
@@ -134,10 +131,7 @@ def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:
     caller's responsibility (probe with :func:`is_affine` first).
     """
     _require_fixes_zero(phi)
-    mat = as_square_array(m)
-    if mat.shape[0] != phi.dim:
-        raise ValueError(f"dimension mismatch: oracle {phi.dim}, input {mat.shape[0]}")
-    return _extend(phi, mat[None])[0]
+    return _extend(phi, as_square_array(m, phi.dim)[None])[0]
 
 
 def _require_fixes_zero(phi: EffectMapOracle) -> None:

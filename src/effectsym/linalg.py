@@ -3,7 +3,9 @@
 Matrices are plain square ``numpy`` arrays of ``complex128``.
 Eigendecompositions use LAPACK (``numpy.linalg.eigh`` / ``eigvalsh``)
 on the symmetrized input.  Hermiticity is checked against
-``DEFAULT_TOL = 1e-9`` relative to the Frobenius norm.
+``DEFAULT_TOL = 1e-9`` relative to the Frobenius norm.  Every entry point
+that takes a matrix of known dimension checks its size in
+:func:`as_square_array`.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def as_square_array(a) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def as_square_array(a, dim: int | None = None) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries, and of
+    size ``dim`` x ``dim`` when ``dim`` is given."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
+        want = "a square matrix" if dim is None else f"a {dim} x {dim} matrix"
+        raise ValueError(f"expected {want}, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m

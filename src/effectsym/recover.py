@@ -7,20 +7,24 @@ for it.  Each family is one chain of stages run by one runner.  A stage
 records what it found in ``found``, then raises :class:`ReconstructionError`
 if it refuses the map; the runner builds every report from ``found``.
 
-* :func:`recover_affine` (dim >= 2): affinity probe (``witness``);
-  classify φ(0) ∈ {0, I}, fixing the complement flag; rebuild the
-  (anti)unitary from the action on rank-one projections; verify on
-  random effects (``descriptor``, ``max_residual``).
-* :func:`recover_triple` (dim >= 3): triple identity on effect pairs
+* :func:`recover_affine`: affinity probe (``witness``); classify
+  φ(0) ∈ {0, I}, fixing the complement flag; rebuild the (anti)unitary
+  from the action on rank-one projections; verify on random effects
+  (``descriptor``, ``max_residual``).
+* :func:`recover_triple`: triple identity on effect pairs
   (``witness``); preservation probe on projections (``probe``, plus
   the first probe witness); rebuild; rank-one scaling function against
   the identity (``scaling``); verify on random effects (``descriptor``,
   ``max_residual``).
-* :func:`recover_triple_hermitian` (dim >= 3): classify φ(I) ∈ {I, −I},
-  fixing the sign; the triple chain on the sign-fixed map, whose verify
+* :func:`recover_triple_hermitian`: classify φ(I) ∈ {I, −I}, fixing
+  the sign; the triple chain on the sign-fixed map, whose verify
   stage proposes a candidate (a rejection there reports it with the
   sign); verify the signed descriptor on Gaussian Hermitian samples,
   which replaces the candidate's ``descriptor`` and ``max_residual``.
+
+The runner owns a run's input rules, ``phi.dim >= MIN_DIM[family]`` (the
+table the CLI and the suites read), ``trials >= 1`` and ``0 < tol < inf``,
+and refuses a run that breaks one with ``ValueError``.
 
 A rebuild failure adds no field; an answer of the wrong shape
 (:class:`OracleError`), also from the complement or sign-fixed map
@@ -92,6 +96,8 @@ RECONSTRUCT_CHECKS = 20
 
 CANONICAL = "canonical"
 REJECTED = "rejected"
+
+MIN_DIM = {AFFINE: 2, TRIPLE_EFFECTS: 3, TRIPLE_HERMITIAN: 3}
 
 EFFECTS_DOMAIN = "effects"
 HERMITIAN_DOMAIN = "hermitian"
@@ -214,8 +220,8 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
         skew = hermiticity_defect(diff)
         if skew > PROBE_TOL:  # false on NaN, which eigenvalues_hermitian refuses
             witnesses.append(ProbeWitness("order", (p_low, p_high), skew))
-        else:
-            gap = eigenvalues_hermitian(diff)[0]
+        else:  # skew within PROBE_TOL; a tiny diff is not refused for its relative skew
+            gap = eigenvalues_hermitian(hermitize(diff))[0]
             if not gap >= -PROBE_TOL:
                 witnesses.append(ProbeWitness("order", (p_low, p_high), float(-gap)))
 
@@ -482,9 +488,14 @@ def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int,
 
 
 def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed: int) -> RecoveryReport:
-    """Run one family's chain; every report is built here, from ``found``."""
+    """Run one family's chain after checking the run's input rules; every
+    report is built here, from ``found``."""
+    if phi.dim < MIN_DIM[family]:
+        raise ValueError(f"{family} recovery needs dim >= {MIN_DIM[family]}, got {phi.dim}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     found: dict = {}
     try:
         chain(found, phi, tol, trials, Stream(seed))
@@ -499,17 +510,13 @@ def recover_affine(
     phi: EffectMapOracle, tol: float = ACCEPT_TOL, trials: int = 100, seed: int = 0
 ) -> RecoveryReport:
     """Classify an affine bijection candidate; see the module docstring."""
-    if phi.dim < 2:
-        raise ValueError("recover_affine needs dim >= 2")
     return _run(AFFINE, _affine_chain, phi, tol, trials, seed)
 
 
 def recover_triple(
     phi: EffectMapOracle, tol: float = ACCEPT_TOL, trials: int = 100, seed: int = 0
 ) -> RecoveryReport:
-    """Classify a triple-multiplicative candidate on effects (dim >= 3)."""
-    if phi.dim < 3:
-        raise ValueError("recover_triple needs dim >= 3")
+    """Classify a triple-multiplicative candidate on effects."""
     return _run(TRIPLE_EFFECTS, _triple_chain, phi, tol, trials, seed)
 
 
@@ -522,6 +529,4 @@ def recover_triple_hermitian(
     [0, I] must pass the effect-interval chain; the final residual is
     taken over unbounded Gaussian Hermitian samples.
     """
-    if phi.dim < 3:
-        raise ValueError("recover_triple_hermitian needs dim >= 3")
     return _run(TRIPLE_HERMITIAN, _hermitian_chain, phi, tol, trials, seed)

@@ -25,14 +25,17 @@ from typing import Any
 import numpy as np
 
 from .extension import EffectMapOracle
+from .linalg import as_square_array
 from .recover import PROBE_CHECKS, RecoveryReport
 from .symmetry import AffineMapRep, SymmetryDescriptor
 
 
+def _is_json_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def matrix_to_obj(m: np.ndarray) -> dict:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = as_square_array(m)
     return {"dim": a.shape[0], "data": np.stack([a.real, a.imag], axis=-1).tolist()}
 
 
@@ -40,18 +43,13 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise ValueError("matrix object needs 'dim' and 'data' fields")
     dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
+    if not _is_json_int(dim):
         raise ValueError(f"matrix 'dim' must be a JSON integer, got {dim!r}")
-    data = obj["data"]
-    if len(data) != dim or any(len(row) != dim for row in data):
-        raise ValueError("matrix data does not match its declared dim")
+    data = np.asarray(obj["data"])
+    if data.shape != (dim, dim, 2) or data.dtype.kind not in "iuf":
+        raise ValueError(f"matrix data must be {dim} x {dim} [re, im] pairs of JSON numbers")
     out = np.empty((dim, dim), dtype=complex)
-    try:
-        for i, row in enumerate(data):
-            for j, (re, im) in enumerate(row):
-                out[i, j] = complex(re, im)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"matrix entries must be [re, im] pairs: {err}") from err
+    out.real, out.imag = data[..., 0], data[..., 1]
     return out
 
 
@@ -67,12 +65,12 @@ def descriptor_to_obj(d: SymmetryDescriptor) -> dict:
 def descriptor_from_obj(obj: Any) -> SymmetryDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj or "u" not in obj:
         raise ValueError("descriptor object needs 'kind' and 'u' fields")
-    return SymmetryDescriptor(
-        kind=obj["kind"],
-        unitary=matrix_from_obj(obj["u"]),
-        complement=bool(obj.get("complement", False)),
-        sign=int(obj.get("sign", 1)),
-    )
+    complement, sign = obj.get("complement", False), obj.get("sign", 1)
+    if not isinstance(complement, bool):
+        raise ValueError(f"descriptor 'complement' must be a JSON bool, got {complement!r}")
+    if not (_is_json_int(sign) and sign in (1, -1)):
+        raise ValueError(f"descriptor 'sign' must be the JSON integer 1 or -1, got {sign!r}")
+    return SymmetryDescriptor(obj["kind"], matrix_from_obj(obj["u"]), complement, sign)
 
 
 def affine_rep_to_obj(rep: AffineMapRep) -> dict:
@@ -86,10 +84,10 @@ def affine_rep_to_obj(rep: AffineMapRep) -> dict:
 def affine_rep_from_obj(obj: Any) -> AffineMapRep:
     if not isinstance(obj, dict) or "linear" not in obj or "constant" not in obj:
         raise ValueError("affine map object needs 'linear' and 'constant' fields")
-    return AffineMapRep(
-        linear=np.asarray(obj["linear"], dtype=float),
-        constant=matrix_from_obj(obj["constant"]),
-    )
+    linear = np.asarray(obj["linear"])
+    if linear.dtype.kind not in "iuf":
+        raise ValueError("affine map 'linear' must be an array of JSON numbers")
+    return AffineMapRep(linear=linear, constant=matrix_from_obj(obj["constant"]))
 
 
 def oracle_from_obj(obj: Any) -> tuple[EffectMapOracle, str]:

@@ -43,6 +43,7 @@ from .extension import EffectMapOracle, boundedness_check, linearity_defect, uni
 from .linalg import adjoint, frobenius_norm
 from .recover import (
     ACCEPT_TOL,
+    MIN_DIM,
     check_scaling_identity,
     extract_scaling_function,
     preservation_probe,
@@ -91,7 +92,9 @@ class SuiteResult:
     details: dict[str, Any] = field(default_factory=dict)
 
 
-def _skipped(name: str, why: str) -> SuiteResult:
+def _skipped(name: str, family: str) -> SuiteResult:
+    """The suite does not run below ``family``'s minimum dimension."""
+    why = f"needs dim >= {MIN_DIM[family]}"
     return SuiteResult(name, passed=True, skipped=True, details={"skipped_because": why})
 
 
@@ -169,8 +172,8 @@ def affine_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = R
 
 def triple_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = RESIDUAL_TOL) -> SuiteResult:
     """Synthesize triple-family maps (both kinds), recover, compare."""
-    if dim < 3:
-        return _skipped("triple_roundtrip", "needs dim >= 3")
+    if dim < MIN_DIM[TRIPLE_EFFECTS]:
+        return _skipped("triple_roundtrip", TRIPLE_EFFECTS)
     failures, max_u, max_res, reports = _roundtrip(
         Stream(seed), dim, descriptors, TRIPLE_EFFECTS, recover_triple,
         lambda i: {"kind": _kind(i)}, tol,
@@ -189,8 +192,8 @@ def triple_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = R
 def hermitian_sign_suite(dim: int, seed: int, descriptors: int, tol: float = RESIDUAL_TOL) -> SuiteResult:
     """Synthesize sign-family maps (kind x sign combos), recover,
     compare; also check that the shifted map A -> A + I is refused."""
-    if dim < 3:
-        return _skipped("hermitian_sign", "needs dim >= 3")
+    if dim < MIN_DIM[TRIPLE_HERMITIAN]:
+        return _skipped("hermitian_sign", TRIPLE_HERMITIAN)
     s = Stream(seed)
     failures, max_u, max_res, _ = _roundtrip(
         s, dim, descriptors, TRIPLE_HERMITIAN, recover_triple_hermitian,
@@ -228,18 +231,19 @@ def rejection_suite(dim: int, seed: int, oracles: int, tol: float = RESIDUAL_TOL
     with a triple-identity witness."""
     s = Stream(seed)
     failures: list[str] = []
+    triple = dim >= MIN_DIM[TRIPLE_EFFECTS]
     for k in range(oracles):
         phi = perturbed_conjugation_oracle(dim, s.next_u64())
         affine_report = recover_affine(phi, tol=tol, trials=8, seed=s.next_u64())
         if affine_report.canonical:
             failures.append(f"oracle {k}: affine route accepted a perturbed map")
-        if dim >= 3:
+        if triple:
             triple_report = recover_triple(phi, tol=tol, trials=8, seed=s.next_u64())
             if triple_report.canonical:
                 failures.append(f"oracle {k}: triple route accepted a perturbed map")
 
     complemented_rejected = None
-    if dim >= 3:
+    if triple:
         eye = np.eye(dim, dtype=complex)
         comp = EffectMapOracle(dim, lambda a: eye - np.asarray(a, dtype=complex), label="complement")
         report = recover_triple(comp, tol=tol, trials=8, seed=s.next_u64())
@@ -260,8 +264,8 @@ def rejection_suite(dim: int, seed: int, oracles: int, tol: float = RESIDUAL_TOL
 def scaling_grid_suite(dim: int, seed: int, oracles: int) -> SuiteResult:
     """Canonical triple maps satisfy all three scaling identities on the
     17-point grid {k/16}."""
-    if dim < 3:
-        return _skipped("scaling_grid", "needs dim >= 3")
+    if dim < MIN_DIM[TRIPLE_EFFECTS]:
+        return _skipped("scaling_grid", TRIPLE_EFFECTS)
     s = Stream(seed)
     max_id = max_mult = max_ortho = 0.0
     failures: list[str] = []
@@ -322,7 +326,7 @@ def probe_suite(dim: int, seed: int, oracles: int, projection_pairs: int = 100) 
     s = Stream(seed)
     failures: list[str] = []
     for k in range(oracles):
-        family = TRIPLE_EFFECTS if dim >= 3 else AFFINE
+        family = TRIPLE_EFFECTS if dim >= MIN_DIM[TRIPLE_EFFECTS] else AFFINE
         kw = {"complement": False} if family == AFFINE else {}
         d = random_symmetry(dim, s.next_u64(), family=family, **kw)
         probe = preservation_probe(EffectMapOracle.from_descriptor(d), trials=8, seed=s.next_u64())
@@ -354,7 +358,7 @@ def phase_gauge_suite(dim: int, seed: int) -> SuiteResult:
     bitwise identical after rounding entries to 1e-12."""
     s = Stream(seed)
     failures: list[str] = []
-    families = [AFFINE] + ([TRIPLE_EFFECTS] if dim >= 3 else [])
+    families = [AFFINE] + ([TRIPLE_EFFECTS] if dim >= MIN_DIM[TRIPLE_EFFECTS] else [])
     for family in families:
         recover = recover_affine if family == AFFINE else recover_triple
         u0 = haar_unitary(dim, s.next_u64())

@@ -179,10 +179,7 @@ def apply_symmetry(d: SymmetryDescriptor, a) -> np.ndarray:
     The complement is applied inside the conjugation (the map is
     ``A -> Phi(I - A)``), the sign outside.
     """
-    m = as_square_array(a)
-    if m.shape[0] != d.dim:
-        raise ValueError(f"dimension mismatch: descriptor {d.dim}, input {m.shape[0]}")
-    return _apply_symmetry(d, m)
+    return _apply_symmetry(d, as_square_array(a, d.dim))
 
 
 def _apply_symmetry(d: SymmetryDescriptor, m: np.ndarray) -> np.ndarray:
@@ -271,10 +268,7 @@ class AffineMapRep:
 
 def apply_affine_rep(rep: AffineMapRep, a) -> np.ndarray:
     """Evaluate the represented map; ``a`` is validated once, here."""
-    m = as_square_array(a)
-    if m.shape[0] != rep.dim:
-        raise ValueError(f"dimension mismatch: rep {rep.dim}, input {m.shape[0]}")
-    return _apply_affine_rep(rep, m)
+    return _apply_affine_rep(rep, as_square_array(a, rep.dim))
 
 
 def _apply_affine_rep(rep: AffineMapRep, m: np.ndarray) -> np.ndarray:
@@ -301,26 +295,21 @@ def random_symmetry(
 
     Unspecified flags are drawn from the stream (only where the family
     permits a choice).  Draw order: Haar seed, then kind, then the free
-    flag.
+    flag.  A complement or sign the family forbids raises ``ValueError``.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if complement and family != AFFINE:
+        raise ValueError(f"{family}-family descriptors have no complement")
+    if sign not in (None, 1) and family != TRIPLE_HERMITIAN:
+        raise ValueError(f"{family}-family descriptors have sign +1")
     s = Stream(seed)
     u = haar_unitary(dim, s.next_u64())
     if kind is None:
         kind = UNITARY if s.integer(2) == 0 else ANTIUNITARY
-    if family == AFFINE:
-        if sign not in (None, 1):
-            raise ValueError("affine-family descriptors have sign +1")
-        if complement is None:
-            complement = s.integer(2) == 1
-        return gauge_normalize(SymmetryDescriptor(kind, u, complement=complement, sign=1))
-    if family == TRIPLE_EFFECTS:
-        if complement not in (None, False) or sign not in (None, 1):
-            raise ValueError("triple-family descriptors have no complement or sign")
-        return gauge_normalize(SymmetryDescriptor(kind, u))
-    if complement not in (None, False):
-        raise ValueError("Hermitian-family descriptors have no complement")
-    if sign is None:
+    if family == AFFINE and complement is None:
+        complement = s.integer(2) == 1
+    if family == TRIPLE_HERMITIAN and sign is None:
         sign = 1 if s.integer(2) == 0 else -1
-    return gauge_normalize(SymmetryDescriptor(kind, u, sign=sign))
+    return gauge_normalize(SymmetryDescriptor(
+        kind, u, complement=bool(complement), sign=1 if sign is None else sign))

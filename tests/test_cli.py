@@ -38,9 +38,12 @@ def test_synth_complemented(tmp_path):
 def test_synth_invalid_flags(tmp_path):
     out = tmp_path / "x.json"
     assert run(["synth", "--dim", 2, "--family", "triple_effects", "--output", out]) == 2
+    assert run(["synth", "--dim", 2, "--family", "triple_hermitian", "--output", out]) == 2
+    assert run(["synth", "--dim", 3, "--family", "triple_hermitian", "--complement", "--output", out]) == 2
     assert run(["synth", "--dim", 3, "--family", "triple_effects", "--complement", "--output", out]) == 2
     assert run(["synth", "--dim", 3, "--family", "affine", "--sign", "-1", "--output", out]) == 2
     assert run(["synth", "--dim", 1, "--output", out]) == 2
+    assert not out.exists()
     with pytest.raises(SystemExit) as exc:
         run(["synth", "--dim", 3, "--kind", "hadamard", "--output", out])
     assert exc.value.code == 2
@@ -112,6 +115,16 @@ def test_recover_refuses_a_non_integer_matrix_dim(tmp_path):
     assert run(["synth", "--dim", 2, "--output", mapfile]) == 0
     obj = load_json(mapfile)
     obj["u"]["dim"] = 2.7  # was read as 2
+    mapfile.write_text(json.dumps(obj))
+    assert run(["recover", "--input", mapfile, "--output", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_recover_refuses_a_string_complement_flag(tmp_path):
+    mapfile = tmp_path / "m.json"
+    assert run(["synth", "--dim", 3, "--seed", 4, "--output", mapfile]) == 0
+    obj = load_json(mapfile)
+    obj["complement"] = "false"  # was read as complement True, and recovered as canonical
     mapfile.write_text(json.dumps(obj))
     assert run(["recover", "--input", mapfile, "--output", tmp_path / "r.json"]) == 2
     assert not (tmp_path / "r.json").exists()

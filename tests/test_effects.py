@@ -11,7 +11,6 @@ from effectsym.effects import (
     partial_add,
     positive_negative_parts,
     rank_one_projection,
-    real_imag_parts,
 )
 from effectsym.linalg import frobenius_norm, operator_norm
 from effectsym.rng import Stream
@@ -186,21 +185,6 @@ def test_positive_negative_parts_invariant():
         assert frobenius_norm(pos @ neg) <= 1e-9 * frobenius_norm(h) ** 2
         assert np.linalg.eigvalsh(pos)[0] >= -1e-12
         assert np.linalg.eigvalsh(neg)[0] >= -1e-12
-
-
-def test_real_imag_parts():
-    a = random_hermitian(3, 4)
-    re, im = real_imag_parts(a)
-    assert np.allclose(re, a)
-    assert frobenius_norm(im) < 1e-14
-    re, im = real_imag_parts(1j * np.eye(2))
-    assert frobenius_norm(re) < 1e-14
-    assert np.allclose(im, np.eye(2))
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    re, im = real_imag_parts(m)
-    assert np.allclose(re, np.array([[0.0, 0.5], [0.5, 0.0]]))
-    assert np.allclose(im, np.array([[0.0, -0.5j], [0.5j, 0.0]]))
-    assert np.allclose(re + 1j * im, m)
 
 
 def test_rank_one_projection():

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from effectsym.effects import positive_negative_parts, real_imag_parts
+from effectsym.effects import positive_negative_parts
 from effectsym.extension import (
     BOUNDEDNESS_TRIALS,
     ZERO_NORM_CUTOFF,
@@ -15,7 +15,7 @@ from effectsym.extension import (
     linearity_defect,
     unit_ball_decomposition,
 )
-from effectsym.linalg import adjoint, frobenius_norm, operator_norm
+from effectsym.linalg import adjoint, frobenius_norm, hermitize, operator_norm
 from effectsym.rng import Stream
 from effectsym.sampling import complex_gaussian, haar_unitary, random_effect
 from effectsym.symmetry import (
@@ -43,6 +43,24 @@ def test_oracle_dim_check():
     phi = identity_oracle(3)
     with pytest.raises(ValueError):
         phi(np.eye(2))
+
+
+def wrong_size_entry_points():
+    d = random_symmetry(3, 1, family=AFFINE, complement=False)
+    phi = EffectMapOracle.from_descriptor(d)
+    return {
+        "oracle": phi,
+        "apply_symmetry": lambda m: apply_symmetry(d, m),
+        "apply_affine_rep": lambda m: apply_affine_rep(to_affine_rep(d), m),
+        "extend_linear": lambda m: extend_linear(phi, m),
+    }
+
+
+@pytest.mark.parametrize("entry", ["oracle", "apply_symmetry", "apply_affine_rep", "extend_linear"])
+@pytest.mark.parametrize("bad", [np.eye(2), np.eye(4), np.ones((3, 2)), np.ones(3), np.ones((2, 3, 3))])
+def test_every_entry_point_refuses_a_wrong_size_input(entry, bad):
+    with pytest.raises(ValueError, match=r"expected a 3 x 3 matrix, got shape"):
+        wrong_size_entry_points()[entry](bad)
 
 
 def test_is_affine_accepts_identity_and_complement():
@@ -233,9 +251,9 @@ def test_oracle_query_validates_its_input_once(form, monkeypatch):
     a = random_effect(4, 9)
     calls = []
 
-    def counting(m):
+    def counting(m, dim=None):
         calls.append(m)
-        return as_square_array(m)
+        return as_square_array(m, dim)
 
     for module in (effectsym.extension, effectsym.symmetry):
         monkeypatch.setattr(module, "as_square_array", counting)
@@ -246,6 +264,12 @@ def test_oracle_query_validates_its_input_once(form, monkeypatch):
 
 
 # ------------------------------------- stacked extension vs a per-matrix loop
+
+
+def real_imag_parts(m):
+    """Hermitian pair (H, K) with M = H + iK: H = (M+M*)/2, K = (M-M*)/2i."""
+    m = np.asarray(m, dtype=complex)
+    return hermitize(m), 0.5j * (adjoint(m) - m)
 
 
 def ref_extend(phi, m):

@@ -7,6 +7,7 @@ import pytest
 from effectsym.extension import EffectMapOracle, OracleError
 from effectsym.linalg import adjoint, frobenius_norm, operator_norm
 from effectsym.recover import (
+    MIN_DIM,
     RECONSTRUCT_CHECKS,
     REJECTED,
     ReconstructionError,
@@ -829,3 +830,35 @@ def test_non_hermitian_similarity_is_rejected_without_raising(route):
     if route is not recover_affine:
         assert report.reason == "projection-structure probe failed (projections, order not preserved)"
         assert report.witness is not None
+
+
+ROUTES = {AFFINE: recover_affine, TRIPLE_EFFECTS: recover_triple,
+          TRIPLE_HERMITIAN: recover_triple_hermitian}
+
+
+@pytest.mark.parametrize("family", sorted(ROUTES))
+def test_each_route_refuses_a_dimension_below_its_family_minimum(family):
+    calls = []
+    phi = oracle(MIN_DIM[family] - 1, lambda a: calls.append(1) or np.asarray(a, complex))
+    with pytest.raises(ValueError, match=f"{family} recovery needs dim >= {MIN_DIM[family]}"):
+        ROUTES[family](phi, seed=1)
+    assert calls == []
+
+
+def nearly_conjugation_oracle(dim, eps=1e-7):
+    """(1 - eps) U A U* + eps tr(A) I/dim: canonical only to within eps."""
+    u = haar_unitary(dim, 3)
+    eye = np.eye(dim)
+    return oracle(dim, lambda a: (1 - eps) * (u @ a @ adjoint(u)) + eps * np.trace(a) * eye / dim)
+
+
+def test_a_tight_tolerance_rejects_the_nearly_canonical_map():
+    assert recover_affine(nearly_conjugation_oracle(4), tol=1e-8, seed=1).verdict == REJECTED
+
+
+@pytest.mark.parametrize("route", list(ROUTES.values()))
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_a_tolerance_outside_zero_to_infinity_is_refused(route, tol):
+    """A NaN or infinite tolerance would accept the nearly canonical map."""
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        route(nearly_conjugation_oracle(4), tol=tol, seed=1)

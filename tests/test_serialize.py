@@ -41,6 +41,10 @@ def test_matrix_obj_validation():
             matrix_from_obj({"dim": dim, "data": data})
     with pytest.raises(ValueError, match="'dim' must be a JSON integer"):
         matrix_from_obj({"dim": True, "data": [[[1.0, 0.0]]]})  # would read as 1
+    for bad in ([[["1", 0.0]]], [[[True, False]]], [[[1.0, 0.0, 0.0]]], [[[1.0, None]]]):
+        with pytest.raises(ValueError):  # [[[True, False]]] was read as 1
+            matrix_from_obj({"dim": 1, "data": bad})
+    assert matrix_from_obj({"dim": 1, "data": [[[2, -1]]]})[0, 0] == 2 - 1j
 
 
 def test_descriptor_roundtrip():
@@ -59,6 +63,47 @@ def test_descriptor_obj_validation():
     bad["u"] = matrix_to_obj(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         descriptor_from_obj(bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("complement", "false"),  # was read as complement True
+    ("complement", 0),
+    ("complement", None),
+    ("sign", -1.5),  # was read as -1
+    ("sign", "1"),  # was read as 1
+    ("sign", True),  # was read as 1
+    ("sign", 1.0),
+    ("sign", 2),
+])
+def test_descriptor_flags_must_have_their_json_type(field, value):
+    obj = descriptor_to_obj(random_symmetry(3, 1, family="affine", complement=False))
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"descriptor '{field}' must be"):
+        descriptor_from_obj(obj)
+
+
+def test_descriptor_flags_default_when_absent():
+    obj = descriptor_to_obj(random_symmetry(3, 1, family="affine", complement=False))
+    del obj["complement"], obj["sign"]
+    d = descriptor_from_obj(obj)
+    assert d.complement is False and d.sign == 1
+
+
+@pytest.mark.parametrize("entry", ["0.5", None, [0.5], {"re": 0.5}])
+def test_affine_rep_linear_must_be_numbers(entry):
+    obj = affine_rep_to_obj(to_affine_rep(random_symmetry(2, 3, family="affine")))
+    obj["linear"][1][2] = entry  # a string was parsed as a number
+    with pytest.raises(ValueError):
+        affine_rep_from_obj(obj)
+    obj["linear"] = [[True] * 4] * 4
+    with pytest.raises(ValueError, match="'linear' must be an array of JSON numbers"):
+        affine_rep_from_obj(obj)
+
+
+def test_affine_rep_linear_accepts_json_integers():
+    obj = affine_rep_to_obj(to_affine_rep(random_symmetry(2, 3, family="affine", complement=False)))
+    obj["linear"] = np.eye(4, dtype=int).tolist()
+    assert np.array_equal(affine_rep_from_obj(obj).linear, np.eye(4))
 
 
 def test_affine_rep_roundtrip():
