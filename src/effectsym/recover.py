@@ -17,10 +17,10 @@ if it refuses the map; the runner builds every report from ``found``.
   the identity (``scaling``); verify on random effects (``descriptor``,
   ``max_residual``).
 * :func:`recover_triple_hermitian`: classify φ(I) ∈ {I, −I}, fixing
-  the sign; the triple chain on the sign-fixed map, whose verify
-  stage proposes a candidate (a rejection there reports it with the
-  sign); verify the signed descriptor on Gaussian Hermitian samples,
-  which replaces the candidate's ``descriptor`` and ``max_residual``.
+  the sign; the triple chain with that sign, whose stages before the
+  verify ask the sign-fixed map ±φ and whose verify checks φ against
+  the signed candidate; verify that candidate on Gaussian Hermitian
+  samples, which replaces its ``descriptor`` and ``max_residual``.
 
 The runner owns a run's input rules, ``phi.dim >= MIN_DIM[family]`` (the
 table the CLI and the suites read), ``trials >= 1`` and ``0 < tol < inf``,
@@ -50,7 +50,7 @@ keeps every witness but can raise partway on NaN.  All three stay per trial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -438,26 +438,27 @@ def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
             s.next_u64(), EFFECTS_DOMAIN)
 
 
-def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
+def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream, sign: int = 1) -> None:
+    action = phi if sign == 1 else phi.then(np.negative)
     for _, a, b in _doubling_effect_pairs(phi.dim, s.spawn(), TRIPLE_PROBE_PAIRS):
-        lhs = phi(a @ b @ a)
-        phi_a = phi(a)
-        dev = frobenius_norm(lhs - phi_a @ phi(b) @ phi_a)
+        lhs = action(a @ b @ a)
+        phi_a = action(a)
+        dev = frobenius_norm(lhs - phi_a @ action(b) @ phi_a)
         if dev > PROBE_TOL:
             found["witness"] = (a.copy(), b.copy())
             raise ReconstructionError(f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}")
 
-    probe = found["probe"] = preservation_probe(phi, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
+    probe = found["probe"] = preservation_probe(action, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
     if not probe.all_preserved:
         found["witness"] = probe.witnesses[0].inputs
         raise ReconstructionError(
             f"projection-structure probe failed ({', '.join(probe.failed_checks())} not preserved)"
         )
 
-    u, kind = reconstruct_unitary_from_projection_action(phi, tol=tol, seed=s.next_u64())
+    u, kind = reconstruct_unitary_from_projection_action(action, tol=tol, seed=s.next_u64())
 
     p = rank_one_projection(random_unit_vector(phi.dim, s.next_u64()))
-    samples = found["scaling"] = extract_scaling_function(phi, p, SCALING_GRID)
+    samples = found["scaling"] = extract_scaling_function(action, p, SCALING_GRID)
     scaling_check = check_scaling_identity(samples)
     if not scaling_check:
         raise ReconstructionError(
@@ -466,25 +467,15 @@ def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
             f"max proportionality residual = {scaling_check.max_proportionality_residual:.3e}"
         )
 
-    _verify(found, phi, SymmetryDescriptor(kind, u), tol, trials, s.next_u64(), EFFECTS_DOMAIN)
+    _verify(found, phi, SymmetryDescriptor(kind, u, sign=sign), tol, trials, s.next_u64(), EFFECTS_DOMAIN)
 
 
 def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
     eye = np.eye(phi.dim, dtype=complex)
-    sign = (1, -1)[_classify(
-        phi(eye),
-        (eye, -eye),
-        "φ(I) ∉ {{I, −I}} (‖φ(I) − I‖ = {:.3e}, ‖φ(I) + I‖ = {:.3e})",
-    )]
-    try:
-        _triple_chain(found, phi if sign == 1 else phi.then(np.negative), tol, trials,
-                      Stream(s.next_u64()))
-    except ReconstructionError:
-        if "descriptor" in found:
-            found["descriptor"] = replace(found["descriptor"], sign=sign)
-        raise
-    _verify(found, phi, replace(found["descriptor"], sign=sign), tol, trials, s.next_u64(),
-            HERMITIAN_DOMAIN)
+    sign = (1, -1)[_classify(phi(eye), (eye, -eye),
+                             "φ(I) ∉ {{I, −I}} (‖φ(I) − I‖ = {:.3e}, ‖φ(I) + I‖ = {:.3e})")]
+    _triple_chain(found, phi, tol, trials, Stream(s.next_u64()), sign)
+    _verify(found, phi, found["descriptor"], tol, trials, s.next_u64(), HERMITIAN_DOMAIN)
 
 
 def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed: int) -> RecoveryReport:

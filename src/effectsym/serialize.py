@@ -20,6 +20,7 @@ import contextlib
 import json
 import math
 import sys
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -34,6 +35,17 @@ def _is_json_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _number_array(value: Any, message: str) -> np.ndarray:
+    """``value`` as an array of JSON numbers (numpy reads a bool among them as 0 or 1)."""
+    a = np.asarray(value)
+    leaves = [value]
+    for _ in range(a.ndim):
+        leaves = chain.from_iterable(leaves)
+    if a.dtype.kind not in "iuf" or bool in set(map(type, leaves)):
+        raise ValueError(message)
+    return a
+
+
 def matrix_to_obj(m: np.ndarray) -> dict:
     a = as_square_array(m)
     return {"dim": a.shape[0], "data": np.stack([a.real, a.imag], axis=-1).tolist()}
@@ -45,9 +57,10 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
     dim = obj["dim"]
     if not _is_json_int(dim):
         raise ValueError(f"matrix 'dim' must be a JSON integer, got {dim!r}")
-    data = np.asarray(obj["data"])
-    if data.shape != (dim, dim, 2) or data.dtype.kind not in "iuf":
-        raise ValueError(f"matrix data must be {dim} x {dim} [re, im] pairs of JSON numbers")
+    message = f"matrix data must be {dim} x {dim} [re, im] pairs of JSON numbers"
+    data = _number_array(obj["data"], message)
+    if data.shape != (dim, dim, 2):
+        raise ValueError(message)
     out = np.empty((dim, dim), dtype=complex)
     out.real, out.imag = data[..., 0], data[..., 1]
     return out
@@ -84,9 +97,7 @@ def affine_rep_to_obj(rep: AffineMapRep) -> dict:
 def affine_rep_from_obj(obj: Any) -> AffineMapRep:
     if not isinstance(obj, dict) or "linear" not in obj or "constant" not in obj:
         raise ValueError("affine map object needs 'linear' and 'constant' fields")
-    linear = np.asarray(obj["linear"])
-    if linear.dtype.kind not in "iuf":
-        raise ValueError("affine map 'linear' must be an array of JSON numbers")
+    linear = _number_array(obj["linear"], "affine map 'linear' must be an array of JSON numbers")
     return AffineMapRep(linear=linear, constant=matrix_from_obj(obj["constant"]))
 
 

@@ -231,19 +231,16 @@ def rejection_suite(dim: int, seed: int, oracles: int, tol: float = RESIDUAL_TOL
     with a triple-identity witness."""
     s = Stream(seed)
     failures: list[str] = []
-    triple = dim >= MIN_DIM[TRIPLE_EFFECTS]
+    families = [AFFINE] + ([TRIPLE_EFFECTS] if dim >= MIN_DIM[TRIPLE_EFFECTS] else [])
     for k in range(oracles):
         phi = perturbed_conjugation_oracle(dim, s.next_u64())
-        affine_report = recover_affine(phi, tol=tol, trials=8, seed=s.next_u64())
-        if affine_report.canonical:
-            failures.append(f"oracle {k}: affine route accepted a perturbed map")
-        if triple:
-            triple_report = recover_triple(phi, tol=tol, trials=8, seed=s.next_u64())
-            if triple_report.canonical:
-                failures.append(f"oracle {k}: triple route accepted a perturbed map")
+        for family in families:
+            recover = recover_affine if family == AFFINE else recover_triple
+            if recover(phi, tol=tol, trials=8, seed=s.next_u64()).canonical:
+                failures.append(f"oracle {k}: {family} route accepted a perturbed map")
 
     complemented_rejected = None
-    if triple:
+    if TRIPLE_EFFECTS in families:
         eye = np.eye(dim, dtype=complex)
         comp = EffectMapOracle(dim, lambda a: eye - np.asarray(a, dtype=complex), label="complement")
         report = recover_triple(comp, tol=tol, trials=8, seed=s.next_u64())
@@ -378,7 +375,13 @@ def phase_gauge_suite(dim: int, seed: int) -> SuiteResult:
 
 
 def run_verify_suites(dim: int, seed: int, trials: int, tol: float = RESIDUAL_TOL) -> list[SuiteResult]:
-    """The battery behind the CLI ``verify`` subcommand."""
+    """The CLI ``verify`` battery; ValueError on dim < MIN_DIM[AFFINE], trials < 1, tol not in (0, inf)."""
+    if dim < MIN_DIM[AFFINE]:
+        raise ValueError(f"verify needs dim >= {MIN_DIM[AFFINE]}, got {dim}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     s = Stream(seed)
     n_desc = max(1, trials // 10)
     results = [

@@ -60,14 +60,13 @@ TRIPLE_HERMITIAN = "triple_hermitian"
 FAMILIES = (AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN)
 
 
-@lru_cache(maxsize=None)
 def hermitian_basis(dim: int) -> np.ndarray:
     """Trace-orthonormal basis of Hermitian dim x dim matrices.
 
     Order: E_kk for k = 0..dim-1, then for each pair k < l (lexicographic)
     the symmetric element (E_kl + E_lk)/sqrt(2) followed by the
     antisymmetric element (i E_kl - i E_lk)/sqrt(2).  Shape
-    ``(dim**2, dim, dim)``; the array is read-only and cached.
+    ``(dim**2, dim, dim)``; each call returns a fresh array.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
@@ -83,7 +82,6 @@ def hermitian_basis(dim: int) -> np.ndarray:
             mats[idx, k, l] = 1j * _INV_SQRT2
             mats[idx, l, k] = -1j * _INV_SQRT2
             idx += 1
-    mats.setflags(write=False)
     return mats
 
 
@@ -205,15 +203,13 @@ def gauge_normalize(d: SymmetryDescriptor) -> SymmetryDescriptor:
 def compose(d1: SymmetryDescriptor, d2: SymmetryDescriptor) -> SymmetryDescriptor:
     """Descriptor of ``A -> d1(d2(A))``.
 
-    Both inputs must live in one family: the result may carry a
-    complement or a sign flip, never both.
+    Both inputs must live in one family: a result with both a complement
+    and a sign flip is refused, by :class:`SymmetryDescriptor`.
     """
     if d1.dim != d2.dim:
         raise ValueError(f"dimension mismatch: {d1.dim} vs {d2.dim}")
     comp = d1.complement ^ d2.complement
     sign = d1.sign * d2.sign
-    if comp and sign == -1:
-        raise ValueError("cannot compose across families (complement with sign flip)")
     if d1.kind == ANTIUNITARY:
         u = d1.unitary @ np.conj(d2.unitary)
     else:

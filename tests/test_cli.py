@@ -120,6 +120,16 @@ def test_recover_refuses_a_non_integer_matrix_dim(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_recover_refuses_a_bool_among_the_linear_numbers(tmp_path):
+    assert run(["synth", "--dim", 2, "--seed", 4, "--output", tmp_path / "m.json"]) == 0
+    mapfile = tmp_path / "m.affine.json"
+    obj = load_json(mapfile)
+    obj["linear"][0][0] = True  # was read as 1
+    mapfile.write_text(json.dumps(obj))
+    assert run(["recover", "--input", mapfile, "--output", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_recover_refuses_a_string_complement_flag(tmp_path):
     mapfile = tmp_path / "m.json"
     assert run(["synth", "--dim", 3, "--seed", 4, "--output", mapfile]) == 0

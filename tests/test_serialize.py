@@ -100,6 +100,18 @@ def test_affine_rep_linear_must_be_numbers(entry):
         affine_rep_from_obj(obj)
 
 
+@pytest.mark.parametrize("leaf", [True, False])
+def test_a_bool_among_json_numbers_is_refused(leaf):
+    obj = affine_rep_to_obj(to_affine_rep(random_symmetry(2, 3, family="affine")))
+    obj["linear"][1][2] = leaf  # numpy reads it as 1 or 0
+    with pytest.raises(ValueError, match="'linear' must be an array of JSON numbers"):
+        affine_rep_from_obj(obj)
+    for data in ([[[1.0, 0.0], [0.0, leaf]], [[0.0, 0.0], [1.0, 0.0]]],  # floats, then ints
+                 [[[1, 0], [0, leaf]], [[0, 0], [1, 0]]]):
+        with pytest.raises(ValueError, match="matrix data must be 2 x 2"):
+            matrix_from_obj({"dim": 2, "data": data})
+
+
 def test_affine_rep_linear_accepts_json_integers():
     obj = affine_rep_to_obj(to_affine_rep(random_symmetry(2, 3, family="affine", complement=False)))
     obj["linear"] = np.eye(4, dtype=int).tolist()

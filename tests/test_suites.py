@@ -1,7 +1,11 @@
+import math
 from dataclasses import replace
 
+import pytest
+
 from effectsym import suites
-from effectsym.recover import recover_triple_hermitian
+from effectsym.recover import CANONICAL, RecoveryReport, recover_triple_hermitian
+from effectsym.symmetry import TRIPLE_EFFECTS
 
 # Key order of each suite's details; the verify JSON is written in this order.
 VERIFY_DETAIL_KEYS = {
@@ -30,6 +34,18 @@ def test_verify_suite_detail_keys_are_pinned():
     assert all(r.passed and not r.skipped for r in results)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"dim": 1}, "verify needs dim >= 2"),
+    ({"trials": 0}, "trials must be at least 1"),
+    ({"tol": math.nan}, "tol must be finite and positive"),
+    ({"tol": math.inf}, "tol must be finite and positive"),
+    ({"tol": 0.0}, "tol must be finite and positive"),
+], ids=["dim1", "trials0", "tol-nan", "tol-inf", "tol0"])
+def test_run_verify_suites_refuses_a_bad_run(bad, match):
+    with pytest.raises(ValueError, match=match):
+        suites.run_verify_suites(**{"dim": 3, "seed": 1, "trials": 1, **bad})
+
+
 def test_roundtrip_flag_mismatch_fails_the_suite(monkeypatch):
     def sign_flipped(phi, **kw):
         report = recover_triple_hermitian(phi, **kw)
@@ -45,6 +61,16 @@ def test_roundtrip_flag_mismatch_fails_the_suite(monkeypatch):
         "descriptor 1: got kind antiunitary, sign -1",
     ]
     assert result.details["max_unitary_distance"] == 0.0
+
+
+def test_rejection_failures_name_the_route(monkeypatch):
+    monkeypatch.setattr(suites, "recover_triple", lambda phi, **kw: RecoveryReport(CANONICAL, TRIPLE_EFFECTS))
+    result = suites.rejection_suite(3, seed=1, oracles=1)
+    assert not result.passed
+    assert result.details["failures"] == [
+        "oracle 0: triple_effects route accepted a perturbed map",
+        "complemented map was not rejected with a triple-identity witness",
+    ]
 
 
 def test_extension_failure_names_only_the_nonlinear_oracle(monkeypatch):

@@ -56,6 +56,24 @@ def test_basis_trace_orthonormal(dim):
         assert frobenius_norm(b - adjoint(b)) < 1e-14
 
 
+def hand_built_basis(dim):
+    e = np.eye(dim, dtype=complex)
+    out = [np.outer(e[k], e[k]) for k in range(dim)]
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            ekl = np.outer(e[k], e[l])
+            out += [(ekl + ekl.T) / np.sqrt(2), (1j * ekl - 1j * ekl.T) / np.sqrt(2)]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_basis_matches_the_hand_built_one_bit_for_bit(dim):
+    basis = hermitian_basis(dim)
+    assert basis.tobytes() == hand_built_basis(dim).tobytes()
+    basis[0, 0, 0] = 5.0  # each call returns its own array
+    assert hermitian_basis(dim)[0, 0, 0] == 1.0
+
+
 def test_encode_decode_roundtrip():
     from effectsym.sampling import random_hermitian
 
@@ -259,7 +277,7 @@ def test_compose_signs_multiply():
 def test_compose_family_mismatch():
     comp = random_symmetry(3, 19, family=AFFINE, complement=True)
     neg = random_symmetry(3, 20, family=TRIPLE_HERMITIAN, sign=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="complement and sign flip cannot both be set"):
         compose(comp, neg)
     with pytest.raises(ValueError):
         compose(random_symmetry(2, 1, family=AFFINE), random_symmetry(3, 1, family=AFFINE))
