@@ -1,21 +1,29 @@
 """JSON forms for matrices, descriptors, affine maps, and reports.
 
-Formats (language-neutral, human-diffable):
+Formats (language-neutral):
 
 * matrix: ``{"dim": n, "data": [[[re, im], ...], ...]}`` row-major,
   IEEE doubles.
 * descriptor: ``{"kind": "unitary"|"antiunitary", "u": <matrix>,
   "complement": bool, "sign": 1|-1}``.
-* affine map: ``{"dim": n, "linear": [[...], ...], "constant":
-  <matrix>}`` with ``linear`` real of shape ``(n^2, n^2)`` acting on
-  canonical Hermitian-basis coordinates.
+* affine map: ``{"dim": n, "linear": "<base64>", "constant":
+  <matrix>}``.  ``linear`` is real of shape ``(n^2, n^2)`` acting on
+  canonical Hermitian-basis coordinates, stored as the base64 text of
+  its row-major, little-endian IEEE-754 binary64 bytes: exactly
+  ``8 n^4`` bytes.  ``dim`` must equal the constant's ``dim``.
 
-Floats pass through Python's shortest round-trip repr, so every stored
-double is recovered exactly by any IEEE-754 JSON reader.
+Matrix and descriptor floats pass through Python's shortest round-trip
+repr, and ``linear`` is the doubles' own bytes, so every stored double
+is recovered exactly.  ``linear`` gives up being human-diffable for
+speed: at n = 16 it holds 65,536 doubles, and parsing them as JSON
+numbers took about a third of a ``recover`` call on the file.  A file
+that still writes ``linear`` as nested lists is refused; re-run
+``effectsym synth`` to rewrite it.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -89,7 +97,7 @@ def descriptor_from_obj(obj: Any) -> SymmetryDescriptor:
 def affine_rep_to_obj(rep: AffineMapRep) -> dict:
     return {
         "dim": rep.dim,
-        "linear": rep.linear.tolist(),
+        "linear": base64.b64encode(rep.linear.astype("<f8", copy=False).tobytes()).decode("ascii"),
         "constant": matrix_to_obj(rep.constant),
     }
 
@@ -97,8 +105,24 @@ def affine_rep_to_obj(rep: AffineMapRep) -> dict:
 def affine_rep_from_obj(obj: Any) -> AffineMapRep:
     if not isinstance(obj, dict) or "linear" not in obj or "constant" not in obj:
         raise ValueError("affine map object needs 'linear' and 'constant' fields")
-    linear = _number_array(obj["linear"], "affine map 'linear' must be an array of JSON numbers")
-    return AffineMapRep(linear=linear, constant=matrix_from_obj(obj["constant"]))
+    constant = matrix_from_obj(obj["constant"])
+    dim, text = obj.get("dim"), obj["linear"]
+    if not (_is_json_int(dim) and dim == constant.shape[0]):
+        raise ValueError(f"affine map 'dim' must be the JSON integer {constant.shape[0]} "
+                         f"of its constant, got {dim!r}")
+    size = 8 * dim ** 4
+    message = (f"affine map 'linear' must be base64 of {size} bytes of little-endian binary64 "
+               "(re-run effectsym synth to rewrite a list-form file)")
+    if not isinstance(text, str):
+        raise ValueError(message)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or a non-ASCII character
+        raise ValueError(message) from err
+    if len(raw) != size:
+        raise ValueError(message)
+    linear = np.frombuffer(raw, dtype="<f8").reshape(dim * dim, dim * dim)
+    return AffineMapRep(linear=linear, constant=constant)
 
 
 def oracle_from_obj(obj: Any) -> tuple[EffectMapOracle, str]:

@@ -29,10 +29,14 @@ they are, in order:
 
 For Hermitian A the pair is sqrt(2) Re A[k, l], sqrt(2) Im A[k, l].
 Decoding writes the diagonal back and puts ``c_sym * s + i c_anti * s``
-at ``[k, l]`` and its conjugate at ``[l, k]``.  Both directions are
-O(dim^2) index gathers and scatters; written as above, with an exact
-zero always +0.0, they agree bit for bit with the trace against
-:func:`hermitian_basis` on every finite input.
+at ``[k, l]`` and its conjugate at ``[l, k]``.  Each direction is one
+gather through index and factor arrays precomputed once per dim: encode
+reads the float view of A, multiplies by 1, s or -s and adds each
+pair's two terms; decode reads the coordinates (and one appended exact
+zero for the diagonal's imaginary parts) straight into the float view
+of the output.  Written so, with an exact zero always +0.0, they agree
+bit for bit with the trace against :func:`hermitian_basis` on every
+finite input.
 """
 
 from __future__ import annotations
@@ -85,44 +89,73 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return mats
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
-def _index_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal indices and the rows and columns of the pairs k < l."""
+def _encode_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`_encode` reads in the float view of a matrix, and the
+    factor of each read: the diagonal real parts (factor 1), then the
+    first operand of each pair coordinate (factor s), then the second
+    (factor s for the real part, -s for the imaginary one)."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    diag = np.arange(dim)
     rows, cols = np.triu_indices(dim, 1)
-    for a in (diag, rows, cols):
-        a.setflags(write=False)
-    return diag, rows, cols
+    upper, lower = 2 * (rows * dim + cols), 2 * (cols * dim + rows)
+    index = np.concatenate([
+        2 * (dim + 1) * np.arange(dim),
+        np.column_stack([upper, upper + 1]).ravel(),
+        np.column_stack([lower, lower + 1]).ravel(),
+    ])
+    factor = np.concatenate([np.ones(dim), np.full(dim * dim - dim, _INV_SQRT2),
+                             np.tile([_INV_SQRT2, -_INV_SQRT2], len(rows))])
+    return _frozen(index, factor)
+
+
+@lru_cache(maxsize=None)
+def _decode_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which coordinate each float of the decoded matrix reads, and its
+    factor; index ``dim**2`` is an appended exact zero (the diagonal's
+    imaginary parts)."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    rows, cols = np.triu_indices(dim, 1)
+    diag = np.arange(dim)
+    pair = dim + 2 * np.arange(len(rows))
+    index = np.empty((dim, dim, 2), dtype=np.intp)
+    factor = np.full((dim, dim, 2), _INV_SQRT2)
+    index[diag, diag, 0], index[diag, diag, 1] = diag, dim * dim
+    factor[diag, diag] = 1.0
+    index[rows, cols, 0] = index[cols, rows, 0] = pair
+    index[rows, cols, 1] = index[cols, rows, 1] = pair + 1
+    factor[cols, rows, 1] = -_INV_SQRT2
+    return _frozen(index.ravel(), factor.ravel())
 
 
 def _encode(m: np.ndarray) -> np.ndarray:
     """Coordinates of a validated square matrix; see the module docstring."""
     n = m.shape[0]
-    _, rows, cols = _index_pairs(n)
-    upper, lower = m[rows, cols], m[cols, rows]
-    out = np.empty(n * n)
-    out[:n] = m.diagonal().real
-    out[n::2] = upper.real * _INV_SQRT2 + lower.real * _INV_SQRT2
-    out[n + 1::2] = upper.imag * _INV_SQRT2 - lower.imag * _INV_SQRT2
+    index, factor = _encode_gather(n)
+    terms = m.reshape(-1).view(float)[index] * factor
+    out = terms[:n * n]
+    out[n:] += terms[n * n:]
     out += 0.0  # turns -0.0 into +0.0, as the trace's sum does
     return out
 
 
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
+
+
 def _decode(c: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix of a coordinate vector of length dim**2."""
-    diag, rows, cols = _index_pairs(dim)
-    sym = c[dim::2] * _INV_SQRT2
-    anti = c[dim + 1::2] * _INV_SQRT2
-    out = np.zeros((dim, dim), dtype=complex)
-    out.real[diag, diag] = c[:dim]
-    out.real[rows, cols] = sym
-    out.real[cols, rows] = sym
-    out.imag[rows, cols] = anti
-    out.imag[cols, rows] = -anti
+    index, factor = _decode_gather(dim)
+    out = np.concatenate((c, _ZERO))[index] * factor
     out += 0.0  # as in _encode
-    return out
+    return out.view(complex).reshape(dim, dim)
 
 
 def encode_hermitian(a) -> np.ndarray:

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ def test_synth_writes_descriptor_and_affine_form(tmp_path):
     assert d.kind == "unitary" and not d.complement and d.sign == 1
     affine = load_json(tmp_path / "d.affine.json")
     assert affine["dim"] == 3
-    assert len(affine["linear"]) == 9
+    assert len(base64.b64decode(affine["linear"], validate=True)) == 8 * 9 * 9
 
 
 def test_synth_deterministic(tmp_path):
@@ -87,7 +88,7 @@ def test_recover_halving_map_rejected(tmp_path):
     zeros = [[[0.0, 0.0]] * dim for _ in range(dim)]
     obj = {
         "dim": dim,
-        "linear": (0.5 * np.eye(dim * dim)).tolist(),
+        "linear": base64.b64encode((0.5 * np.eye(dim * dim)).astype("<f8").tobytes()).decode("ascii"),
         "constant": {"dim": dim, "data": zeros},
     }
     mapfile.write_text(json.dumps(obj))
@@ -120,14 +121,48 @@ def test_recover_refuses_a_non_integer_matrix_dim(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_recover_refuses_a_bool_among_the_linear_numbers(tmp_path):
+def test_recover_refuses_a_bool_among_the_constant_numbers(tmp_path):
     assert run(["synth", "--dim", 2, "--seed", 4, "--output", tmp_path / "m.json"]) == 0
     mapfile = tmp_path / "m.affine.json"
     obj = load_json(mapfile)
-    obj["linear"][0][0] = True  # was read as 1
+    obj["constant"]["data"][0][0][0] = True  # numpy would read it as 1
     mapfile.write_text(json.dumps(obj))
     assert run(["recover", "--input", mapfile, "--output", tmp_path / "r.json"]) == 2
     assert not (tmp_path / "r.json").exists()
+
+
+def _planted(value):
+    def plant(obj):
+        raw = bytearray(base64.b64decode(obj["linear"]))
+        raw[8:16] = np.array([value], dtype="<f8").tobytes()
+        return base64.b64encode(bytes(raw)).decode("ascii")
+    return plant
+
+
+RESYNTH = "re-run effectsym synth"
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("linear", lambda obj: 0.5, RESYNTH),
+    ("linear", lambda obj: None, RESYNTH),
+    ("linear", lambda obj: np.eye(4).tolist(), RESYNTH),  # the old list form
+    ("linear", lambda obj: "!" + obj["linear"][1:], RESYNTH),
+    ("linear", lambda obj: obj["linear"][:-12], RESYNTH),  # 8 bytes short
+    ("linear", _planted(np.nan), "non-finite"),
+    ("linear", _planted(-np.inf), "non-finite"),
+    ("dim", lambda obj: 7, "'dim' must be the JSON integer 2"),
+    ("dim", lambda obj: "two", "'dim' must be the JSON integer 2"),
+], ids=["number", "null", "list", "non-base64", "short", "nan", "-inf", "dim-7", "dim-string"])
+def test_recover_refuses_a_bad_affine_map_file(tmp_path, capsys, field, bad, message):
+    assert run(["synth", "--dim", 2, "--seed", 4, "--output", tmp_path / "m.json"]) == 0
+    mapfile = tmp_path / "m.affine.json"
+    obj = load_json(mapfile)
+    obj[field] = bad(obj)
+    mapfile.write_text(json.dumps(obj))
+    assert run(["recover", "--input", mapfile, "--output", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+    err = capsys.readouterr().err
+    assert "bad map file" in err and message in err
 
 
 def test_recover_refuses_a_string_complement_flag(tmp_path):

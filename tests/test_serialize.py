@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,15 @@ from effectsym.serialize import (
     affine_rep_to_obj,
     descriptor_from_obj,
     descriptor_to_obj,
+    dump_json,
+    load_json,
     matrix_from_obj,
     matrix_to_obj,
     oracle_from_obj,
     probe_to_obj,
     report_to_obj,
 )
-from effectsym.symmetry import ANTIUNITARY, apply_symmetry, random_symmetry, to_affine_rep
+from effectsym.symmetry import ANTIUNITARY, AffineMapRep, apply_symmetry, random_symmetry, to_affine_rep
 
 
 def test_matrix_roundtrip_exact():
@@ -89,22 +93,31 @@ def test_descriptor_flags_default_when_absent():
     assert d.complement is False and d.sign == 1
 
 
+def _affine_obj(dim=2):
+    return affine_rep_to_obj(to_affine_rep(random_symmetry(dim, 3, family="affine")))
+
+
+def _base64_doubles(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 @pytest.mark.parametrize("entry", ["0.5", None, [0.5], {"re": 0.5}])
 def test_affine_rep_linear_must_be_numbers(entry):
-    obj = affine_rep_to_obj(to_affine_rep(random_symmetry(2, 3, family="affine")))
-    obj["linear"][1][2] = entry  # a string was parsed as a number
-    with pytest.raises(ValueError):
+    """``linear`` holds its numbers as base64 binary64, and nothing else."""
+    obj = _affine_obj()
+    obj["linear"] = entry  # "0.5" is not base64: '.' is outside the alphabet
+    with pytest.raises(ValueError, match="'linear' must be base64 of 128 bytes"):
         affine_rep_from_obj(obj)
     obj["linear"] = [[True] * 4] * 4
-    with pytest.raises(ValueError, match="'linear' must be an array of JSON numbers"):
+    with pytest.raises(ValueError, match="'linear' must be base64 of 128 bytes"):
         affine_rep_from_obj(obj)
 
 
 @pytest.mark.parametrize("leaf", [True, False])
 def test_a_bool_among_json_numbers_is_refused(leaf):
-    obj = affine_rep_to_obj(to_affine_rep(random_symmetry(2, 3, family="affine")))
-    obj["linear"][1][2] = leaf  # numpy reads it as 1 or 0
-    with pytest.raises(ValueError, match="'linear' must be an array of JSON numbers"):
+    obj = _affine_obj()
+    obj["constant"]["data"][1][1][0] = leaf  # numpy reads it as 1 or 0
+    with pytest.raises(ValueError, match="matrix data must be 2 x 2"):
         affine_rep_from_obj(obj)
     for data in ([[[1.0, 0.0], [0.0, leaf]], [[0.0, 0.0], [1.0, 0.0]]],  # floats, then ints
                  [[[1, 0], [0, leaf]], [[0, 0], [1, 0]]]):
@@ -112,10 +125,74 @@ def test_a_bool_among_json_numbers_is_refused(leaf):
             matrix_from_obj({"dim": 2, "data": data})
 
 
-def test_affine_rep_linear_accepts_json_integers():
-    obj = affine_rep_to_obj(to_affine_rep(random_symmetry(2, 3, family="affine", complement=False)))
-    obj["linear"] = np.eye(4, dtype=int).tolist()
-    assert np.array_equal(affine_rep_from_obj(obj).linear, np.eye(4))
+def test_affine_rep_constant_accepts_json_integers():
+    obj = _affine_obj()
+    obj["linear"] = _base64_doubles(np.eye(4))
+    obj["constant"]["data"] = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    rep = affine_rep_from_obj(obj)
+    assert np.array_equal(rep.linear, np.eye(4)) and np.array_equal(rep.constant, np.eye(2))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16])
+def test_affine_rep_linear_roundtrips_its_exact_bytes(dim, tmp_path):
+    rep = to_affine_rep(random_symmetry(dim, dim, family="affine"))
+    linear = rep.linear.copy()
+    linear.flat[[0, 1, 2, -1]] = -0.0, 5e-324, 1e308, -1e308  # signed zero, subnormal, extremes
+    path = str(tmp_path / "m.affine.json")
+    dump_json(affine_rep_to_obj(AffineMapRep(linear=linear, constant=rep.constant)), path)
+    obj = load_json(path)
+    assert len(base64.b64decode(obj["linear"])) == 8 * dim ** 4
+    back = affine_rep_from_obj(obj)
+    assert back.linear.tobytes() == linear.tobytes()
+    assert back.constant.tobytes() == rep.constant.tobytes()
+
+
+def _with_planted(value):
+    linear = np.eye(4)
+    linear[1, 2] = value
+    return _base64_doubles(linear)
+
+
+VALID_LINEAR = _base64_doubles(np.eye(4))
+BAD_LINEAR = {
+    "number": 1.0,
+    "null": None,
+    "bool": True,
+    "object": {"base64": VALID_LINEAR},
+    "legacy-list": np.eye(4).tolist(),
+    "space": VALID_LINEAR[:8] + " " + VALID_LINEAR[8:],
+    "newline": VALID_LINEAR[:76] + "\n" + VALID_LINEAR[76:],
+    "url-safe-alphabet": VALID_LINEAR.replace("/", "_").replace("+", "-") + "_",
+    "non-ascii": VALID_LINEAR[:-4] + "\u00e9" * 4,
+    "bad-padding": VALID_LINEAR.rstrip("="),
+    "empty": "",
+    "one-double-short": _base64_doubles(np.ones(15)),
+    "one-double-long": _base64_doubles(np.ones(17)),
+    "not-whole-doubles": base64.b64encode(bytes(127)).decode("ascii"),
+    "nan": _with_planted(np.nan),
+    "inf": _with_planted(np.inf),
+    "-inf": _with_planted(-np.inf),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LINEAR)
+def test_affine_rep_refuses_a_bad_linear(case):
+    obj = _affine_obj()
+    obj["linear"] = BAD_LINEAR[case]
+    match = "non-finite" if case.endswith(("nan", "inf")) else "'linear' must be base64 of 128 bytes.*re-run effectsym synth"
+    with pytest.raises(ValueError, match=match):
+        affine_rep_from_obj(obj)
+
+
+@pytest.mark.parametrize("dim", [7, 3.0, "three", None, True, -2])
+def test_affine_rep_dim_must_be_the_constants_dim(dim):
+    obj = _affine_obj(3)  # its constant is 3 x 3
+    obj["dim"] = dim
+    with pytest.raises(ValueError, match="'dim' must be the JSON integer 3 of its constant"):
+        affine_rep_from_obj(obj)
+    del obj["dim"]
+    with pytest.raises(ValueError, match="'dim' must be the JSON integer 3 of its constant"):
+        affine_rep_from_obj(obj)
 
 
 def test_affine_rep_roundtrip():

@@ -102,6 +102,7 @@ def _coordinate_inputs(dim, seed):
         random_effect(dim, s.next_u64()),
         random_hermitian(dim, s.next_u64()),
         complex_gaussian(dim, s),
+        np.full((dim, dim), complex(-0.0, -0.0)),
     )
 
 
@@ -112,6 +113,8 @@ def test_closed_form_coordinates_match_basis_stack_bitwise(dim):
             coords = encode_hermitian(m)
             assert coords.tobytes() == reference_encode(m).tobytes()
             assert decode_hermitian(coords, dim).tobytes() == reference_decode(coords, dim).tobytes()
+    zeros = np.full(dim * dim, -0.0)
+    assert decode_hermitian(zeros, dim).tobytes() == reference_decode(zeros, dim).tobytes()
 
 
 @pytest.mark.parametrize("dim", BITWISE_DIMS)
