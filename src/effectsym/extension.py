@@ -2,7 +2,10 @@
 
 An :class:`EffectMapOracle` wraps an arbitrary deterministic evaluator
 from effects to Hermitian matrices; a map derived from one, such as
-A -> phi(A) - phi(0), is the oracle ``phi.then(f)``.  For an oracle that
+A -> phi(A) - phi(0), is the oracle ``phi.then(f)``.  A query validates
+its input once (``as_square_array``), calls the evaluator once and
+shape-checks the answer; the oracles built from a descriptor or an
+affine-map rep evaluate the validated input directly.  For an oracle that
 is affine and fixes 0, :func:`extend_linear` evaluates the unique linear
 extension to all square matrices along one path: split M into Re M and
 Im M, split each into its positive and negative parts, so that
@@ -18,8 +21,10 @@ guarantee.  Linearity of the result is a property checked on samples
 by :func:`linearity_defect`, not an assumption.
 
 The extension runs on stacks: per chunk of ``EXTEND_CHUNK = 24``
-matrices, one ``eigh`` gives the parts and one stacked spectral norm
-their scales, and the oracle is then asked for A1..A4 of each matrix in
+matrices, one ``eigh`` gives the parts, one stacked spectral norm their
+scales and one division the rescaled parts (numpy divides a complex
+entry by a real norm entry by entry, so the bits are those of one part
+at a time), and the oracle is then asked for A1..A4 of each matrix in
 turn, one input at a time, in the order a per-matrix loop would ask.
 :func:`extend_linear` and :func:`unit_ball_decomposition` are the
 one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
@@ -62,6 +67,10 @@ class OracleError(ValueError):
         self.query = query
 
 
+def _wrong_shape(out: np.ndarray, m: np.ndarray) -> OracleError:
+    return OracleError(f"oracle output has shape {out.shape}, expected {m.shape}", m.copy())
+
+
 @dataclass(frozen=True)
 class EffectMapOracle:
     """Deterministic black-box map from effects to Hermitian matrices."""
@@ -71,13 +80,18 @@ class EffectMapOracle:
     label: str = field(default="", compare=False)
 
     def __call__(self, a) -> np.ndarray:
-        return self._answer(as_square_array(a, self.dim))
+        """One query: validate ``a`` once, then answer it as :meth:`_answer` does."""
+        m = as_square_array(a, self.dim)
+        out = np.asarray(self.evaluator(m), dtype=complex)
+        if out.shape != m.shape:
+            raise _wrong_shape(out, m)
+        return out
 
     def _answer(self, m: np.ndarray) -> np.ndarray:
         """phi(m) for a validated m; :class:`OracleError` unless it is dim x dim."""
         out = np.asarray(self.evaluator(m), dtype=complex)
         if out.shape != m.shape:
-            raise OracleError(f"oracle output has shape {out.shape}, expected {m.shape}", m.copy())
+            raise _wrong_shape(out, m)
         return out
 
     def then(self, f: Callable[[np.ndarray], np.ndarray]) -> "EffectMapOracle":
@@ -113,8 +127,7 @@ def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
     """Probe phi(lam*A + (1-lam)*B) = lam*phi(A) + (1-lam)*phi(B) on
     random triples; stop at the first violation."""
     worst = 0.0
-    for head, a, b in _doubling_effect_pairs(phi.dim, Stream(seed), AFFINE_PROBE_TRIALS, lead=1):
-        lam = float(_unit_floats(head[0]))  # as Stream.uniform() draws it
+    for (lam,), a, b in _doubling_effect_pairs(phi.dim, Stream(seed), AFFINE_PROBE_TRIALS, lead=1):
         lhs = phi(lam * a + (1.0 - lam) * b)
         rhs = lam * phi(a) + (1.0 - lam) * phi(b)
         dev = frobenius_norm(lhs - rhs)
@@ -161,9 +174,11 @@ def _extend(phi: EffectMapOracle, mats: np.ndarray) -> np.ndarray:
     zero = np.zeros(mats.shape[1:], dtype=complex)
     for start in range(0, len(mats), EXTEND_CHUNK):
         parts = _psd_parts(mats[start:start + EXTEND_CHUNK])
-        norms = np.linalg.norm(parts, 2, axis=(-2, -1)).tolist()
-        for k, (four, nrms) in enumerate(zip(parts, norms), start):
-            a1, a2, a3, a4 = (zero if nrm < ZERO_NORM_CUTOFF else nrm * phi(a / nrm)
+        norms = np.linalg.norm(parts, 2, axis=(-2, -1))
+        # each part over its own norm, as one division; a part below the cutoff is never asked
+        units = parts / np.where(norms < ZERO_NORM_CUTOFF, 1.0, norms)[..., None, None]
+        for k, (four, nrms) in enumerate(zip(units, norms.tolist()), start):
+            a1, a2, a3, a4 = (zero if nrm < ZERO_NORM_CUTOFF else nrm * phi(a)
                               for a, nrm in zip(four, nrms))
             out[k] = (a1 - a2) + 1j * (a3 - a4)
     return out

@@ -6,9 +6,16 @@ on the symmetrized input.  Hermiticity is checked against
 ``DEFAULT_TOL = 1e-9`` relative to the Frobenius norm.  Every entry point
 that takes a matrix of known dimension checks its size in
 :func:`as_square_array`.
+
+Stages take a norm or an adjoint per sample, so :func:`frobenius_norm`
+computes ``np.linalg.norm``'s own ``ord=None`` formula without its
+wrapper, and :func:`adjoint` of one matrix is ``a.T.conj()``; the bits
+are numpy's.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,17 +26,18 @@ def as_square_array(a, dim: int | None = None) -> np.ndarray:
     """Coerce to a square complex128 array with finite entries, and of
     size ``dim`` x ``dim`` when ``dim`` is given."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
+    fits = m.shape == (dim, dim) if dim is not None else m.ndim == 2 and m.shape[0] == m.shape[1]
+    if not fits:
         want = "a square matrix" if dim is None else f"a {dim} x {dim} matrix"
         raise ValueError(f"expected {want}, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError("matrix has non-finite entries")
     return m
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix, for a stack)."""
-    return np.conj(np.swapaxes(a, -1, -2))
+    return a.T.conj() if a.ndim == 2 else np.conj(np.swapaxes(a, -1, -2))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -38,7 +46,17 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """``float(np.linalg.norm(a))``, bit for bit, for float64, complex128
+    and integer arrays of any shape; integers go through float64, as in
+    numpy."""
+    x = np.asarray(a)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel("K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def operator_norm(a: np.ndarray) -> float:

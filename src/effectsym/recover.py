@@ -44,7 +44,9 @@ oracle one input at a time in a fixed order, then compute the expected
 side on the whole stack; each residual norm is taken per matrix and
 folded with ``max``, as a per-sample loop would.  The affinity probe and
 the triple identity stop at their first violation; the preservation probe
-keeps every witness but can raise partway on NaN.  All three stay per trial.
+keeps every witness but can raise partway on NaN.  All three stay per trial;
+their per-trial products use ``ndarray.dot``, which at dim >= 2 gives the
+bits of ``@`` without its per-call set-up.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
 
     for p, (p_low, p_high), (q1, q2) in samples:
         img = phi(p)
-        defect = max(hermiticity_defect(img), frobenius_norm(img @ img - img))
+        defect = max(hermiticity_defect(img), frobenius_norm(img.dot(img) - img))
         if defect > PROBE_TOL:
             witnesses.append(ProbeWitness("projections", (p,), defect))
         comp_defect = frobenius_norm(img + phi(eye - p) - eye)
@@ -225,7 +227,7 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
             if not gap >= -PROBE_TOL:
                 witnesses.append(ProbeWitness("order", (p_low, p_high), float(-gap)))
 
-        prod = frobenius_norm(phi(q1) @ phi(q2))
+        prod = frobenius_norm(phi(q1).dot(phi(q2)))
         if prod > PROBE_TOL:
             witnesses.append(ProbeWitness("orthogonality", (q1, q2), prod))
 
@@ -441,9 +443,9 @@ def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
 def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream, sign: int = 1) -> None:
     action = phi if sign == 1 else phi.then(np.negative)
     for _, a, b in _doubling_effect_pairs(phi.dim, s.spawn(), TRIPLE_PROBE_PAIRS):
-        lhs = action(a @ b @ a)
+        lhs = action(a.dot(b).dot(a))
         phi_a = action(a)
-        dev = frobenius_norm(lhs - phi_a @ action(b) @ phi_a)
+        dev = frobenius_norm(lhs - phi_a.dot(action(b)).dot(phi_a))
         if dev > PROBE_TOL:
             found["witness"] = (a.copy(), b.copy())
             raise ReconstructionError(f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}")

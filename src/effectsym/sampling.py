@@ -30,15 +30,17 @@ from .rng import Stream, _box_muller, _unit_floats, u64_grid
 
 
 def _doubling_effect_pairs(dim: int, stream: Stream, total: int, lead: int = 0):
-    """Per trial, ``lead`` raw outputs of ``stream``, then effects A and B
-    seeded by its next two; trials are drawn 1, 2, 4, ... at a time, so a
-    stage that stops at its first failure draws little it never uses."""
+    """Per trial, a list of ``lead`` uniforms in [0, 1) (as
+    ``Stream.uniform`` maps the stream's outputs), then effects A and B
+    seeded by its next two outputs; trials are drawn 1, 2, 4, ... at a
+    time, so a stage that stops at its first failure draws little it
+    never uses."""
     done, n = 0, 1
     while done < total:
         n = min(n, total - done)
         raw = stream.u64_block((lead + 2) * n).reshape(n, lead + 2)
         ab = random_effects(dim, raw[:, lead:].ravel())
-        yield from zip(raw[:, :lead], ab[0::2], ab[1::2])
+        yield from zip(_unit_floats(raw[:, :lead]).tolist(), ab[0::2], ab[1::2])
         done, n = done + n, 2 * n
 
 

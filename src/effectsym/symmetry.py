@@ -8,6 +8,11 @@ orthocomplement ``A -> I - A`` (the affine family) or postcomposed with
 an overall sign flip (the Hermitian triple family).  ``complement`` and
 ``sign`` are never both nontrivial.
 
+A descriptor computes U* and the identity once, at construction, for
+every evaluation; an evaluation gives the bits of the plain
+``sign * (U @ M @ U*)`` (:func:`_apply_symmetry` says why its faster
+steps keep them).
+
 Descriptors carry a gauge: ``U`` and ``exp(i theta) U`` act identically,
 so :func:`gauge_normalize` pins the phase by making the first
 sufficiently large entry of the first column real positive, which makes
@@ -195,9 +200,9 @@ class SymmetryDescriptor:
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
-        u_adj = adjoint(u)  # U*, computed once for every evaluation
-        u_adj.setflags(write=False)
+        u_adj, eye = _frozen(adjoint(u), np.eye(n, dtype=complex))  # once for every evaluation
         object.__setattr__(self, "_u_adj", u_adj)
+        object.__setattr__(self, "_eye", eye)
 
     @property
     def dim(self) -> int:
@@ -215,13 +220,25 @@ def apply_symmetry(d: SymmetryDescriptor, a) -> np.ndarray:
 
 def _apply_symmetry(d: SymmetryDescriptor, m: np.ndarray) -> np.ndarray:
     """:func:`apply_symmetry` on a validated square array of dim ``d.dim``,
-    or on each matrix of a stack of them."""
+    or on each matrix of a stack of them.
+
+    One matrix of dim >= 2 goes through ``ndarray.dot``, which skips
+    ``@``'s gufunc set-up and gives the same bits (at dim 1 ``dot``
+    multiplies as scalars and can keep a -0.0 that ``@`` sums away).
+    The sign multiplies in place even when it is +1: ``1 * x`` turns a
+    -0.0 real part into +0.0 where the imaginary part is negative, so
+    skipping it would change those bits.
+    """
     if d.complement:
-        m = np.eye(d.dim, dtype=complex) - m
+        m = d._eye - m
     if d.kind == ANTIUNITARY:
-        m = np.conj(m)
-    out = d.unitary @ m @ d._u_adj
-    return d.sign * out
+        m = m.conj()
+    if m.ndim == 2 and d.dim > 1:
+        out = d.unitary.dot(m).dot(d._u_adj)
+    else:
+        out = d.unitary @ m @ d._u_adj
+    out *= d.sign
+    return out
 
 
 def gauge_normalize(d: SymmetryDescriptor) -> SymmetryDescriptor:

@@ -63,6 +63,44 @@ def test_every_entry_point_refuses_a_wrong_size_input(entry, bad):
         wrong_size_entry_points()[entry](bad)
 
 
+def _with_entry(value):
+    m = np.eye(4, dtype=complex) / 2
+    m[1, 2] = value
+    return m
+
+
+# Every input a query refuses, with the exception it raises.  A stack stays
+# refused: answering one would count one query for k inputs.
+QUERY_REFUSALS = {
+    "stack": (np.array([np.eye(4), np.eye(4)]) / 2, "expected a 4 x 4 matrix, got shape (2, 4, 4)"),
+    "stack of one": (np.eye(4)[None] / 2, "expected a 4 x 4 matrix, got shape (1, 4, 4)"),
+    "0-d": (np.float64(0.5), "expected a 4 x 4 matrix, got shape ()"),
+    "1-d": (np.ones(4), "expected a 4 x 4 matrix, got shape (4,)"),
+    "non-square": (np.ones((4, 3)), "expected a 4 x 4 matrix, got shape (4, 3)"),
+    "wrong size": (np.eye(3), "expected a 4 x 4 matrix, got shape (3, 3)"),
+    "wrong-size list": ([[1, 0], [0, 1]], "expected a 4 x 4 matrix, got shape (2, 2)"),
+    "nan": (_with_entry(np.nan), "matrix has non-finite entries"),
+    "inf": (_with_entry(np.inf), "matrix has non-finite entries"),
+    "-inf": (_with_entry(-np.inf), "matrix has non-finite entries"),
+    "imaginary inf": (_with_entry(complex(0.0, np.inf)), "matrix has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("form", ["descriptor", "affine_rep", "evaluator"])
+@pytest.mark.parametrize("case", sorted(QUERY_REFUSALS))
+def test_a_query_refuses_a_bad_input_before_the_evaluator_sees_it(form, case):
+    d = random_symmetry(4, 1, family=AFFINE)
+    seen = []
+    phi = {"descriptor": EffectMapOracle.from_descriptor(d),
+           "affine_rep": EffectMapOracle.from_affine_rep(to_affine_rep(d)),
+           "evaluator": EffectMapOracle(4, seen.append)}[form]
+    bad, message = QUERY_REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        phi(bad)
+    assert type(err.value) is ValueError and str(err.value) == message
+    assert seen == []
+
+
 def test_is_affine_accepts_identity_and_complement():
     assert is_affine(identity_oracle(3))
     assert is_affine(complement_oracle(3))  # affine but not linear

@@ -18,6 +18,7 @@ from effectsym.symmetry import (
     UNITARY,
     AffineMapRep,
     SymmetryDescriptor,
+    _apply_symmetry,
     apply_affine_rep,
     apply_symmetry,
     compose,
@@ -216,6 +217,74 @@ def test_apply_dim_mismatch():
     d = SymmetryDescriptor(UNITARY, np.eye(3))
     with pytest.raises(ValueError):
         apply_symmetry(d, np.eye(2))
+
+
+def reference_apply(d, m):
+    """The evaluation written plainly: a fresh identity, ``np.conj``, ``@``
+    and the sign multiplied into a new array."""
+    if d.complement:
+        m = np.eye(d.dim, dtype=complex) - m
+    if d.kind == ANTIUNITARY:
+        m = np.conj(m)
+    return d.sign * (d.unitary @ m @ np.conj(np.swapaxes(d.unitary, -1, -2)))
+
+
+FLAGS = [(kind, comp, sign) for kind in (UNITARY, ANTIUNITARY) for comp, sign in ((False, 1), (True, 1), (False, -1))]
+
+
+def _signed_zeros(dim, seed):
+    """-0.0 real parts under imaginary parts drawn from -1.0, -0.0 and +0.0."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m.real[...] = -0.0
+    m.imag[...] = np.random.default_rng(seed).choice([-1.0, -0.0, 0.0], size=(dim, dim))
+    return m
+
+
+@pytest.mark.parametrize("dim", BITWISE_DIMS)
+def test_apply_symmetry_matches_the_plain_formula_bitwise(dim):
+    s = Stream(dim)
+    inputs = [random_hermitian(dim, 1), random_effect(dim, 2), complex_gaussian(dim, s),
+              np.full((dim, dim), complex(-0.0, -0.0)), _signed_zeros(dim, 3),
+              complex_gaussian(dim, s) * 5e-324, complex_gaussian(dim, s) * 1e300]
+    stack = np.array(inputs)
+    for seed, (kind, comp, sign) in enumerate(FLAGS):
+        d = SymmetryDescriptor(kind, haar_unitary(dim, seed), complement=comp, sign=sign)
+        for m in inputs:
+            assert apply_symmetry(d, m).tobytes() == reference_apply(d, m).tobytes()
+        assert _apply_symmetry(d, stack).tobytes() == reference_apply(d, stack).tobytes()
+        assert _apply_symmetry(d, stack[:1]).tobytes() == reference_apply(d, stack[:1]).tobytes()
+
+
+bounded_matrices = st.integers(1, 6).flatmap(
+    lambda n: arrays(complex, (n, n), elements=st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                                                                  allow_infinity=False, allow_subnormal=True))
+)
+
+
+# Bounded so the products cannot overflow: past that, inf - inf makes NaNs
+# whose sign bit is not part of the contract.
+@settings(deadline=None, max_examples=150)
+@given(bounded_matrices, st.sampled_from(FLAGS), st.integers(0, 2**32 - 1))
+@example(_signed_zeros(1, 0), (UNITARY, False, 1), 0)
+@example(_signed_zeros(2, 0), (ANTIUNITARY, False, -1), 1)
+def test_apply_symmetry_matches_the_plain_formula_on_any_bounded_matrix(m, flags, seed):
+    kind, comp, sign = flags
+    d = SymmetryDescriptor(kind, haar_unitary(len(m), seed), complement=comp, sign=sign)
+    assert apply_symmetry(d, m).tobytes() == reference_apply(d, m).tobytes()
+    stack = np.array([m, m.T])
+    assert _apply_symmetry(d, stack).tobytes() == reference_apply(d, stack).tobytes()
+
+
+def test_a_plus_one_sign_is_still_multiplied():
+    """Skipping the multiply when the sign is +1 would not be bit-identical:
+    ``1 * x`` turns a -0.0 real part into +0.0 where the imaginary part is
+    negative, and keeps it where the imaginary part is positive."""
+    x = np.array([complex(-0.0, -1.0), complex(-0.0, 1.0)])
+    assert np.signbit((1 * x).real).tolist() == [False, True]
+    assert np.signbit(x.real).tolist() == [True, True]
+    y = x.copy()
+    y *= 1  # the in-place form gives the same bits
+    assert y.tobytes() == (1 * x).tobytes()
 
 
 def _pointwise_equal(d1, d2, dim, seeds, atol=1e-10):
