@@ -67,10 +67,6 @@ class OracleError(ValueError):
         self.query = query
 
 
-def _wrong_shape(out: np.ndarray, m: np.ndarray) -> OracleError:
-    return OracleError(f"oracle output has shape {out.shape}, expected {m.shape}", m.copy())
-
-
 @dataclass(frozen=True)
 class EffectMapOracle:
     """Deterministic black-box map from effects to Hermitian matrices."""
@@ -80,18 +76,13 @@ class EffectMapOracle:
     label: str = field(default="", compare=False)
 
     def __call__(self, a) -> np.ndarray:
-        """One query: validate ``a`` once, then answer it as :meth:`_answer` does."""
-        m = as_square_array(a, self.dim)
-        out = np.asarray(self.evaluator(m), dtype=complex)
-        if out.shape != m.shape:
-            raise _wrong_shape(out, m)
-        return out
+        return self._answer(as_square_array(a, self.dim))
 
     def _answer(self, m: np.ndarray) -> np.ndarray:
         """phi(m) for a validated m; :class:`OracleError` unless it is dim x dim."""
         out = np.asarray(self.evaluator(m), dtype=complex)
         if out.shape != m.shape:
-            raise _wrong_shape(out, m)
+            raise OracleError(f"oracle output has shape {out.shape}, expected {m.shape}", m.copy())
         return out
 
     def then(self, f: Callable[[np.ndarray], np.ndarray]) -> "EffectMapOracle":

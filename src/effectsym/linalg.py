@@ -7,15 +7,12 @@ on the symmetrized input.  Hermiticity is checked against
 that takes a matrix of known dimension checks its size in
 :func:`as_square_array`.
 
-Stages take a norm or an adjoint per sample, so :func:`frobenius_norm`
-computes ``np.linalg.norm``'s own ``ord=None`` formula without its
-wrapper, and :func:`adjoint` of one matrix is ``a.T.conj()``; the bits
-are numpy's.
+Stages take an adjoint per sample, so :func:`adjoint` uses the array's
+own ``swapaxes`` and ``conj`` methods rather than numpy's function
+wrappers; the view and its bits are those of ``np.conj(np.swapaxes(...))``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -37,7 +34,7 @@ def as_square_array(a, dim: int | None = None) -> np.ndarray:
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix, for a stack)."""
-    return a.T.conj() if a.ndim == 2 else np.conj(np.swapaxes(a, -1, -2))
+    return a.swapaxes(-1, -2).conj()
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -46,17 +43,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """``float(np.linalg.norm(a))``, bit for bit, for float64, complex128
-    and integer arrays of any shape; integers go through float64, as in
-    numpy."""
-    x = np.asarray(a)
-    if x.dtype.kind not in "fc":
-        x = x.astype(float)
-    x = x.ravel("K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+    return float(np.linalg.norm(a))
 
 
 def operator_norm(a: np.ndarray) -> float:

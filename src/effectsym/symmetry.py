@@ -225,9 +225,10 @@ def _apply_symmetry(d: SymmetryDescriptor, m: np.ndarray) -> np.ndarray:
     One matrix of dim >= 2 goes through ``ndarray.dot``, which skips
     ``@``'s gufunc set-up and gives the same bits (at dim 1 ``dot``
     multiplies as scalars and can keep a -0.0 that ``@`` sums away).
-    The sign multiplies in place even when it is +1: ``1 * x`` turns a
-    -0.0 real part into +0.0 where the imaginary part is negative, so
-    skipping it would change those bits.
+    The sign multiplies in place even when it is +1: ``1 * x`` is a
+    complex product, which turns an overflowed entry's other part into
+    NaN (``0 * inf``) and a -0.0 real part over a negative imaginary part
+    into +0.0, so skipping it would change those bits.
     """
     if d.complement:
         m = d._eye - m

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -380,37 +378,30 @@ def test_stacked_extension_equals_per_matrix_loop_bitwise(dim):
         assert all(np.array_equal(a, b) for a, b in zip(unit_ball_decomposition(g), expected, strict=True))
 
 
-def recorded(evaluate, dim):
-    log = []
-
-    def logged(m):
-        log.append(m.tobytes())
-        return evaluate(m)
-
-    return EffectMapOracle(dim, logged), log
-
-
-# Query count and sha256 of the concatenated query inputs, taken from the
-# one-matrix-at-a-time implementation: the stacked extension asks the
-# oracle the same inputs in the same order.  Linearity: 20 probes from
+# Query count and sha256 of the concatenated query inputs and of the
+# concatenated answers (``oracle_queries.digest()``).  The inputs were taken
+# from the one-matrix-at-a-time implementation: the stacked extension asks
+# the oracle the same inputs in the same order.  Linearity: 20 probes from
 # Stream(3) on random_symmetry(dim, 5, AFFINE, complement=False);
 # boundedness: seed 2 on random_symmetry(dim, 6, AFFINE).
 EXTENSION_INPUT_SEQUENCES = {
-    ("linearity", 3): (240, "3efabd34588689d9ea4a388a5146e034f0d002a2b9681b31a3ad64fc136d1ce0"),
-    ("linearity", 6): (241, "c2feaf4f839a08a024623a8551fdc50fd6977e34467195c841b1a8d8f6a04a6b"),
-    ("boundedness", 3): (33, "3c4bf2af0edef5550e49ed60271d43c79783cdf9efa7c98c758be1e0c1d3a7f2"),
-    ("boundedness", 6): (33, "8017ff82c4e5d0b7f75364275f009179e6ed9e5d7dff3f9d872fcec8d847e680"),
+    ("linearity", 3): (240, "3efabd34588689d9ea4a388a5146e034f0d002a2b9681b31a3ad64fc136d1ce0",
+                       "45e8d1f7cb18b6f120f9fb19b8f110e8aca6172bd8a735329943ce4ab3e6620f"),
+    ("linearity", 6): (241, "c2feaf4f839a08a024623a8551fdc50fd6977e34467195c841b1a8d8f6a04a6b",
+                       "a7770b2ec20d6b6c62d6860cfdf5eb9cb967e7a9cbdad64005bf44f3f88c9201"),
+    ("boundedness", 3): (33, "3c4bf2af0edef5550e49ed60271d43c79783cdf9efa7c98c758be1e0c1d3a7f2",
+                         "ea3ec76ac5827e77fc1fe29f6fde4f9a3c3c56c89871c83f7a42d8d42b35acd1"),
+    ("boundedness", 6): (33, "8017ff82c4e5d0b7f75364275f009179e6ed9e5d7dff3f9d872fcec8d847e680",
+                         "4771e59a5dfbcc5d1e80c590f336adcbcb997591191e96a5414d2c69cb284b5d"),
 }
 
 
 @pytest.mark.parametrize("check, dim", sorted(EXTENSION_INPUT_SEQUENCES))
-def test_extension_input_sequence_is_pinned(check, dim):
+def test_extension_input_sequence_is_pinned(check, dim, oracle_queries):
     if check == "linearity":
         d = random_symmetry(dim, 5, family=AFFINE, complement=False)
-        phi, log = recorded(lambda m: apply_symmetry(d, m), dim)
-        linearity_defect(phi, Stream(3), 20)
+        linearity_defect(EffectMapOracle(dim, lambda m: apply_symmetry(d, m)), Stream(3), 20)
     else:
         d = random_symmetry(dim, 6, family=AFFINE)
-        phi, log = recorded(lambda m: apply_symmetry(d, m), dim)
-        boundedness_check(phi, seed=2)
-    assert (len(log), hashlib.sha256(b"".join(log)).hexdigest()) == EXTENSION_INPUT_SEQUENCES[check, dim]
+        boundedness_check(EffectMapOracle(dim, lambda m: apply_symmetry(d, m)), seed=2)
+    assert oracle_queries.digest() == EXTENSION_INPUT_SEQUENCES[check, dim]

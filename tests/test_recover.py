@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -33,6 +32,7 @@ from effectsym.symmetry import (
     apply_symmetry,
     gauge_normalize,
     random_symmetry,
+    to_affine_rep,
 )
 from effectsym.suites import perturbed_conjugation_oracle
 
@@ -668,35 +668,41 @@ def test_hermitian_sign_costs_no_extra_oracle_calls(monkeypatch):
 # ------------------------------------------- oracle input sequence and cost
 
 
-def recorded(evaluate, dim):
-    """Oracle over ``evaluate`` that logs the bytes of every input it gets."""
-    log = []
-
-    def logged(m):
-        log.append(m.tobytes())
-        return evaluate(m)
-
-    return oracle(dim, logged), log
-
-
-# sha256 of the concatenated inputs and their count, for the map
-# random_symmetry(4, 7, family) and seed 11.  Pinned from the per-sample
+# Query count and sha256 of the concatenated inputs and of the concatenated
+# answers (``oracle_queries.digest()``), for the map random_symmetry(4, 7,
+# family) and seed 11.  The inputs were pinned from the per-sample
 # implementation; the triple routes omit the second φ(A) query that each
-# triple-identity pair used to make, and nothing else changed.
+# triple-identity pair used to make, and nothing else changed.  The answers
+# were pinned from the evaluation written as ``sign * (U @ M @ U*)`` with a
+# fresh identity per query, so each answer keeps its bits.
 INPUT_SEQUENCES = {
-    (AFFINE, 1): (321, "d4e113b85b82e16a067d5532062a7593fa4944d2d124f58454993dae806b5b7b"),
-    (TRIPLE_EFFECTS, 1): (290, "35767757064219916e77caed2e28cc8bf29b048aa905dcc141acef57f22e98e5"),
-    (TRIPLE_HERMITIAN, -1): (391, "e8d6d31b2ffbb2ece97b325fd36df43f791bfe69c16c05810558f88a560bb036"),
+    (AFFINE, 1): (321, "d4e113b85b82e16a067d5532062a7593fa4944d2d124f58454993dae806b5b7b",
+                  "00a489677d087c6c1874d828385a351a45d84740196ef88271753e88cd66c288"),
+    (TRIPLE_EFFECTS, 1): (290, "35767757064219916e77caed2e28cc8bf29b048aa905dcc141acef57f22e98e5",
+                          "08f4f9f6da34674a6cd1f1ea74ad4f0adc3a0a2a75ead979c4ce54e63df049ab"),
+    (TRIPLE_HERMITIAN, -1): (391, "e8d6d31b2ffbb2ece97b325fd36df43f791bfe69c16c05810558f88a560bb036",
+                             "d1b552b40d1a0cd1fd65bd2d24cd573c21fa1b67d57ac421111d6a6105853275"),
 }
 ROUTES = {AFFINE: recover_affine, TRIPLE_EFFECTS: recover_triple, TRIPLE_HERMITIAN: recover_triple_hermitian}
 
 
 @pytest.mark.parametrize("family, sign", sorted(INPUT_SEQUENCES))
-def test_oracle_input_sequence_is_pinned(family, sign):
+def test_oracle_input_sequence_is_pinned(family, sign, oracle_queries):
     d = random_symmetry(4, 7, family=family, **({"sign": sign} if family == TRIPLE_HERMITIAN else {}))
-    phi, log = recorded(lambda m: apply_symmetry(d, m), 4)
-    assert ROUTES[family](phi, seed=11).canonical
-    assert (len(log), hashlib.sha256(b"".join(log)).hexdigest()) == INPUT_SEQUENCES[family, sign]
+    assert ROUTES[family](oracle(4, lambda m: apply_symmetry(d, m)), seed=11).canonical
+    assert oracle_queries.digest() == INPUT_SEQUENCES[family, sign]
+
+
+# The affine route on the affine-form oracle of the same map with the
+# complement set: the same inputs, the answers of the affine-map evaluation.
+AFFINE_REP_SEQUENCE = (321, "d4e113b85b82e16a067d5532062a7593fa4944d2d124f58454993dae806b5b7b",
+                       "b6a57d5aa606f346ac85a93f534f6910d110674c6d9ce45dbb3c76c42761be72")
+
+
+def test_affine_rep_oracle_sequence_is_pinned(oracle_queries):
+    rep = to_affine_rep(random_symmetry(4, 7, family=AFFINE, complement=True))
+    assert recover_affine(EffectMapOracle.from_affine_rep(rep), seed=11).canonical
+    assert oracle_queries.digest() == AFFINE_REP_SEQUENCE
 
 
 # The same at dims 3 and 6, for random_symmetry(dim, 7, family) with the
@@ -704,22 +710,27 @@ def test_oracle_input_sequence_is_pinned(family, sign):
 # seed 11, taken from the one-matrix-at-a-time verify and reconstruction
 # checks: the stacked checks ask the same inputs in the same order.
 STACKED_INPUT_SEQUENCES = {
-    (AFFINE, 3): (319, "c81f94262ebe6aef01223ea8f60be3c6dee3aba012242c5c88be2cd87abe4974"),
-    (TRIPLE_EFFECTS, 3): (288, "0d41dd99bedbcf7ab40f2b3f41b262b4f1f61be91268f013647fbbd9528a9ef4"),
-    (TRIPLE_HERMITIAN, 3): (389, "c3340f40e85bd35d880a3b717e3040ed208e22461a96c8720114f4730259134b"),
-    (AFFINE, 6): (325, "5fdc17eadbe225523e47e5e7c91ce0f876a847fadf8d42fac0737b30a85cb13f"),
-    (TRIPLE_EFFECTS, 6): (294, "7239bc641e0b0518ba77f39e1b46a1e19c74f26346f2b5804d52cd8f4a8d9188"),
-    (TRIPLE_HERMITIAN, 6): (395, "5a4d1bf656692a851c653dc688d0b7d1bdf0efbe3e1f1180ca4e49601ead589a"),
+    (AFFINE, 3): (319, "c81f94262ebe6aef01223ea8f60be3c6dee3aba012242c5c88be2cd87abe4974",
+                  "0c93f38da4f630efc1cbba48821ca5af57ba03e5eff585477546d16fd0c8eccd"),
+    (TRIPLE_EFFECTS, 3): (288, "0d41dd99bedbcf7ab40f2b3f41b262b4f1f61be91268f013647fbbd9528a9ef4",
+                          "41b6453656656cb4cf718816a308e71f616d559958b5900ce25bfff2f04001f8"),
+    (TRIPLE_HERMITIAN, 3): (389, "c3340f40e85bd35d880a3b717e3040ed208e22461a96c8720114f4730259134b",
+                            "6e1e7ba0dceb78edd2d32943b2a11656f28f2ea8c19f8360066cce7174024312"),
+    (AFFINE, 6): (325, "5fdc17eadbe225523e47e5e7c91ce0f876a847fadf8d42fac0737b30a85cb13f",
+                  "48d3ae76d3e3df4744f64f25ec0765d6498cf58c59281dc0ecc9af050231e3ca"),
+    (TRIPLE_EFFECTS, 6): (294, "7239bc641e0b0518ba77f39e1b46a1e19c74f26346f2b5804d52cd8f4a8d9188",
+                          "f6b7b8af8f87fb047e72fc0eb37820c685a047f5ea24460e1b76e5cc95905314"),
+    (TRIPLE_HERMITIAN, 6): (395, "5a4d1bf656692a851c653dc688d0b7d1bdf0efbe3e1f1180ca4e49601ead589a",
+                            "f094b325dfb3681b0b69001ca8a75a062bd3d1bb79f73286c8663b66a4419e22"),
 }
 ROUTE_FLAGS = {AFFINE: {"complement": True}, TRIPLE_EFFECTS: {}, TRIPLE_HERMITIAN: {"sign": -1}}
 
 
 @pytest.mark.parametrize("family, dim", sorted(STACKED_INPUT_SEQUENCES))
-def test_stacked_checks_keep_the_input_sequence(family, dim):
+def test_stacked_checks_keep_the_input_sequence(family, dim, oracle_queries):
     d = random_symmetry(dim, 7, family=family, **ROUTE_FLAGS[family])
-    phi, log = recorded(lambda m: apply_symmetry(d, m), dim)
-    assert ROUTES[family](phi, seed=11).canonical
-    assert (len(log), hashlib.sha256(b"".join(log)).hexdigest()) == STACKED_INPUT_SEQUENCES[family, dim]
+    assert ROUTES[family](oracle(dim, lambda m: apply_symmetry(d, m)), seed=11).canonical
+    assert oracle_queries.digest() == STACKED_INPUT_SEQUENCES[family, dim]
 
 
 FIRST_BASIS_PROJECTION = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -727,16 +738,15 @@ FIRST_BASIS_PROJECTION = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 @pytest.mark.parametrize("family", sorted(ROUTES))
 @pytest.mark.parametrize("k", [1, 37, 100, "rebuild"])
-def test_wrong_shape_at_the_kth_verify_query_stops_there(family, k):
+def test_wrong_shape_at_the_kth_verify_query_stops_there(family, k, oracle_queries):
     d = random_symmetry(4, 7, family=family, **ROUTE_FLAGS[family])
-    phi, log = recorded(lambda m: apply_symmetry(d, m), 4)
-    assert ROUTES[family](phi, seed=11).canonical
+    assert ROUTES[family](oracle(4, lambda m: apply_symmetry(d, m)), seed=11).canonical
     if k == "rebuild":
         # The rebuild's first query; with the complement or sign -1 flag set
         # it reaches the oracle through the derived (complement, negated) map.
-        bad_at = log.index(FIRST_BASIS_PROJECTION.tobytes()) + 1
+        bad_at = oracle_queries.inputs().index(FIRST_BASIS_PROJECTION.tobytes()) + 1
     else:
-        bad_at = len(log) - 100 + k  # the k-th query of the final verify stage (100 trials)
+        bad_at = len(oracle_queries) - 100 + k  # the k-th query of the final verify stage (100 trials)
     queries = []
 
     def evaluate(m):
@@ -760,18 +770,19 @@ def test_wrong_shape_at_the_kth_verify_query_stops_there(family, k):
     assert len(queries) == k and np.array_equal(err.value.query, queries[-1])
 
 
-def test_queries_to_first_probe_rejection():
+def test_queries_to_first_probe_rejection(oracle_queries):
     eye = np.eye(4, dtype=complex)
     for seed in range(3):
-        phi, log = recorded(perturbed_conjugation_oracle(4, seed).evaluator, 4)
+        phi = perturbed_conjugation_oracle(4, seed)
+        oracle_queries.clear()
         assert not recover_affine(phi, seed=seed).canonical
-        assert len(log) == 3  # φ(λA + (1 − λ)B), φ(A), φ(B)
-        log.clear()
+        assert len(oracle_queries) == 3  # φ(λA + (1 − λ)B), φ(A), φ(B)
+        oracle_queries.clear()
         assert not recover_triple(phi, seed=seed).canonical
-        assert len(log) == 3  # φ(ABA), φ(A), φ(B)
-    comp, log = recorded(lambda m: eye - m, 4)
-    report = recover_triple(comp, seed=3)
-    assert report.reason.startswith("triple identity violated") and len(log) == 3
+        assert len(oracle_queries) == 3  # φ(ABA), φ(A), φ(B)
+    oracle_queries.clear()
+    report = recover_triple(oracle(4, lambda m: eye - m), seed=3)
+    assert report.reason.startswith("triple identity violated") and len(oracle_queries) == 3
 
 
 @pytest.mark.parametrize("stage, route", [("affinity", recover_affine), ("identity", recover_triple)])

@@ -34,6 +34,19 @@ def test_verify_suite_detail_keys_are_pinned():
     assert all(r.passed and not r.skipped for r in results)
 
 
+# Query count and sha256 of the concatenated inputs and of the concatenated
+# answers of every oracle query of run_verify_suites(3, 1, trials=10),
+# pinned from the evaluation written as ``sign * (U @ M @ U*)``: the battery
+# asks the same queries in the same order and gets the same bits back.
+VERIFY_QUERY_SEQUENCE = (2870, "5d7b0b72741d3f53d6f861351b8c3fd2caf352bdea35b3197049f9a4e31a3488",
+                         "bf78a81577bb5aef800109e2a9c19a9c6d87ca29401eea132d8a731f1f861762")
+
+
+def test_verify_battery_query_sequence_is_pinned(oracle_queries):
+    assert all(r.passed for r in suites.run_verify_suites(3, 1, trials=10))
+    assert oracle_queries.digest() == VERIFY_QUERY_SEQUENCE
+
+
 @pytest.mark.parametrize("bad, match", [
     ({"dim": 1}, "verify needs dim >= 2"),
     ({"trials": 0}, "trials must be at least 1"),

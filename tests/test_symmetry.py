@@ -276,15 +276,18 @@ def test_apply_symmetry_matches_the_plain_formula_on_any_bounded_matrix(m, flags
 
 
 def test_a_plus_one_sign_is_still_multiplied():
-    """Skipping the multiply when the sign is +1 would not be bit-identical:
-    ``1 * x`` turns a -0.0 real part into +0.0 where the imaginary part is
-    negative, and keeps it where the imaginary part is positive."""
-    x = np.array([complex(-0.0, -1.0), complex(-0.0, 1.0)])
-    assert np.signbit((1 * x).real).tolist() == [False, True]
-    assert np.signbit(x.real).tolist() == [True, True]
-    y = x.copy()
-    y *= 1  # the in-place form gives the same bits
-    assert y.tobytes() == (1 * x).tobytes()
+    """``1 * x`` is a complex product, so an answer that overflows comes
+    out with NaN where ``0 * inf`` meets it; skipping the multiply when
+    the sign is +1 would leave those entries as they were."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    d = SymmetryDescriptor(UNITARY, h)
+    m = np.full((2, 2), 1e308)  # finite, but H M H* overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, expected, unsigned = apply_symmetry(d, m), reference_apply(d, m), h @ m @ h.conj().T
+    assert not np.isfinite(got[0, 0])
+    # compared part by part: np.isnan of a complex entry looks at both parts at once
+    assert np.array_equal(got.view(float), expected.view(float), equal_nan=True)
+    assert not np.array_equal(unsigned.view(float), expected.view(float), equal_nan=True)
 
 
 def _pointwise_equal(d1, d2, dim, seeds, atol=1e-10):
