@@ -30,8 +30,13 @@ turn, one input at a time, in the order a per-matrix loop would ask.
 one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
 extend all their samples as one stack, since they query every sample
 whatever the answers.  Reported norms are taken per matrix and folded
-with ``max``, so results are bit for bit those of the per-matrix loop.
+with a max, so results are bit for bit those of the per-matrix loop.
 :func:`is_affine` stops at its first violation and stays per trial.
+
+The extension checks fail closed on NaN: their comparisons are written
+``not (x <= bound)`` and their folds are :func:`nan_max`, so an oracle
+whose phi(0) or whose answers are NaN is refused or gets a NaN defect,
+never a clean one.
 
 Sample counts and tolerances are module constants: :func:`is_affine`
 probes ``AFFINE_PROBE_TRIALS = 64`` convex triples against
@@ -42,12 +47,13 @@ requires ``||phi(0)||_F <= DEFAULT_TOL = 1e-9``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, hermitize, operator_norm
+from .linalg import DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, hermitize, nan_max, operator_norm
 from .rng import Stream, _box_muller, _unit_floats
 from .sampling import _doubling_effect_pairs, random_effects
 from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
@@ -140,7 +146,7 @@ def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:
 
 def _require_fixes_zero(phi: EffectMapOracle) -> None:
     z = frobenius_norm(phi(np.zeros((phi.dim, phi.dim))))
-    if z > DEFAULT_TOL:
+    if not z <= DEFAULT_TOL:
         raise ValueError(f"oracle does not fix 0 (||phi(0)|| = {z:.3e})")
 
 
@@ -193,7 +199,7 @@ def linearity_defect(phi: EffectMapOracle, stream: Stream, probes: int) -> float
     ext = _extend(phi, mats.reshape(-1, dim, dim)).reshape(mats.shape)
     defects = [frobenius_norm(lhs - (a * em + b * en)) / (frobenius_norm(m) + frobenius_norm(n))
                for (_, m, n), (lhs, em, en), (a, b) in zip(mats, ext, coefs)]
-    return max([0.0, *defects])
+    return nan_max(0.0, *defects)
 
 
 def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:
@@ -202,12 +208,15 @@ def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:
     Recentered means psi(A) = phi(A) - phi(0).  For any oracle that maps
     effects into effects the returned value cannot exceed 2 (triangle
     inequality through phi(0)), which makes this a cheap sanity screen
-    for range violations.
+    for range violations.  An extension with a non-finite entry has no
+    spectral norm; the result is then NaN, which fails every bound.
     """
     zero_img = phi(np.zeros((phi.dim, phi.dim)))
     psi = phi.then(lambda x: x - zero_img)  # psi(0) is exactly 0
     ext = _extend(psi, random_effects(phi.dim, Stream(seed).u64_block(BOUNDEDNESS_TRIALS)))
-    return max([0.0, *np.linalg.norm(ext, 2, axis=(-2, -1)).tolist()])
+    if np.count_nonzero(np.isfinite(ext)) != ext.size:
+        return math.nan
+    return nan_max(0.0, *np.linalg.norm(ext, 2, axis=(-2, -1)).tolist())
 
 
 def unit_ball_decomposition(m) -> tuple[np.ndarray, ...]:

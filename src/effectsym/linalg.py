@@ -46,6 +46,13 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def nan_max(*values: float) -> float:
+    """Largest of ``values``, or NaN if any of them is NaN.  Python's
+    ``max`` passes over a NaN that is not first, so a NaN defect folded
+    with it would read as clean."""
+    return float(np.max(values))
+
+
 def operator_norm(a: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
     return float(np.linalg.norm(a, 2))

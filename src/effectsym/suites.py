@@ -40,7 +40,7 @@ import numpy as np
 
 from .effects import jordan_triple, leq, rank_one_projection
 from .extension import EffectMapOracle, boundedness_check, linearity_defect, unit_ball_decomposition
-from .linalg import adjoint, frobenius_norm
+from .linalg import adjoint, frobenius_norm, nan_max
 from .recover import (
     ACCEPT_TOL,
     MIN_DIM,
@@ -293,14 +293,14 @@ def extension_suite(dim: int, seed: int, oracles: int, probes: int = 200) -> Sui
     for k in range(max(1, oracles)):
         d = random_symmetry(dim, s.next_u64(), family=AFFINE, kind=_kind(k), complement=False)
         lin = linearity_defect(EffectMapOracle.from_descriptor(d), s.spawn(), probes)
-        max_lin = max(max_lin, lin)
-        if lin > LINEARITY_TOL:
+        max_lin = nan_max(max_lin, lin)
+        if not lin <= LINEARITY_TOL:
             failures.append(f"oracle {k}: linearity deviation {lin:.3e}")
 
         d_any = random_symmetry(dim, s.next_u64(), family=AFFINE)
         bound = boundedness_check(EffectMapOracle.from_descriptor(d_any), seed=s.next_u64())
-        max_bound = max(max_bound, bound)
-        if bound > 2.0 + BOUND_SLACK:
+        max_bound = nan_max(max_bound, bound)
+        if not bound <= 2.0 + BOUND_SLACK:
             failures.append(f"oracle {k}: extension norm {bound:.6f} above 2")
 
         ball_stream = s.spawn()
@@ -308,7 +308,7 @@ def extension_suite(dim: int, seed: int, oracles: int, probes: int = 200) -> Sui
         g = g / max(np.linalg.norm(g, 2), 1.0)
         parts = unit_ball_decomposition(g)
         recomp = parts[0] - parts[1] + 1j * (parts[2] - parts[3])
-        if frobenius_norm(recomp - g) > 1e-12:
+        if not frobenius_norm(recomp - g) <= 1e-12:
             failures.append(f"oracle {k}: unit-ball recomposition error")
 
     return _result(

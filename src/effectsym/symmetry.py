@@ -41,7 +41,9 @@ pair's two terms; decode reads the coordinates (and one appended exact
 zero for the diagonal's imaginary parts) straight into the float view
 of the output.  Written so, with an exact zero always +0.0, they agree
 bit for bit with the trace against :func:`hermitian_basis` on every
-finite input.
+finite input.  Only these two tables write the basis order:
+:func:`hermitian_basis` is the decoded identity, and :func:`to_affine_rep`
+encodes the basis images with one gather per block of dim of them.
 """
 
 from __future__ import annotations
@@ -77,21 +79,10 @@ def hermitian_basis(dim: int) -> np.ndarray:
     antisymmetric element (i E_kl - i E_lk)/sqrt(2).  Shape
     ``(dim**2, dim, dim)``; each call returns a fresh array.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    mats = np.zeros((dim * dim, dim, dim), dtype=complex)
-    for k in range(dim):
-        mats[k, k, k] = 1.0
-    idx = dim
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            mats[idx, k, l] = _INV_SQRT2
-            mats[idx, l, k] = _INV_SQRT2
-            idx += 1
-            mats[idx, k, l] = 1j * _INV_SQRT2
-            mats[idx, l, k] = -1j * _INV_SQRT2
-            idx += 1
-    return mats
+    index, factor = _decode_gather(dim)
+    out = np.eye(dim * dim, dim * dim + 1).take(index, axis=1) * factor
+    out += 0.0  # as in _decode
+    return out.view(complex).reshape(dim * dim, dim, dim)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -163,14 +154,27 @@ def _decode(c: np.ndarray, dim: int) -> np.ndarray:
     return out.view(complex).reshape(dim, dim)
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array.  Refuses what a float cast would mangle
+    (complex parts, bools, non-numbers) and non-finite entries."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
+    a = a.astype(float, order="C")  # a fresh array, in the layout a query reads
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(f"{what} has non-finite entries")
+    return a
+
+
 def encode_hermitian(a) -> np.ndarray:
     """Real coordinates c_k = tr(B_k A) of a Hermitian matrix."""
     return _encode(as_square_array(a))
 
 
 def decode_hermitian(coords, dim: int) -> np.ndarray:
-    """Inverse of :func:`encode_hermitian`."""
-    c = np.asarray(coords, dtype=float)
+    """Inverse of :func:`encode_hermitian`; the coordinates must be finite
+    real numbers."""
+    c = _real_array(coords, "coordinates")
     if c.shape != (dim * dim,):
         raise ValueError(f"expected {dim * dim} coordinates, got shape {c.shape}")
     return _decode(c, dim)
@@ -294,14 +298,11 @@ class AffineMapRep:
     def __post_init__(self):
         c = as_square_array(self.constant)
         n = c.shape[0]
-        lin = np.asarray(self.linear, dtype=float)
+        lin = _real_array(self.linear, "linear part")
         if lin.shape != (n * n, n * n):
             raise ValueError(
                 f"linear part has shape {lin.shape}, expected {(n * n, n * n)}"
             )
-        if not np.all(np.isfinite(lin)):
-            raise ValueError("linear part has non-finite entries")
-        lin = lin.copy()
         lin.setflags(write=False)
         c = c.copy()
         c.setflags(write=False)
@@ -324,10 +325,18 @@ def _apply_affine_rep(rep: AffineMapRep, m: np.ndarray) -> np.ndarray:
 
 
 def to_affine_rep(d: SymmetryDescriptor) -> AffineMapRep:
-    """Flatten a descriptor to coordinates by evaluating it on the basis."""
+    """Flatten a descriptor to coordinates: evaluate it on the basis stack,
+    dim elements at a time, and encode each image as :func:`_encode` does."""
     const = hermitize(apply_symmetry(d, np.zeros((d.dim, d.dim))))
-    cols = [encode_hermitian(apply_symmetry(d, b) - const) for b in hermitian_basis(d.dim)]
-    return AffineMapRep(linear=np.column_stack(cols), constant=const)
+    n = d.dim
+    basis, linear = hermitian_basis(n), np.empty((n * n, n * n))
+    index, factor = _encode_gather(n)
+    for k in range(0, n * n, n):  # temporaries of n**3 entries, not n**4, stay in cache
+        images = _apply_symmetry(d, basis[k:k + n]) - const
+        terms = images.reshape(n, -1).view(float).T[index] * factor[:, None]  # column j: image k + j
+        terms[n:n * n] += terms[n * n:]
+        np.add(terms[:n * n], 0.0, out=linear[:, k:k + n])  # + 0.0 as in _encode
+    return AffineMapRep(linear=linear, constant=const)
 
 
 def random_symmetry(

@@ -1,9 +1,12 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from effectsym.extension import EffectMapOracle
+from effectsym.linalg import hermitize
+from effectsym.symmetry import AffineMapRep, apply_symmetry, encode_hermitian
 
 
 class QueryLog(list):
@@ -33,3 +36,38 @@ def oracle_queries(monkeypatch):
 
     monkeypatch.setattr(EffectMapOracle, "__call__", logged)
     return log
+
+
+def _loop_hermitian_basis(dim):
+    """The basis written as a double loop over the pairs k < l."""
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    mats = np.zeros((dim * dim, dim, dim), dtype=complex)
+    for k in range(dim):
+        mats[k, k, k] = 1.0
+    idx = dim
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            mats[idx, k, l] = inv_sqrt2
+            mats[idx, l, k] = inv_sqrt2
+            idx += 1
+            mats[idx, k, l] = 1j * inv_sqrt2
+            mats[idx, l, k] = -1j * inv_sqrt2
+            idx += 1
+    return mats
+
+
+def _per_basis_affine_rep(d):
+    """The affine form one basis matrix at a time: a validated evaluation
+    and an encoding per element of the double-loop basis, then the columns
+    stacked."""
+    const = hermitize(apply_symmetry(d, np.zeros((d.dim, d.dim))))
+    cols = [encode_hermitian(apply_symmetry(d, b) - const) for b in _loop_hermitian_basis(d.dim)]
+    return AffineMapRep(linear=np.column_stack(cols), constant=const)
+
+
+@pytest.fixture
+def per_basis():
+    """Loop forms of ``hermitian_basis`` (``.basis``) and ``to_affine_rep``
+    (``.affine_rep``): the references the gather-built basis and the
+    stacked flattening are pinned to, bit for bit."""
+    return SimpleNamespace(basis=_loop_hermitian_basis, affine_rep=_per_basis_affine_rep)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from effectsym.cli import main
-from effectsym.serialize import descriptor_from_obj, load_json
+from effectsym.serialize import affine_rep_to_obj, descriptor_from_obj, descriptor_to_obj, dump_json, load_json
+from effectsym.symmetry import random_symmetry
 
 
 def run(args):
@@ -28,6 +29,25 @@ def test_synth_deterministic(tmp_path):
     assert run(["synth", "--dim", 4, "--seed", 5, "--output", a]) == 0
     assert run(["synth", "--dim", 4, "--seed", 5, "--output", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("dim", [3, 16])
+@pytest.mark.parametrize("family, kind, flags", [
+    ("affine", "unitary", ["--complement"]),
+    ("affine", "antiunitary", []),
+    ("triple_effects", "unitary", []),
+    ("triple_hermitian", "antiunitary", ["--sign", -1]),
+])
+def test_synth_files_match_the_per_basis_reference(tmp_path, per_basis, dim, family, kind, flags):
+    out = tmp_path / "m.json"
+    assert run(["synth", "--dim", dim, "--seed", 9, "--family", family, "--kind", kind,
+                *flags, "--output", out]) == 0
+    d = random_symmetry(dim, 9, family=family, kind=kind, complement="--complement" in flags,
+                        sign=-1 if "--sign" in flags else 1)
+    dump_json(descriptor_to_obj(d), str(tmp_path / "ref.json"))
+    dump_json(affine_rep_to_obj(per_basis.affine_rep(d)), str(tmp_path / "ref.affine.json"))
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert (tmp_path / "m.affine.json").read_bytes() == (tmp_path / "ref.affine.json").read_bytes()
 
 
 def test_synth_complemented(tmp_path):

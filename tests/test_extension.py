@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,55 @@ def test_extend_linear_unitary_conjugation():
 def test_extend_linear_requires_zero_fixed():
     with pytest.raises(ValueError, match="oracle does not fix 0"):
         extend_linear(complement_oracle(2), np.eye(2))
+
+
+def nan_oracle(dim, when):
+    """A canonical map that answers NaN wherever ``when(A)`` holds."""
+    d = random_symmetry(dim, 3, family=AFFINE, complement=False)
+
+    def evaluate(m):
+        out = apply_symmetry(d, m)
+        return np.full_like(out, np.nan) if when(m) else out
+
+    return EffectMapOracle(dim, evaluate)
+
+
+NAN_WHERE = {
+    "at 0": lambda m: not np.any(m),
+    "away from 0": lambda m: np.any(m),
+    "tr A > 1.5": lambda m: np.trace(m).real > 1.5,
+}
+
+
+@pytest.mark.parametrize("where", NAN_WHERE)
+def test_extension_checks_fail_closed_on_nan(where):
+    """A comparison ``x > bound`` and a ``max`` fold both pass over NaN:
+    such checks accepted a NaN phi(0), read a NaN defect as 0 or 7.7e-16,
+    and the norm bound raised numpy's LinAlgError from its SVD."""
+    phi = nan_oracle(3, NAN_WHERE[where])
+    if where == "at 0":
+        with pytest.raises(ValueError, match=r"oracle does not fix 0 \(\|\|phi\(0\)\|\| = nan\)"):
+            extend_linear(phi, np.eye(3))
+        with pytest.raises(ValueError, match="oracle does not fix 0"):
+            linearity_defect(phi, Stream(1), 20)
+    else:
+        assert math.isnan(linearity_defect(phi, Stream(1), 20))
+    assert math.isnan(boundedness_check(phi, seed=1))
+
+
+@pytest.mark.parametrize("check", ["linearity_defect", "boundedness_check", "unit_ball_decomposition"])
+def test_extension_suite_fails_closed_on_nan(monkeypatch, check):
+    from effectsym import suites
+
+    nan = {"linearity_defect": lambda *a: math.nan, "boundedness_check": lambda *a, **k: math.nan,
+           "unit_ball_decomposition": lambda m: (np.full_like(m, np.nan),) * 4}[check]
+    monkeypatch.setattr(suites, check, nan)
+    result = suites.extension_suite(3, 5, oracles=2, probes=10)
+    assert not result.passed
+    assert len(result.details["failures"]) == 2
+    if check != "unit_ball_decomposition":
+        key = "max_linearity_deviation" if check == "linearity_defect" else "max_extension_norm"
+        assert math.isnan(result.details[key])
 
 
 def test_oracle_rejects_wrong_shape_output():

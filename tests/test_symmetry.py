@@ -67,10 +67,11 @@ def hand_built_basis(dim):
     return np.array(out)
 
 
-@pytest.mark.parametrize("dim", range(1, 9))
-def test_basis_matches_the_hand_built_one_bit_for_bit(dim):
+@pytest.mark.parametrize("dim", [*range(1, 9), 16])
+def test_basis_matches_the_hand_built_one_bit_for_bit(dim, per_basis):
     basis = hermitian_basis(dim)
     assert basis.tobytes() == hand_built_basis(dim).tobytes()
+    assert basis.tobytes() == per_basis.basis(dim).tobytes()
     basis[0, 0, 0] = 5.0  # each call returns its own array
     assert hermitian_basis(dim)[0, 0, 0] == 1.0
 
@@ -118,12 +119,29 @@ def test_closed_form_coordinates_match_basis_stack_bitwise(dim):
     assert decode_hermitian(zeros, dim).tobytes() == reference_decode(zeros, dim).tobytes()
 
 
+EVERY_FLAG = [(AFFINE, {"complement": False}), (AFFINE, {"complement": True}), (TRIPLE_EFFECTS, {}),
+              (TRIPLE_HERMITIAN, {"sign": 1}), (TRIPLE_HERMITIAN, {"sign": -1})]
+
+
 @pytest.mark.parametrize("dim", BITWISE_DIMS)
-def test_to_affine_rep_matches_basis_stack_columns_bitwise(dim):
+def test_to_affine_rep_matches_basis_stack_columns_bitwise(dim, per_basis):
     d = random_symmetry(dim, 40 + dim, family=AFFINE)
     const = hermitize(apply_symmetry(d, np.zeros((dim, dim))))
     cols = [reference_encode(apply_symmetry(d, b) - const) for b in hermitian_basis(dim)]
     assert to_affine_rep(d).linear.tobytes() == np.column_stack(cols).tobytes()
+    # the stacked pass against the per-basis loop, for every family, kind and flag
+    for family, flags in EVERY_FLAG:
+        for kind in (UNITARY, ANTIUNITARY):
+            d = random_symmetry(dim, 50 + dim, family=family, kind=kind, **flags)
+            rep, ref = to_affine_rep(d), per_basis.affine_rep(d)
+            assert rep.linear.tobytes() == ref.linear.tobytes(), (family, kind, flags)
+            assert rep.constant.tobytes() == ref.constant.tobytes(), (family, kind, flags)
+    # exact zeros: images with signed zeros, which the encoding turns into +0.0
+    for u in (np.diag((-1.0) ** np.arange(dim)), -np.eye(dim)):
+        for kind in (UNITARY, ANTIUNITARY):
+            for flags in ({}, {"complement": True}, {"sign": -1}):
+                d = SymmetryDescriptor(kind, u, **flags)
+                assert to_affine_rep(d).linear.tobytes() == per_basis.affine_rep(d).linear.tobytes(), (kind, flags)
 
 
 finite_matrices = st.integers(1, 6).flatmap(
@@ -410,6 +428,29 @@ def test_affine_rep_validation():
         AffineMapRep(linear=np.eye(3), constant=np.eye(2))
     with pytest.raises(ValueError):
         AffineMapRep(linear=np.full((4, 4), np.nan), constant=np.eye(2))
+
+
+MANGLED_BY_A_FLOAT_CAST = {
+    "complex": (np.eye(4) + 1e-3j, "must be real numbers, got dtype complex128"),
+    "bool": (np.eye(4, dtype=bool), "must be real numbers, got dtype bool"),
+    "object": (np.array([[None] * 4] * 4), "must be real numbers, got dtype object"),
+    "nan": (np.full((4, 4), np.nan), "has non-finite entries"),
+    "inf": (np.diag([1.0, np.inf, 0.0, 0.0]), "has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", MANGLED_BY_A_FLOAT_CAST)
+def test_coordinate_inputs_refuse_what_a_float_cast_would_mangle(case):
+    """A complex linear part or coordinate vector would lose its imaginary
+    part (with only a ComplexWarning), a bool one would read as 0 and 1."""
+    bad, message = MANGLED_BY_A_FLOAT_CAST[case]
+    with pytest.raises(ValueError, match=f"^linear part {message}$"):
+        AffineMapRep(linear=bad, constant=np.eye(2))
+    with pytest.raises(ValueError, match=f"^coordinates {message}$"):
+        decode_hermitian(bad.ravel(), 4)
+    # integer input is still accepted
+    assert AffineMapRep(linear=np.eye(4, dtype=int), constant=np.eye(2)).linear.dtype == np.float64
+    assert decode_hermitian(np.arange(4), 2).tobytes() == decode_hermitian(np.arange(4.0), 2).tobytes()
 
 
 def test_affine_identity_invariant():
