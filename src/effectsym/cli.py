@@ -89,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_echo(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    return {key: getattr(args, key, None) for key in keys}
-
-
 def _affine_output_path(path: str) -> str:
     if path.endswith(".json"):
         return path[: -len(".json")] + ".affine.json"
@@ -104,6 +100,12 @@ def _write(obj, path: str | None) -> None:
         dump_json(obj, path)
     except OSError as err:
         raise CliError(f"cannot write output: {err}", EXIT_IO) from err
+
+
+def _write_report(args: argparse.Namespace, keys: tuple[str, ...], elapsed: float, **body) -> None:
+    """Write a report: the echo of the flags in ``keys``, ``body``, the wall time, the version."""
+    config = {key: getattr(args, key, None) for key in keys}
+    _write({"config": config, **body, "wall_time_s": elapsed, "version": __version__}, args.output)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -145,14 +147,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise CliError(str(err), EXIT_BAD_INPUT) from err
     elapsed = time.perf_counter() - start
-    out = {
-        "config": _config_echo(args, ("family", "input", "output", "dim", "seed", "tol", "trials")),
-        "input_form": form,
-        "report": report_to_obj(report),
-        "wall_time_s": elapsed,
-        "version": __version__,
-    }
-    _write(out, args.output)
+    _write_report(args, ("family", "input", "output", "dim", "seed", "tol", "trials"), elapsed,
+                  input_form=form, report=report_to_obj(report))
     return EXIT_OK if report.canonical else EXIT_REJECTED
 
 
@@ -164,17 +160,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(str(err), EXIT_BAD_INPUT) from err
     elapsed = time.perf_counter() - start
     all_passed = all(r.passed for r in results)
-    out = {
-        "config": _config_echo(args, ("dim", "seed", "trials", "tol", "output")),
-        "suites": [
-            {"name": r.name, "passed": r.passed, "skipped": r.skipped, "details": r.details}
-            for r in results
-        ],
-        "all_passed": all_passed,
-        "wall_time_s": elapsed,
-        "version": __version__,
-    }
-    _write(out, args.output)
+    suites = [{"name": r.name, "passed": r.passed, "skipped": r.skipped, "details": r.details} for r in results]
+    _write_report(args, ("dim", "seed", "trials", "tol", "output"), elapsed, suites=suites, all_passed=all_passed)
     for r in results:
         status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
         print(f"{status} {r.name}", file=sys.stderr)

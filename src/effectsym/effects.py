@@ -16,12 +16,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    adjoint,
     as_square_array,
     eig_hermitian,
     eigenvalues_hermitian,
-    hermitize,
-    matching_dims,
+    from_spectrum,
+    psd_parts,
+    require_hermitian,
 )
 
 
@@ -42,14 +42,14 @@ def as_effect(a) -> np.ndarray:
         raise ValueError(
             f"matrix is not an effect: eigenvalues span [{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    clamped = np.clip(w, 0.0, 1.0)
-    return hermitize((v * clamped) @ adjoint(v))
+    return from_spectrum(v, np.clip(w, 0.0, 1.0))
 
 
 def jordan_triple(a, b) -> np.ndarray:
     """Triple product ABA; maps a pair of effects back into [0, I]."""
-    matching_dims(a, b)
-    return np.asarray(a) @ np.asarray(b) @ np.asarray(a)
+    ma = as_square_array(a)
+    mb = as_square_array(b, len(ma))
+    return ma @ mb @ ma
 
 
 def orthocomplement(a) -> np.ndarray:
@@ -64,8 +64,8 @@ def partial_add(a, b) -> np.ndarray:
     Raises :class:`NotSummableError` when the top eigenvalue of A + B
     exceeds ``1 + DEFAULT_TOL``.
     """
-    matching_dims(a, b)
-    s = np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
+    ma = as_square_array(a)
+    s = ma + as_square_array(b, len(ma))
     top = eigenvalues_hermitian(s)[-1]
     if top > 1.0 + DEFAULT_TOL:
         raise NotSummableError(f"A + B has top eigenvalue {top:.6f} > 1")
@@ -74,8 +74,8 @@ def partial_add(a, b) -> np.ndarray:
 
 def leq(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Order predicate A <= B: min eigenvalue of B - A is >= -tol."""
-    matching_dims(a, b)
-    diff = np.asarray(b, dtype=complex) - np.asarray(a, dtype=complex)
+    ma = as_square_array(a)
+    diff = as_square_array(b, len(ma)) - ma
     return bool(eigenvalues_hermitian(diff)[0] >= -tol)
 
 
@@ -91,10 +91,7 @@ def is_extreme(a) -> bool:
 def positive_negative_parts(a) -> tuple[np.ndarray, np.ndarray]:
     """Split a Hermitian matrix as A = A_pos - A_neg with both parts psd
     and A_pos A_neg = 0."""
-    w, v = eig_hermitian(a)
-    pos = hermitize((v * np.clip(w, 0.0, None)) @ adjoint(v))
-    neg = hermitize((v * np.clip(-w, 0.0, None)) @ adjoint(v))
-    return pos, neg
+    return psd_parts(require_hermitian(a))
 
 
 def rank_one_projection(x) -> np.ndarray:

@@ -21,11 +21,12 @@ guarantee.  Linearity of the result is a property checked on samples
 by :func:`linearity_defect`, not an assumption.
 
 The extension runs on stacks: per chunk of ``EXTEND_CHUNK = 24``
-matrices, one ``eigh`` gives the parts, one stacked spectral norm their
-scales and one division the rescaled parts (numpy divides a complex
-entry by a real norm entry by entry, so the bits are those of one part
-at a time), and the oracle is then asked for A1..A4 of each matrix in
-turn, one input at a time, in the order a per-matrix loop would ask.
+matrices, one ``linalg.psd_parts`` gives the parts, one stacked
+spectral norm their scales and one division the rescaled parts (numpy
+divides a complex entry by a real norm entry by entry, so the bits are
+those of one part at a time), and the oracle is then asked for A1..A4 of
+each matrix in turn, one input at a time, in the order a per-matrix loop
+would ask.
 :func:`extend_linear` and :func:`unit_ball_decomposition` are the
 one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
 extend all their samples as one stack, since they query every sample
@@ -53,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, hermitize, nan_max, operator_norm
+from .linalg import DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, hermitize, nan_max, operator_norm, psd_parts
 from .rng import Stream, _box_muller, _unit_floats
 from .sampling import _doubling_effect_pairs, random_effects
 from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
@@ -153,12 +154,7 @@ def _require_fixes_zero(phi: EffectMapOracle) -> None:
 def _psd_parts(mats: np.ndarray) -> np.ndarray:
     """Stack of (A1, A2, A3, A4), all psd, with mats[k] = A1 - A2 + i(A3 - A4):
     the positive and negative parts of Re M and Im M, from one ``eigh``."""
-    re_im = np.stack((hermitize(mats), 0.5j * (adjoint(mats) - mats)), axis=1)
-    # Hermitian by construction; symmetrized again, as eig_hermitian does, so
-    # the parts equal those of effects.positive_negative_parts bit for bit.
-    w, v = np.linalg.eigh(hermitize(re_im))
-    vh = adjoint(v)
-    pos, neg = (hermitize((v * np.clip(x, 0.0, None)[..., None, :]) @ vh) for x in (w, -w))
+    pos, neg = psd_parts(np.stack((hermitize(mats), 0.5j * (adjoint(mats) - mats)), axis=1))
     return np.stack((pos, neg), axis=2).reshape(len(mats), 4, *mats.shape[1:])
 
 

@@ -7,6 +7,11 @@ on the symmetrized input.  Hermiticity is checked against
 that takes a matrix of known dimension checks its size in
 :func:`as_square_array`.
 
+The positive/negative split :func:`psd_parts` and the reassembly
+V diag(w) V* :func:`from_spectrum` are written only here; ``eigh`` and
+``@`` treat each matrix of a stack as one matrix, so a stacked split
+keeps the bits of a one-matrix split.
+
 Stages take an adjoint per sample, so :func:`adjoint` uses the array's
 own ``swapaxes`` and ``conj`` methods rather than numpy's function
 wrappers; the view and its bits are those of ``np.conj(np.swapaxes(...))``.
@@ -72,13 +77,6 @@ def require_hermitian(a) -> np.ndarray:
     return m
 
 
-def matching_dims(a: np.ndarray, b: np.ndarray) -> int:
-    ma, mb = as_square_array(a), as_square_array(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
-    return ma.shape[0]
-
-
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and matching orthonormal eigenvector
     columns of a Hermitian matrix, as ``numpy.linalg.eigh`` returns them.
@@ -92,3 +90,15 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 def eigenvalues_hermitian(a) -> np.ndarray:
     """Ascending eigenvalues only."""
     return np.linalg.eigvalsh(hermitize(require_hermitian(a)))
+
+
+def from_spectrum(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V*, Hermitian (of each, for a stack)."""
+    return hermitize((v * w[..., None, :]) @ adjoint(v))
+
+
+def psd_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parts P, N >= 0 with H = P - N and PN = 0 of an unvalidated Hermitian
+    H (of each, for a stack), from one ``eigh`` of its symmetrized form."""
+    w, v = np.linalg.eigh(hermitize(h))
+    return from_spectrum(v, np.clip(w, 0.0, None)), from_spectrum(v, np.clip(-w, 0.0, None))

@@ -33,9 +33,9 @@ Derived values:
 * ``integer(n)``: ``out % n``.  The modulo bias is below n / 2**64,
   irrelevant at the sample sizes used here.
 
-Batched form: :func:`u64_grid` draws a window of counters for many seeds at
-once; row i is bit for bit what ``Stream(seeds[i], counter)`` draws next
-(:meth:`Stream.u64_block` is one row); early-stopping stages draw 1, 2, 4, ... trials at a time.
+Batched form: :func:`u64_grid` draws outputs k + 1 .. k + n of many seeds;
+row i is bit for bit what ``Stream(seeds[i])`` draws after its first k (one
+row is :meth:`Stream.u64_block`); early-stopping stages draw 1, 2, 4, ... trials at a time.
 """
 
 from __future__ import annotations
@@ -87,21 +87,13 @@ def _box_muller(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Stream:
     """Counter-based SplitMix64 stream.
 
-    State is just (seed, counter); outputs are pure functions of both,
-    so a stream can be shared only by advancing it explicitly.
+    State: the seed and the count of outputs drawn; each output is a pure
+    function of both, so a stream is shared only by advancing it.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         self._seed = int(seed) & _MASK
-        self._counter = int(counter)
-
-    @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
-    def counter(self) -> int:
-        return self._counter
+        self._counter = 0
 
     def next_u64(self) -> int:
         self._counter += 1
@@ -134,6 +126,3 @@ class Stream:
         if n <= 0:
             raise ValueError("integer() needs a positive range")
         return self.next_u64() % n
-
-    def __repr__(self) -> str:
-        return f"Stream(seed={self._seed:#018x}, counter={self._counter})"

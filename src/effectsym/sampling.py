@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import adjoint, hermitize
+from .linalg import adjoint, from_spectrum, hermitize
 from .rng import Stream, _box_muller, _unit_floats, u64_grid
 
 
@@ -78,7 +78,7 @@ def random_effects(dim: int, seeds) -> np.ndarray:
         raise ValueError("dim must be at least 1")
     raw = u64_grid(seeds, dim + 1)
     u = haar_unitaries(dim, raw[:, 0])
-    return hermitize((u * _unit_floats(raw[:, 1:])[:, None, :]) @ adjoint(u))
+    return from_spectrum(u, _unit_floats(raw[:, 1:]))
 
 
 def random_effect(dim: int, seed: int) -> np.ndarray:

@@ -19,6 +19,12 @@ speed: at n = 16 it holds 65,536 doubles, and parsing them as JSON
 numbers took about a third of a ``recover`` call on the file.  A file
 that still writes ``linear`` as nested lists is refused; re-run
 ``effectsym synth`` to rewrite it.
+
+:func:`dump_json` writes every file, as strict JSON in which a NaN or
+infinity reads ``null`` (say, a ``max_residual`` before any verify); only
+a document that strict encoding refuses is read back to replace them.  It
+encodes the whole text before it opens the file, so a document that
+cannot be encoded leaves no file.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from __future__ import annotations
 import base64
 import contextlib
 import json
-import math
 import sys
 from itertools import chain
 from typing import Any
@@ -154,7 +159,7 @@ def report_to_obj(report: RecoveryReport) -> dict:
         "verdict": report.verdict,
         "family": report.family,
         "reason": report.reason,
-        "max_residual": None if math.isnan(report.max_residual) else report.max_residual,
+        "max_residual": report.max_residual,
     }
     if report.descriptor is not None:
         obj["descriptor"] = descriptor_to_obj(report.descriptor)
@@ -165,26 +170,16 @@ def report_to_obj(report: RecoveryReport) -> dict:
     return obj
 
 
-def json_default(value: Any):
-    """Coerce numpy scalars and arrays that leak into report payloads."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
 def dump_json(obj: Any, path: str | None) -> None:
-    """Write ``obj`` as strict JSON (NaN and inf refused) to ``path``, or
-    to stdout when ``path`` is None."""
-    target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
-    with target as fh:
-        json.dump(obj, fh, indent=2, ensure_ascii=False, allow_nan=False, default=json_default)
-        fh.write("\n")
+    """Write ``obj`` to ``path``, or to stdout when ``path`` is None, by the
+    module's one rule: strict JSON, a NaN or infinity as null, one write."""
+    try:
+        text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
+    except ValueError:  # a NaN or infinity: only then read the text back with each as None
+        obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+        text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def load_json(path: str) -> Any:

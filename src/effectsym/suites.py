@@ -99,9 +99,9 @@ def _skipped(name: str, family: str) -> SuiteResult:
 
 
 def _result(name: str, failures: list[str], dim: int, ok: bool = True, **details) -> SuiteResult:
-    """Passed iff nothing failed and ``ok``; details are ``dim``, the
-    suite's own, then the first five failures."""
-    return SuiteResult(name, passed=not failures and ok,
+    """Passed (a plain bool, as every value of a result is plain Python) iff nothing
+    failed and ``ok``; details are ``dim``, the suite's own, then the first five failures."""
+    return SuiteResult(name, passed=bool(not failures and ok),
                        details={"dim": dim, **details, "failures": failures[:5]})
 
 

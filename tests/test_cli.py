@@ -303,6 +303,16 @@ def test_verify_exits_one_on_failing_suite(tmp_path, monkeypatch):
     assert run(["verify", "--dim", 3, "--output", tmp_path / "v.json"]) == 1
 
 
+def test_verify_writes_a_nan_suite_detail_as_null(tmp_path, monkeypatch):
+    from effectsym import suites
+
+    monkeypatch.setattr(suites, "linearity_defect", lambda phi, stream, probes: float("nan"))
+    out = tmp_path / "v.json"
+    assert run(["verify", "--dim", 2, "--trials", 1, "--output", out]) == 1
+    (ext,) = [r for r in json.loads(out.read_text(encoding="utf-8"))["suites"] if r["name"] == "extension"]
+    assert ext["passed"] is False and ext["details"]["max_linearity_deviation"] is None
+
+
 def test_recover_io_failure(tmp_path):
     mapfile = tmp_path / "m.json"
     assert run(["synth", "--dim", 3, "--output", mapfile]) == 0

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+from effectsym.effects import as_effect, positive_negative_parts
+from effectsym.extension import _psd_parts
 from effectsym.linalg import (
     adjoint,
     as_square_array,
     eig_hermitian,
     eigenvalues_hermitian,
     frobenius_norm,
+    hermitize,
     operator_norm,
+    psd_parts,
     require_hermitian,
 )
-from effectsym.sampling import random_hermitian
+from effectsym.rng import Stream
+from effectsym.sampling import complex_gaussians, random_effects, random_hermitian, random_hermitians
 
 
 def eig2x2_by_hand(a):
@@ -127,3 +132,50 @@ def test_adjoint_is_the_swapped_conjugate_bit_for_bit(shape):
         assert got.tobytes(order="A") == expected.tobytes(order="A")
     with pytest.raises(ValueError):  # numpy's AxisError
         adjoint(np.ones(3))
+
+
+# The split as effects.positive_negative_parts and extension._psd_parts each
+# wrote it before both called linalg.psd_parts; the shared split must keep
+# their bits.
+
+
+def ref_positive_negative_parts(a):
+    w, v = np.linalg.eigh(hermitize(a))
+    pos = hermitize((v * np.clip(w, 0.0, None)) @ adjoint(v))
+    neg = hermitize((v * np.clip(-w, 0.0, None)) @ adjoint(v))
+    return pos, neg
+
+
+def ref_stacked_psd_parts(mats):
+    re_im = np.stack((hermitize(mats), 0.5j * (adjoint(mats) - mats)), axis=1)
+    w, v = np.linalg.eigh(hermitize(re_im))
+    vh = adjoint(v)
+    pos, neg = (hermitize((v * np.clip(x, 0.0, None)[..., None, :]) @ vh) for x in (w, -w))
+    return np.stack((pos, neg), axis=2).reshape(len(mats), 4, *mats.shape[1:])
+
+
+def ref_as_effect(a):
+    w, v = np.linalg.eigh(hermitize(a))
+    return hermitize((v * np.clip(w, 0.0, 1.0)) @ adjoint(v))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_one_split_keeps_the_bits_of_both_former_splits(dim):
+    seeds = Stream(dim).u64_block(12)
+    hs = random_hermitians(dim, seeds)
+    hs[0] = 0.0  # every eigenvalue on the clip boundary
+    pos, neg = psd_parts(hs)
+    for k, h in enumerate(hs):
+        want = ref_positive_negative_parts(h)
+        assert all(map(same_bits, positive_negative_parts(h), want))
+        assert same_bits(pos[k], want[0]) and same_bits(neg[k], want[1])
+    mats = complex_gaussians(dim, seeds)
+    assert same_bits(_psd_parts(mats), ref_stacked_psd_parts(mats))
+    for m, four in zip(mats, _psd_parts(mats)):
+        assert same_bits(_psd_parts(m[None])[0], four)
+    for a in random_effects(dim, seeds):
+        assert same_bits(as_effect(a), ref_as_effect(a))

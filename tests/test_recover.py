@@ -364,6 +364,73 @@ def test_scaling_square_grid_deviation():
     assert chk.max_identity_deviation == pytest.approx(0.25)
 
 
+def ref_check_scaling_identity(samples):
+    """The identity check one grid point at a time: (ok, identity,
+    multiplicative, orthoadditive, proportionality) deviations."""
+    lam, f = samples.lambdas, samples.values
+    id_dev = float(np.max(np.abs(f - lam))) if len(lam) else 0.0
+    prop_res = float(np.max(samples.residuals)) if len(lam) else 0.0
+
+    def grid_index(x):
+        hits = np.flatnonzero(np.abs(lam - x) <= 1e-12)
+        return int(hits[0]) if len(hits) else None
+
+    mult_dev = ortho_dev = 0.0
+    for i, l in enumerate(lam):
+        j = grid_index(l * l)
+        if j is None:
+            continue
+        mult_dev = max(mult_dev, abs(f[j] - f[i] ** 2))
+        k = grid_index(1.0 - l * l)
+        if k is not None:
+            ortho_dev = max(ortho_dev, abs(f[j] + f[k] - 1.0))
+    return id_dev <= 1e-9 and prop_res <= 1e-9, id_dev, mult_dev, ortho_dev, prop_res
+
+
+def scaling_grids():
+    """(name, lambdas): the recovery grid, the grid with the square of
+    every point, off-grid points, duplicates, points within 1e-12 of a
+    square, NaN, and the empty grid."""
+    s = Stream(17)
+    yield "grid", SCALING_GRID
+    yield "with_squares", np.concatenate([SCALING_GRID, SCALING_GRID ** 2])
+    yield "off_grid", np.concatenate([SCALING_GRID, s.uniform(9)])
+    yield "duplicates", np.repeat(SCALING_GRID, 2)[::-1].copy()
+    yield "near_squares", np.array([0.5, 0.25 + 5e-13, 0.25, 0.75 - 2e-12, 0.75, 0.0, 1.0])
+    yield "nan_lambda", np.concatenate([SCALING_GRID, [np.nan]])
+    yield "empty", np.zeros(0)
+
+
+@pytest.mark.parametrize("name, lam", list(scaling_grids()), ids=[n for n, _ in scaling_grids()])
+@pytest.mark.parametrize("noise", ["exact", "ulps", "coarse", "nan_values", "nan_residuals"])
+def test_stacked_scaling_check_equals_per_point_loop_bitwise(name, lam, noise):
+    from effectsym.recover import ScalingSamples
+
+    s = Stream(len(lam) + len(noise))
+    fields = ("max_identity_deviation", "max_multiplicative_deviation",
+              "max_orthoadditive_deviation", "max_proportionality_residual")
+    # C pow (a scalar f ** 2) and f * f part in the last bit: a few ulps
+    # off 3/16, 5/16 or 6/16, in a third of the draws or more.
+    for _ in range(50 if noise in ("ulps", "coarse") else 1):
+        values = lam.copy()
+        residuals = np.zeros_like(lam)
+        if noise in ("ulps", "nan_values"):
+            values = lam + 1e-15 * s.gaussian(len(lam))
+        if noise == "nan_values":
+            values[::3] = np.nan
+        elif noise == "coarse":
+            values = lam + 1e-3 * s.gaussian(len(lam))
+            residuals = 1e-10 * s.uniform(len(lam))
+        elif noise == "nan_residuals":
+            residuals[1::4] = np.nan
+        samples = ScalingSamples(np.diag([1.0, 0.0]).astype(complex), lam, values, residuals)
+        got = check_scaling_identity(samples)
+        ok, *want = ref_check_scaling_identity(samples)
+        assert got.ok == ok
+        assert all(type(getattr(got, f)) is float for f in fields)
+        assert np.array([getattr(got, f) for f in fields]).tobytes() == np.array(want, dtype=float).tobytes()
+
+
 # ---------------------------------------------------------- verification
 
 
@@ -875,3 +942,36 @@ def test_a_tolerance_outside_zero_to_infinity_is_refused(route, tol):
     """A NaN or infinite tolerance would accept the nearly canonical map."""
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         route(nearly_conjugation_oracle(4), tol=tol, seed=1)
+
+
+# ------------------------------------------ NaN answers that once raised
+
+
+def nan_on_low_trace(d):
+    """The descriptor's map, but NaN wherever 0 < tr A < 0.5: the scaling
+    samples lam * P with lam < 0.5 and nothing else the routes ask."""
+    def evaluate(a):
+        return np.full((d.dim, d.dim), np.nan) if 0.0 < np.trace(a).real < 0.5 else apply_symmetry(d, a)
+    return evaluate
+
+
+def nan_on_rank_one_projections(d):
+    def evaluate(a):
+        rank_one = abs(np.trace(a).real - 1.0) < 1e-9 and np.allclose(a @ a, a, atol=1e-9)
+        return np.full((d.dim, d.dim), np.nan) if rank_one else apply_symmetry(d, a)
+    return evaluate
+
+
+@pytest.mark.parametrize("family, make, prefix", [
+    (TRIPLE_EFFECTS, nan_on_low_trace, "scaling function deviates from identity: max |f(λ) − λ| = nan"),
+    (TRIPLE_HERMITIAN, nan_on_low_trace, "scaling function deviates from identity: max |f(λ) − λ| = nan"),
+    (AFFINE, nan_on_rank_one_projections, "image of basis projection 0 has non-finite entries"),
+], ids=["triple-scaling", "hermitian-scaling", "affine-rebuild"])
+@pytest.mark.parametrize("map_seed", range(6))
+def test_nan_answers_are_rejected_not_raised(family, make, prefix, map_seed):
+    d = random_symmetry(4, map_seed, family=family)
+    report = ROUTES[family](oracle(4, make(d)), seed=1)
+    assert report.verdict == REJECTED
+    assert report.reason.startswith(prefix), report.reason
+    if family != AFFINE:
+        assert np.isnan(report.scaling.values).any()

@@ -1,4 +1,6 @@
 import base64
+import json
+import math
 
 import numpy as np
 import pytest
@@ -235,3 +237,37 @@ def test_rejected_probe_json_keys_and_flags(evaluate, failed):
     for key in PROBE_KEYS[:4]:
         assert obj[key] is (key[:-len("_preserved")] not in failed)
     assert obj["witness_count"] == len(report.probe.witnesses) > 0
+
+
+def test_dump_json_writes_every_non_finite_number_as_null(tmp_path):
+    path = tmp_path / "r.json"
+    dump_json({"a": [1.5, math.nan, {"b": math.inf}], "c": np.float64(-np.inf), "d": (2, "x")}, str(path))
+    assert json.loads(path.read_text(encoding="utf-8")) == {"a": [1.5, None, {"b": None}], "c": None, "d": [2, "x"]}
+
+
+def test_dump_json_writes_a_finite_document_as_strict_indented_json(tmp_path):
+    path = tmp_path / "r.json"
+    obj = {"φ": [0.1, 1e-300, -0.0, True, None], "n": 3}
+    dump_json(obj, str(path))
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [object(), np.bool_(True), np.zeros(2)], ids=["object", "numpy-bool", "array"])
+def test_dump_json_creates_no_file_when_encoding_fails(tmp_path, bad):
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        dump_json({"ok": 1.0, "bad": bad, "nan": math.nan}, str(path))
+    assert not path.exists()
+
+
+def test_a_nan_scaling_sample_is_written_as_null(tmp_path):
+    def nan_below_half(a):
+        t = np.trace(a).real
+        return np.full((4, 4), np.nan) if 0.0 < t < 0.5 else np.asarray(a, dtype=complex)
+
+    report = recover_triple(EffectMapOracle(4, nan_below_half), seed=1)
+    path = tmp_path / "r.json"
+    dump_json(report_to_obj(report), str(path))
+    scaling = json.loads(path.read_text(encoding="utf-8"))["scaling"]
+    assert scaling["values"][:9] == [0.0, *[None] * 7, 0.5]
+    assert json.loads(path.read_text(encoding="utf-8"))["max_residual"] is None

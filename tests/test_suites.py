@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectsym import suites
 from effectsym.recover import CANONICAL, RecoveryReport, recover_triple_hermitian
@@ -25,6 +27,24 @@ VERIFY_DETAIL_KEYS = {
                           "failures"],
     "phase_gauge": ["dim", "thetas", "failures"],
 }
+
+
+def plain(value):
+    """True iff ``value`` is built from Python's own JSON types only."""
+    if type(value) in (list, tuple):
+        return all(map(plain, value))
+    if type(value) is dict:
+        return all(type(k) is str and plain(v) for k, v in value.items())
+    return value is None or type(value) in (bool, int, float, str)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 12))
+def test_suite_results_hold_plain_python_values(dim, seed, trials):
+    for r in suites.run_verify_suites(dim, seed, trials):
+        assert type(r.name) is str and type(r.passed) is bool and type(r.skipped) is bool
+        assert plain(r.details), (r.name, r.details)
 
 
 def test_verify_suite_detail_keys_are_pinned():
