@@ -18,12 +18,11 @@ except for their wall-clock field.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 from . import __version__
-from .recover import ACCEPT_TOL, MIN_DIM, recover_affine, recover_triple, recover_triple_hermitian
+from .recover import ACCEPT_TOL, MIN_DIM, route
 from .serialize import (
     affine_rep_to_obj,
     descriptor_to_obj,
@@ -33,14 +32,7 @@ from .serialize import (
     report_to_obj,
 )
 from .suites import run_verify_suites
-from .symmetry import (
-    AFFINE,
-    FAMILIES,
-    TRIPLE_EFFECTS,
-    TRIPLE_HERMITIAN,
-    random_symmetry,
-    to_affine_rep,
-)
+from .symmetry import AFFINE, FAMILIES, random_symmetry, to_affine_rep
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -89,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _affine_output_path(path: str) -> str:
-    if path.endswith(".json"):
-        return path[: -len(".json")] + ".affine.json"
-    return path + ".affine.json"
-
-
 def _write(obj, path: str | None) -> None:
     try:
         dump_json(obj, path)
@@ -120,14 +106,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise CliError(str(err), EXIT_BAD_INPUT) from err
     _write(descriptor_to_obj(descriptor), args.output)
-    _write(affine_rep_to_obj(to_affine_rep(descriptor)), _affine_output_path(args.output))
+    _write(affine_rep_to_obj(to_affine_rep(descriptor)), args.output.removesuffix(".json") + ".affine.json")
     return EXIT_OK
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
     try:
         obj = load_json(args.input)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:  # ValueError: not UTF-8 or not JSON
         raise CliError(f"cannot read map file: {err}", EXIT_BAD_INPUT) from err
     try:
         oracle, form = oracle_from_obj(obj)
@@ -138,12 +124,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
             f"--dim {args.dim} does not match the map file dimension {oracle.dim}",
             EXIT_BAD_INPUT,
         )
-    # Looked up per call, so a recover_* rebound after import is the one called.
-    recover = {AFFINE: recover_affine, TRIPLE_EFFECTS: recover_triple,
-               TRIPLE_HERMITIAN: recover_triple_hermitian}[args.family]
     start = time.perf_counter()
     try:
-        report = recover(oracle, tol=args.tol, trials=args.trials, seed=args.seed)
+        report = route(args.family)(oracle, tol=args.tol, trials=args.trials, seed=args.seed)
     except ValueError as err:
         raise CliError(str(err), EXIT_BAD_INPUT) from err
     elapsed = time.perf_counter() - start

@@ -95,10 +95,11 @@ def positive_negative_parts(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rank_one_projection(x) -> np.ndarray:
-    """Projection x x* onto the span of a vector (renormalized on entry)."""
+    """Projection x x* onto the span of a vector (renormalized on entry);
+    a zero vector or one whose norm is not finite is refused."""
     v = np.asarray(x, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        raise ValueError("cannot project onto the zero vector")
+    if not 1e-12 <= nrm < np.inf:  # false on NaN
+        raise ValueError(f"cannot project onto a zero or non-finite vector (norm {nrm})")
     v = v / nrm
     return np.outer(v, np.conj(v))

@@ -22,9 +22,12 @@ if it refuses the map; the runner builds every report from ``found``.
   the signed candidate; verify that candidate on Gaussian Hermitian
   samples, which replaces its ``descriptor`` and ``max_residual``.
 
-The runner owns a run's input rules, ``phi.dim >= MIN_DIM[family]`` (the
-table the CLI and the suites read), ``trials >= 1`` and ``0 < tol < inf``,
-and refuses a run that breaks one with ``ValueError``.
+This module owns which routine decides a family (:func:`route`, which the
+CLI and the suites call) and the run rules (:func:`check_run`: ``trials``
+an integer, not a bool, of at least 1, and ``0 < tol < inf``), which the
+runner, :func:`verify_descriptor`, :func:`preservation_probe` and the
+verify battery apply.  The runner also checks ``phi.dim >= MIN_DIM[family]``
+(the table the CLI and the suites read); a broken rule raises ``ValueError``.
 
 A rebuild failure adds no field; an answer of the wrong shape
 (:class:`OracleError`), also from the complement or sign-fixed map
@@ -52,6 +55,7 @@ bits of ``@`` without its per-call set-up.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +201,7 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
     with its hermiticity defect), one orthogonal pair (do images
     multiply to 0?).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_run(trials)
     dim = phi.dim
     eye = np.eye(dim, dtype=complex)
     seeds = Stream(seed).u64_block(3 * trials).reshape(trials, 3)
@@ -248,11 +251,6 @@ def _rank_one_vector(img: np.ndarray, what: str) -> np.ndarray:
     return v[:, -1]
 
 
-def _nearest_unitary(frame: np.ndarray) -> np.ndarray:
-    w, _, vh = np.linalg.svd(frame)
-    return w @ vh
-
-
 def reconstruct_unitary_from_projection_action(
     phi: EffectMapOracle,
     tol: float = ACCEPT_TOL,
@@ -293,7 +291,7 @@ def reconstruct_unitary_from_projection_action(
         x = (eye[0] + eye[j]) / sqrt2
         r = phi(np.outer(x, np.conj(x)))
         z = np.vdot(frame[j], r @ frame[0])
-        if abs(z) < PHASE_CUTOFF:
+        if not abs(z) >= PHASE_CUTOFF:  # true on NaN
             raise ReconstructionError(
                 f"phase alignment degenerate for basis column {j} (|overlap| = {abs(z):.3e})"
             )
@@ -307,7 +305,8 @@ def reconstruct_unitary_from_projection_action(
     d_minus = frobenius_norm(s_img - np.outer(minus, np.conj(minus)))
     kind = UNITARY if d_plus <= d_minus else ANTIUNITARY
 
-    d = gauge_normalize(SymmetryDescriptor(kind, _nearest_unitary(np.column_stack(frame))))
+    w, _, vh = np.linalg.svd(np.column_stack(frame))  # the nearest unitary to the frame
+    d = gauge_normalize(SymmetryDescriptor(kind, w @ vh))
     xs = random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS))
     worst = _residual(phi, d, np.array([np.outer(x, np.conj(x)) for x in xs]))
     if worst > tol:
@@ -332,8 +331,7 @@ def verify_descriptor(
     """
     if domain not in (EFFECTS_DOMAIN, HERMITIAN_DOMAIN):
         raise ValueError(f"unknown sampling domain {domain!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_run(trials)
     sampler = random_effects if domain == EFFECTS_DOMAIN else random_hermitians
     return _residual(phi, d, sampler(d.dim, Stream(seed).u64_block(trials)))
 
@@ -480,15 +478,23 @@ def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int,
     _verify(found, phi, found["descriptor"], tol, trials, s.next_u64(), HERMITIAN_DOMAIN)
 
 
+def check_run(trials, tol: float = ACCEPT_TOL) -> None:
+    """Refuse a run whose ``trials`` is not an integer of at least 1 (a bool
+    is not one; numpy integers are) or whose ``tol`` is not finite and positive."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed: int) -> RecoveryReport:
     """Run one family's chain after checking the run's input rules; every
     report is built here, from ``found``."""
     if phi.dim < MIN_DIM[family]:
         raise ValueError(f"{family} recovery needs dim >= {MIN_DIM[family]}, got {phi.dim}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_run(trials, tol)
     found: dict = {}
     try:
         chain(found, phi, tol, trials, Stream(seed))
@@ -523,3 +529,10 @@ def recover_triple_hermitian(
     taken over unbounded Gaussian Hermitian samples.
     """
     return _run(TRIPLE_HERMITIAN, _hermitian_chain, phi, tol, trials, seed)
+
+
+def route(family: str):
+    """The recovery routine of ``family``, looked up per call, so a
+    ``recover_*`` rebound in this module after import is the one run."""
+    return {AFFINE: recover_affine, TRIPLE_EFFECTS: recover_triple,
+            TRIPLE_HERMITIAN: recover_triple_hermitian}[family]

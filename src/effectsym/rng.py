@@ -100,7 +100,9 @@ class Stream:
         return mix64((self._seed + self._counter * _GAMMA) & _MASK)
 
     def u64_block(self, n: int) -> np.ndarray:
-        """Next ``n`` outputs as a uint64 array (advances the counter by n)."""
+        """Next ``n >= 0`` outputs as a uint64 array (advances the counter by n)."""
+        if n < 0:
+            raise ValueError(f"u64_block needs n >= 0, got {n}")
         self._counter += n
         return u64_grid([self._seed], n, self._counter - n)[0]
 

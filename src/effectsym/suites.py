@@ -38,19 +38,18 @@ from typing import Any
 
 import numpy as np
 
-from .effects import jordan_triple, leq, rank_one_projection
+from .effects import leq, rank_one_projection
 from .extension import EffectMapOracle, boundedness_check, linearity_defect, unit_ball_decomposition
 from .linalg import adjoint, frobenius_norm, nan_max
 from .recover import (
     ACCEPT_TOL,
     MIN_DIM,
+    SCALING_GRID,
+    check_run,
     check_scaling_identity,
     extract_scaling_function,
     preservation_probe,
-    recover_affine,
-    recover_triple,
-    recover_triple_hermitian,
-    SCALING_GRID,
+    route,
 )
 from .rng import Stream
 from .sampling import (
@@ -108,10 +107,8 @@ def _result(name: str, failures: list[str], dim: int, ok: bool = True, **details
 def closure_suite(dim: int, seed: int, pairs: int) -> SuiteResult:
     """Triple products of random effect pairs stay inside [0, I]."""
     ab = random_effects(dim, Stream(seed).u64_block(2 * pairs))  # A and B of each pair
-    triples = np.empty((pairs, dim, dim), dtype=complex)
-    for k, (a, b) in enumerate(zip(ab[0::2], ab[1::2])):
-        triples[k] = jordan_triple(a, b)
-    w = np.linalg.eigvalsh(triples)
+    a, b = ab[0::2], ab[1::2]
+    w = np.linalg.eigvalsh(a @ b @ a)  # each ABA, as effects.jordan_triple forms it
     lo, hi = float(w.min()), float(w.max())
     return SuiteResult(
         "triple_closure",
@@ -121,7 +118,7 @@ def closure_suite(dim: int, seed: int, pairs: int) -> SuiteResult:
 
 
 def _roundtrip(
-    s: Stream, dim: int, descriptors: int, family: str, recover, flags, tol: float
+    s: Stream, dim: int, descriptors: int, family: str, flags, tol: float
 ) -> tuple[list[str], float, float, list]:
     """Synthesize ``family`` maps with ``flags(i)``, recover each and
     compare; return the failures, the worst unitary distance and
@@ -134,7 +131,7 @@ def _roundtrip(
         want = flags(i)
         d_true = random_symmetry(dim, s.next_u64(), family=family, **want)
         phi = EffectMapOracle.from_descriptor(d_true)
-        report = recover(phi, tol=tol, trials=VERIFY_TRIALS, seed=s.next_u64())
+        report = route(family)(phi, tol=tol, trials=VERIFY_TRIALS, seed=s.next_u64())
         if not report.canonical:
             failures.append(f"descriptor {i}: {report.reason}")
             continue
@@ -159,9 +156,7 @@ def affine_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = R
     def flags(i):
         return {"kind": _kind(i), "complement": (i // 2) % 2 == 1}
 
-    failures, max_u, max_res, _ = _roundtrip(
-        Stream(seed), dim, descriptors, AFFINE, recover_affine, flags, tol
-    )
+    failures, max_u, max_res, _ = _roundtrip(Stream(seed), dim, descriptors, AFFINE, flags, tol)
     combos_seen = {(f["kind"], f["complement"]) for f in map(flags, range(descriptors))}
     return _result(
         "affine_roundtrip", failures, dim, max_u <= U_MATCH_TOL and max_res <= tol,
@@ -175,8 +170,7 @@ def triple_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = R
     if dim < MIN_DIM[TRIPLE_EFFECTS]:
         return _skipped("triple_roundtrip", TRIPLE_EFFECTS)
     failures, max_u, max_res, reports = _roundtrip(
-        Stream(seed), dim, descriptors, TRIPLE_EFFECTS, recover_triple,
-        lambda i: {"kind": _kind(i)}, tol,
+        Stream(seed), dim, descriptors, TRIPLE_EFFECTS, lambda i: {"kind": _kind(i)}, tol
     )
     max_scaling = max(
         [0.0] + [float(np.max(np.abs(r.scaling.values - r.scaling.lambdas))) for r in reports]
@@ -196,13 +190,13 @@ def hermitian_sign_suite(dim: int, seed: int, descriptors: int, tol: float = RES
         return _skipped("hermitian_sign", TRIPLE_HERMITIAN)
     s = Stream(seed)
     failures, max_u, max_res, _ = _roundtrip(
-        s, dim, descriptors, TRIPLE_HERMITIAN, recover_triple_hermitian,
+        s, dim, descriptors, TRIPLE_HERMITIAN,
         lambda i: {"kind": _kind(i), "sign": 1 if (i // 2) % 2 == 0 else -1}, tol,
     )
 
     eye = np.eye(dim, dtype=complex)
     shifted = EffectMapOracle(dim, lambda a: np.asarray(a, dtype=complex) + eye, label="shift")
-    shift_report = recover_triple_hermitian(shifted, tol=tol, trials=8, seed=s.next_u64())
+    shift_report = route(TRIPLE_HERMITIAN)(shifted, tol=tol, trials=8, seed=s.next_u64())
     shift_refused = (not shift_report.canonical) and "φ(I) ∉ {I, −I}" in shift_report.reason
     if not shift_refused:
         failures.append("shifted map A -> A + I was not refused with the φ(I) reason")
@@ -235,15 +229,14 @@ def rejection_suite(dim: int, seed: int, oracles: int, tol: float = RESIDUAL_TOL
     for k in range(oracles):
         phi = perturbed_conjugation_oracle(dim, s.next_u64())
         for family in families:
-            recover = recover_affine if family == AFFINE else recover_triple
-            if recover(phi, tol=tol, trials=8, seed=s.next_u64()).canonical:
+            if route(family)(phi, tol=tol, trials=8, seed=s.next_u64()).canonical:
                 failures.append(f"oracle {k}: {family} route accepted a perturbed map")
 
     complemented_rejected = None
     if TRIPLE_EFFECTS in families:
         eye = np.eye(dim, dtype=complex)
         comp = EffectMapOracle(dim, lambda a: eye - np.asarray(a, dtype=complex), label="complement")
-        report = recover_triple(comp, tol=tol, trials=8, seed=s.next_u64())
+        report = route(TRIPLE_EFFECTS)(comp, tol=tol, trials=8, seed=s.next_u64())
         complemented_rejected = (
             (not report.canonical)
             and "triple identity" in report.reason
@@ -357,13 +350,12 @@ def phase_gauge_suite(dim: int, seed: int) -> SuiteResult:
     failures: list[str] = []
     families = [AFFINE] + ([TRIPLE_EFFECTS] if dim >= MIN_DIM[TRIPLE_EFFECTS] else [])
     for family in families:
-        recover = recover_affine if family == AFFINE else recover_triple
         u0 = haar_unitary(dim, s.next_u64())
         rec_seed = s.next_u64()
         rounded: list[np.ndarray] = []
         for theta in GAUGE_THETAS:
             d = SymmetryDescriptor(UNITARY, np.exp(1j * theta) * u0)
-            report = recover(EffectMapOracle.from_descriptor(d), trials=8, seed=rec_seed)
+            report = route(family)(EffectMapOracle.from_descriptor(d), trials=8, seed=rec_seed)
             if not report.canonical:
                 failures.append(f"{family}, theta={theta}: {report.reason}")
                 continue
@@ -375,13 +367,11 @@ def phase_gauge_suite(dim: int, seed: int) -> SuiteResult:
 
 
 def run_verify_suites(dim: int, seed: int, trials: int, tol: float = RESIDUAL_TOL) -> list[SuiteResult]:
-    """The CLI ``verify`` battery; ValueError on dim < MIN_DIM[AFFINE], trials < 1, tol not in (0, inf)."""
+    """The CLI ``verify`` battery; ValueError on dim < MIN_DIM[AFFINE] or a run
+    that :func:`effectsym.recover.check_run` refuses."""
     if dim < MIN_DIM[AFFINE]:
         raise ValueError(f"verify needs dim >= {MIN_DIM[AFFINE]}, got {dim}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_run(trials, tol)
     s = Stream(seed)
     n_desc = max(1, trials // 10)
     results = [

@@ -41,9 +41,10 @@ pair's two terms; decode reads the coordinates (and one appended exact
 zero for the diagonal's imaginary parts) straight into the float view
 of the output.  Written so, with an exact zero always +0.0, they agree
 bit for bit with the trace against :func:`hermitian_basis` on every
-finite input.  Only these two tables write the basis order:
-:func:`hermitian_basis` is the decoded identity, and :func:`to_affine_rep`
-encodes the basis images with one gather per block of dim of them.
+finite input.  Only the encode table writes the basis order: the decode
+table is the encode table read backwards, :func:`hermitian_basis` is
+the decoded identity, and :func:`to_affine_rep` encodes the basis images
+with one gather per block of dim of them.
 """
 
 from __future__ import annotations
@@ -114,21 +115,16 @@ def _encode_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _decode_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Which coordinate each float of the decoded matrix reads, and its
-    factor; index ``dim**2`` is an appended exact zero (the diagonal's
-    imaginary parts)."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    rows, cols = np.triu_indices(dim, 1)
-    diag = np.arange(dim)
-    pair = dim + 2 * np.arange(len(rows))
-    index = np.empty((dim, dim, 2), dtype=np.intp)
-    factor = np.full((dim, dim, 2), _INV_SQRT2)
-    index[diag, diag, 0], index[diag, diag, 1] = diag, dim * dim
-    factor[diag, diag] = 1.0
-    index[rows, cols, 0] = index[cols, rows, 0] = pair
-    index[rows, cols, 1] = index[cols, rows, 1] = pair + 1
-    factor[cols, rows, 1] = -_INV_SQRT2
-    return _frozen(index.ravel(), factor.ravel())
+    factor: :func:`_encode_gather` read backwards, so each float that
+    encode reads is written from the coordinate it feeds, with the same
+    factor.  The floats encode does not read, the diagonal's imaginary
+    parts, read index ``dim**2``, an appended exact zero."""
+    reads, factors = _encode_gather(dim)
+    n2 = dim * dim
+    index, factor = np.full(2 * n2, n2, dtype=np.intp), np.ones(2 * n2)
+    index[reads] = np.concatenate([np.arange(n2), np.arange(dim, n2)])
+    factor[reads] = factors
+    return _frozen(index, factor)
 
 
 def _encode(m: np.ndarray) -> np.ndarray:

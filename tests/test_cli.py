@@ -131,6 +131,35 @@ def test_recover_malformed_json(tmp_path):
     assert run(["recover", "--input", notmap, "--output", tmp_path / "r.json"]) == 2
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00\x00{}", b"[" * 200000 + b"]" * 200000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_recover_an_unreadable_map_file_exits_two(tmp_path, capsys, content):
+    mapfile = tmp_path / "m.json"
+    mapfile.write_bytes(content)  # once a traceback and exit 1, the rejected-map code
+    assert run(["recover", "--input", mapfile, "--output", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+    assert "cannot read map file" in capsys.readouterr().err
+
+
+def test_recover_runs_the_routine_bound_in_the_recover_module(tmp_path, monkeypatch):
+    from effectsym import recover
+    from effectsym.recover import REJECTED, RecoveryReport
+
+    calls = []
+
+    def stub(phi, **kw):
+        calls.append(kw)
+        return RecoveryReport(REJECTED, "triple_effects", "stub")
+
+    monkeypatch.setattr(recover, "recover_triple", stub)
+    mapfile = tmp_path / "m.json"
+    assert run(["synth", "--dim", 3, "--output", mapfile]) == 0
+    out = tmp_path / "r.json"
+    assert run(["recover", "--family", "triple_effects", "--input", mapfile, "--output", out]) == 1
+    assert calls == [{"tol": 1e-8, "trials": 100, "seed": 0}]
+    assert load_json(out)["report"]["reason"] == "stub"
+
+
 def test_recover_refuses_a_non_integer_matrix_dim(tmp_path):
     mapfile = tmp_path / "m.json"
     assert run(["synth", "--dim", 2, "--output", mapfile]) == 0

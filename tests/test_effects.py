@@ -198,3 +198,9 @@ def test_rank_one_projection():
     assert np.allclose(rank_one_projection([2.0, 0.0]), np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
         rank_one_projection([0.0, 0.0])
+
+
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0], [1e-300, 0.0]], ids=["nan", "inf", "tiny"])
+def test_rank_one_projection_refuses_a_zero_or_non_finite_vector(x):
+    with pytest.raises(ValueError, match="zero or non-finite vector"):
+        rank_one_projection(x)

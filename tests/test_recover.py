@@ -11,6 +11,7 @@ from effectsym.recover import (
     REJECTED,
     ReconstructionError,
     SCALING_GRID,
+    check_run,
     check_scaling_identity,
     extract_scaling_function,
     preservation_probe,
@@ -34,7 +35,7 @@ from effectsym.symmetry import (
     random_symmetry,
     to_affine_rep,
 )
-from effectsym.suites import perturbed_conjugation_oracle
+from effectsym.suites import perturbed_conjugation_oracle, run_verify_suites
 
 
 def oracle(dim, func, label=""):
@@ -944,6 +945,28 @@ def test_a_tolerance_outside_zero_to_infinity_is_refused(route, tol):
         route(nearly_conjugation_oracle(4), tol=tol, seed=1)
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, "3", None])
+def test_a_trials_that_is_not_an_integer_is_refused(trials):
+    """True once verified 1 sample and 2.5 verified 3."""
+    calls = []
+    phi = oracle(3, lambda a: calls.append(1) or np.asarray(a, complex))
+    d = SymmetryDescriptor(UNITARY, np.eye(3))
+    for run in (*ROUTES.values(), preservation_probe, lambda phi, **kw: verify_descriptor(phi, d, **kw)):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run(phi, trials=trials, seed=1)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_verify_suites(3, 1, trials)
+    assert calls == []
+
+
+def test_numpy_integer_trials_are_accepted():
+    check_run(np.uint8(1), tol=1.0)
+    phi = EffectMapOracle.from_descriptor(random_symmetry(3, 2, family=AFFINE))
+    got, want = recover_affine(phi, trials=np.int64(7), seed=1), recover_affine(phi, trials=7, seed=1)
+    assert got.canonical and got.max_residual == want.max_residual
+    assert got.descriptor.unitary.tobytes() == want.descriptor.unitary.tobytes()
+
+
 # ------------------------------------------ NaN answers that once raised
 
 
@@ -975,3 +998,22 @@ def test_nan_answers_are_rejected_not_raised(family, make, prefix, map_seed):
     assert report.reason.startswith(prefix), report.reason
     if family != AFFINE:
         assert np.isnan(report.scaling.values).any()
+
+
+def nan_on_rank_one_off_diagonal(d):
+    """The descriptor's map, but NaN on every rank-one input with a nonzero
+    off-diagonal entry: the basis projections pass, the phase alignment does not."""
+    def evaluate(a):
+        rank_one = abs(np.trace(a).real - 1.0) < 1e-9 and np.allclose(a @ a, a, atol=1e-9)
+        off_diagonal = np.count_nonzero(a - np.diag(np.diag(a)))
+        return np.full((d.dim, d.dim), np.nan) if rank_one and off_diagonal else apply_symmetry(d, a)
+    return evaluate
+
+
+@pytest.mark.parametrize("map_seed", range(6))
+def test_nan_at_phase_alignment_is_rejected_not_raised(map_seed):
+    """The NaN overlap once passed the cutoff check and raised LinAlgError from the SVD."""
+    d = random_symmetry(4, map_seed, family=AFFINE)
+    report = recover_affine(oracle(4, nan_on_rank_one_off_diagonal(d)), seed=1)
+    assert report.verdict == REJECTED
+    assert report.reason == "phase alignment degenerate for basis column 1 (|overlap| = nan)"

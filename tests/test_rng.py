@@ -93,3 +93,12 @@ def test_integer_range():
 def test_mix64_is_a_bijection_sample():
     seen = {mix64(k) for k in range(1000)}
     assert len(seen) == 1000
+
+
+def test_a_negative_block_is_refused_and_does_not_move_the_stream():
+    s, ref = Stream(5), Stream(5)
+    s.next_u64(), ref.next_u64()
+    with pytest.raises(ValueError, match="n >= 0"):
+        s.u64_block(-1)  # once returned nothing and moved the counter back
+    assert s.next_u64() == ref.next_u64()
+    assert s.u64_block(0).shape == (0,)

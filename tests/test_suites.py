@@ -1,12 +1,16 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectsym import suites
-from effectsym.recover import CANONICAL, RecoveryReport, recover_triple_hermitian
+from effectsym import recover, suites
+from effectsym.effects import jordan_triple
+from effectsym.recover import CANONICAL, REJECTED, RecoveryReport, recover_triple_hermitian
+from effectsym.rng import Stream
+from effectsym.sampling import random_effects
 from effectsym.symmetry import TRIPLE_EFFECTS
 
 # Key order of each suite's details; the verify JSON is written in this order.
@@ -86,7 +90,7 @@ def test_roundtrip_flag_mismatch_fails_the_suite(monkeypatch):
             return report
         return replace(report, descriptor=replace(report.descriptor, sign=-report.descriptor.sign))
 
-    monkeypatch.setattr(suites, "recover_triple_hermitian", sign_flipped)
+    monkeypatch.setattr(recover, "recover_triple_hermitian", sign_flipped)
     result = suites.hermitian_sign_suite(3, seed=1, descriptors=2)
     assert not result.passed
     assert result.details["failures"] == [
@@ -97,7 +101,7 @@ def test_roundtrip_flag_mismatch_fails_the_suite(monkeypatch):
 
 
 def test_rejection_failures_name_the_route(monkeypatch):
-    monkeypatch.setattr(suites, "recover_triple", lambda phi, **kw: RecoveryReport(CANONICAL, TRIPLE_EFFECTS))
+    monkeypatch.setattr(recover, "recover_triple", lambda phi, **kw: RecoveryReport(CANONICAL, TRIPLE_EFFECTS))
     result = suites.rejection_suite(3, seed=1, oracles=1)
     assert not result.passed
     assert result.details["failures"] == [
@@ -112,3 +116,29 @@ def test_extension_failure_names_only_the_nonlinear_oracle(monkeypatch):
     result = suites.extension_suite(3, 5, oracles=2, probes=2)
     assert result.details["failures"] == ["oracle 0: linearity deviation 1.000e-03"]
     assert result.details["max_linearity_deviation"] == 1e-3
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_closure_stack_matches_the_per_pair_jordan_triple_loop(dim):
+    for seed in range(3):
+        ab = random_effects(dim, Stream(seed).u64_block(2 * 100))
+        w = np.linalg.eigvalsh(np.array([jordan_triple(a, b) for a, b in zip(ab[0::2], ab[1::2])]))
+        details = suites.closure_suite(dim, seed, pairs=100).details
+        assert (details["min_eigenvalue"], details["max_eigenvalue"]) == (float(w.min()), float(w.max()))
+
+
+def test_suites_run_the_routines_bound_in_the_recover_module(monkeypatch):
+    families = []
+
+    def stub(family):
+        def run(phi, **kw):
+            families.append(family)
+            return RecoveryReport(REJECTED, family, "stub")
+        return run
+
+    for name in ("recover_affine", "recover_triple", "recover_triple_hermitian"):
+        monkeypatch.setattr(recover, name, stub(name))
+    suites.rejection_suite(3, seed=1, oracles=1)
+    suites.hermitian_sign_suite(3, seed=1, descriptors=1)
+    assert families == ["recover_affine", "recover_triple", "recover_triple",
+                        "recover_triple_hermitian", "recover_triple_hermitian"]

@@ -18,7 +18,9 @@ from effectsym.symmetry import (
     UNITARY,
     AffineMapRep,
     SymmetryDescriptor,
+    _INV_SQRT2,
     _apply_symmetry,
+    _decode_gather,
     apply_affine_rep,
     apply_symmetry,
     compose,
@@ -524,3 +526,27 @@ def test_random_symmetry_flag_validation():
         random_symmetry(3, 1, family="triple_hermitian", complement=True)
     with pytest.raises(ValueError):
         random_symmetry(3, 1, family="nope")
+
+
+def triu_decode_gather(dim):
+    """The decode table as its own triu construction built it before it was
+    read backwards from the encode table."""
+    rows, cols = np.triu_indices(dim, 1)
+    diag = np.arange(dim)
+    pair = dim + 2 * np.arange(len(rows))
+    index = np.empty((dim, dim, 2), dtype=np.intp)
+    factor = np.full((dim, dim, 2), _INV_SQRT2)
+    index[diag, diag, 0], index[diag, diag, 1] = diag, dim * dim
+    factor[diag, diag] = 1.0
+    index[rows, cols, 0] = index[cols, rows, 0] = pair
+    index[rows, cols, 1] = index[cols, rows, 1] = pair + 1
+    factor[cols, rows, 1] = -_INV_SQRT2
+    return index.ravel(), factor.ravel()
+
+
+@pytest.mark.parametrize("dim", range(1, 33))
+def test_decode_gather_matches_the_triu_construction_bitwise(dim):
+    for got, want in zip(_decode_gather(dim), triu_decode_gather(dim)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
