@@ -22,6 +22,7 @@ from effectsym import (
     recover_triple,
     recover_triple_hermitian,
 )
+from effectsym.recover import SCALING_GRID
 
 np.set_printoptions(precision=4, suppress=True)
 dim = 4
@@ -55,7 +56,7 @@ report_t = recover_triple(EffectMapOracle.from_descriptor(hidden_t), seed=8)
 summarize("triple recovery", report_t, hidden_t)
 print("  probe flags all true:", report_t.probe.all_preserved,
       f"({report_t.probe.samples_used} projection samples)")
-dev = float(np.max(np.abs(report_t.scaling.values - report_t.scaling.lambdas)))
+dev = float(np.max(np.abs(report_t.scaling.values - SCALING_GRID)))
 print(f"  scaling function max |f(lam) - lam| on the 17-point grid: {dev:.2e}")
 
 # --- Hermitian triple family (sign can flip) ------------------------------

@@ -21,19 +21,21 @@ from effectsym import (
     recover_triple,
     recover_triple_hermitian,
 )
-from effectsym.recover import SCALING_GRID
 from effectsym.suites import perturbed_conjugation_oracle
 
 np.set_printoptions(precision=4, suppress=True)
 dim = 4
 
 # --- a canonical map: f is the identity on the grid ------------------------
+# The scaling stage samples the fixed grid {k/16} on the rank-one projection
+# onto the Haar unit vector drawn from its seed.
 d = random_symmetry(dim, seed=201, family="triple_effects")
 phi = EffectMapOracle.from_descriptor(d)
-p = rank_one_projection(random_unit_vector(dim, seed=202))
-samples = extract_scaling_function(phi, p, SCALING_GRID)
+samples = extract_scaling_function(phi, seed=202)
 chk = check_scaling_identity(samples)
+p = rank_one_projection(random_unit_vector(dim, seed=202))
 print("canonical map on the grid {k/16}:")
+print("  P drawn from seed 202       :", np.array_equal(samples.projection, p))
 print("  f(lam) - lam   max deviation:", f"{chk.max_identity_deviation:.2e}")
 print("  f(lam^2)=f(lam)^2 deviation :", f"{chk.max_multiplicative_deviation:.2e}")
 print("  f(l^2)+f(1-l^2)=1 deviation :", f"{chk.max_orthoadditive_deviation:.2e}")
@@ -48,9 +50,11 @@ def corrupt(a):
     return lam * lam * p0
 
 
-bad = extract_scaling_function(EffectMapOracle(dim, corrupt), p0, [0.0, 0.25, 0.5, 1.0])
-print("  sampled pairs:", bad.pairs)
-print("  identity check passes?", bool(check_scaling_identity(bad)))
+bad = extract_scaling_function(EffectMapOracle(dim, corrupt), seed=204)
+bad_chk = check_scaling_identity(bad)
+print("  f(k/16), k = 0..16:", bad.values)
+print("  identity check passes?", bool(bad_chk),
+      f"(max |f(lam) - lam| = {bad_chk.max_identity_deviation:.4f}, at lam = 1/2)")
 
 # --- the rejection battery --------------------------------------------------
 print("\nperturbed conjugation phi_eps(A) = (1-eps) UAU* + eps (UAU*)^2, eps = 1e-2:")

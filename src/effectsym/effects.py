@@ -98,7 +98,8 @@ def rank_one_projection(x) -> np.ndarray:
     """Projection x x* onto the span of a vector (renormalized on entry);
     a zero vector or one whose norm is not finite is refused."""
     v = np.asarray(x, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
+        nrm = np.linalg.norm(v)
     if not 1e-12 <= nrm < np.inf:  # false on NaN
         raise ValueError(f"cannot project onto a zero or non-finite vector (norm {nrm})")
     v = v / nrm

@@ -13,9 +13,10 @@ if it refuses the map; the runner builds every report from ``found``.
   (``descriptor``, ``max_residual``).
 * :func:`recover_triple`: triple identity on effect pairs
   (``witness``); preservation probe on projections (``probe``, plus
-  the first probe witness); rebuild; rank-one scaling function against
-  the identity (``scaling``); verify on random effects (``descriptor``,
-  ``max_residual``).
+  the first probe witness); rebuild; the scaling function f with
+  φ(λP) = f(λ)φ(P) against the identity, sampled over ``SCALING_GRID``
+  on one rank-one P drawn from the stage's seed (``scaling``); verify on
+  random effects (``descriptor``, ``max_residual``).
 * :func:`recover_triple_hermitian`: classify φ(I) ∈ {I, −I}, fixing
   the sign; the triple chain with that sign, whose stages before the
   verify ask the sign-fixed map ±φ and whose verify checks φ against
@@ -33,7 +34,7 @@ A rebuild failure adds no field; an answer of the wrong shape
 (:class:`OracleError`), also from the complement or sign-fixed map
 (``phi.then``), has its input as witness.  Sample counts are module
 constants: ``TRIPLE_PROBE_PAIRS`` effect pairs, ``TRIPLE_PROBE_TRIALS``
-probe rounds, the ``SCALING_GRID`` {k/16}, ``RECONSTRUCT_CHECKS``
+probe rounds, the 17-point ``SCALING_GRID`` {k/16}, ``RECONSTRUCT_CHECKS``
 rank-one checks of a rebuilt unitary (the affinity probe's count lives
 in :mod:`effectsym.extension`).  Probes and the scaling check compare
 against ``extension.PROBE_TOL``, classifications against
@@ -142,24 +143,19 @@ class ProbeReport:
 
 @dataclass(frozen=True)
 class ScalingSamples:
-    """Samples of the scalar function f with phi(lam*P) = f(lam) * phi(P).
+    """Samples of the scalar f with phi(lam*P) = f(lam) * phi(P), one per lam in ``SCALING_GRID``.
 
     ``residuals`` holds the rank-one proportionality defect per sample;
     a sample is trustworthy only when its residual is small.
     """
 
     projection: np.ndarray
-    lambdas: np.ndarray
     values: np.ndarray
     residuals: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.lambdas) == len(self.values) == len(self.residuals)):
-            raise ValueError("scaling sample arrays must have matching lengths")
-
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.lambdas.tolist(), self.values.tolist()))
+        if not (len(SCALING_GRID) == len(self.values) == len(self.residuals)):
+            raise ValueError("scaling samples must hold one value and one residual per grid point")
 
 
 @dataclass(frozen=True)
@@ -345,23 +341,23 @@ def _residual(phi, d: SymmetryDescriptor, samples: np.ndarray) -> float:
     return max([0.0, *(frobenius_norm(x) for x in images - _apply_symmetry(d, samples))])
 
 
-def extract_scaling_function(phi, p: np.ndarray, lambdas) -> ScalingSamples:
-    """Sample f(lam) = tr(phi(lam P) phi(P)) / tr(phi(P)^2) on a rank-one P.
+def extract_scaling_function(phi, seed: int) -> ScalingSamples:
+    """Sample f(lam) = tr(phi(lam P) phi(P)) / tr(phi(P)^2) over ``SCALING_GRID``
+    on the rank-one projection P onto the Haar unit vector drawn from ``seed``.
 
     Each sample's proportionality residual ||phi(lam P) - f(lam) phi(P)||
     is recorded; a large residual marks the sample invalid (no scalar
     scaling law holds there), which :func:`check_scaling_identity`
     turns into a failure.
     """
-    p = np.asarray(p, dtype=complex)
+    p = rank_one_projection(random_unit_vector(phi.dim, seed))
     img_p = phi(p)
     _rank_one_vector(img_p, "image of the scaling projection")
     denom = float(np.trace(img_p @ img_p).real)
-    lams = np.asarray(lambdas, dtype=float)
-    images = np.array([phi(lam * p) for lam in lams]).reshape(-1, *p.shape)
+    images = np.array([phi(lam * p) for lam in SCALING_GRID])
     values = np.trace(images @ img_p, axis1=-2, axis2=-1).real / denom
     residuals = np.array([frobenius_norm(img - f * img_p) for img, f in zip(images, values.tolist())])
-    return ScalingSamples(projection=p, lambdas=lams, values=values, residuals=residuals)
+    return ScalingSamples(projection=p, values=values, residuals=residuals)
 
 
 def check_scaling_identity(samples: ScalingSamples) -> ScalingCheck:
@@ -370,26 +366,20 @@ def check_scaling_identity(samples: ScalingSamples) -> ScalingCheck:
     Passing requires max |f(lam) - lam| <= PROBE_TOL and trustworthy
     samples (proportionality residuals <= PROBE_TOL).  The multiplicative
     identity f(lam^2) = f(lam)^2 and the orthoadditive identity
-    f(lam^2) + f(1 - lam^2) = 1 are evaluated wherever the grid contains
-    the needed points and reported as diagnostics.  A NaN value or
+    f(lam^2) + f(1 - lam^2) = 1 are evaluated at the grid points whose
+    square is on the grid and reported as diagnostics.  A NaN value or
     residual fails the check.
     """
-    lam = samples.lambdas
     f = samples.values
-    if not len(lam):
-        return ScalingCheck(True, 0.0, 0.0, 0.0, 0.0)
-    id_dev = float(np.max(np.abs(f - lam)))
+    id_dev = float(np.max(np.abs(f - SCALING_GRID)))
     prop_res = float(np.max(samples.residuals))
 
-    # Row i marks the grid points within 1e-12 of lam_i^2 (of 1 - lam_i^2).  float_power
-    # is C pow, as a scalar f[i] ** 2 is; f ** 2 is f * f, which can differ in the last bit.
-    sq = lam * lam
-    at_sq = np.abs(lam - sq[:, None]) <= 1e-12
-    at_rest = np.abs(lam - (1.0 - sq)[:, None]) <= 1e-12
-    j, k = at_sq.argmax(axis=1), at_rest.argmax(axis=1)
-    has_sq = at_sq.any(axis=1)
-    mult = np.abs(f[j] - np.float_power(f, 2))[has_sq]
-    ortho = np.abs(f[j] + f[k] - 1.0)[has_sq & at_rest.any(axis=1)]
+    # Grid points k/16, k in {0, 4, 8, 12, 16}, square onto the grid at k²/16, with the complement
+    # at 16 − k²/16.  float_power is C pow, as a scalar f[i] ** 2 is; f * f can differ in the last bit.
+    root = np.arange(0, 17, 4)
+    sq = root * root // 16
+    mult = np.abs(f[sq] - np.float_power(f, 2)[root])
+    ortho = np.abs(f[sq] + f[16 - sq] - 1.0)
     # diagnostics only: fmax passes over a NaN deviation
     mult_dev, ortho_dev = (float(np.fmax.reduce(x, initial=0.0)) for x in (mult, ortho))
 
@@ -457,8 +447,7 @@ def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
 
     u, kind = reconstruct_unitary_from_projection_action(action, tol=tol, seed=s.next_u64())
 
-    p = rank_one_projection(random_unit_vector(phi.dim, s.next_u64()))
-    samples = found["scaling"] = extract_scaling_function(action, p, SCALING_GRID)
+    samples = found["scaling"] = extract_scaling_function(action, s.next_u64())
     scaling_check = check_scaling_identity(samples)
     if not scaling_check:
         raise ReconstructionError(

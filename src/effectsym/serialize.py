@@ -40,7 +40,7 @@ import numpy as np
 
 from .extension import EffectMapOracle
 from .linalg import as_square_array
-from .recover import PROBE_CHECKS, RecoveryReport
+from .recover import PROBE_CHECKS, SCALING_GRID, RecoveryReport
 from .symmetry import AffineMapRep, SymmetryDescriptor
 
 
@@ -148,7 +148,7 @@ def probe_to_obj(probe) -> dict:
 
 def scaling_to_obj(scaling) -> dict:
     return {
-        "lambdas": [float(x) for x in scaling.lambdas],
+        "lambdas": [float(x) for x in SCALING_GRID],
         "values": [float(x) for x in scaling.values],
         "residuals": [float(x) for x in scaling.residuals],
     }

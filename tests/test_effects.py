@@ -200,7 +200,10 @@ def test_rank_one_projection():
         rank_one_projection([0.0, 0.0])
 
 
-@pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0], [1e-300, 0.0]], ids=["nan", "inf", "tiny"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0], [1e-300, 0.0], [1e308, 1e308]],
+                         ids=["nan", "inf", "tiny", "overflow"])
 def test_rank_one_projection_refuses_a_zero_or_non_finite_vector(x):
+    """An overflowing norm is refused without a RuntimeWarning."""
     with pytest.raises(ValueError, match="zero or non-finite vector"):
         rank_one_projection(x)

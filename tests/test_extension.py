@@ -193,7 +193,7 @@ def test_extension_suite_fails_closed_on_nan(monkeypatch, check):
     nan = {"linearity_defect": lambda *a: math.nan, "boundedness_check": lambda *a, **k: math.nan,
            "unit_ball_decomposition": lambda m: (np.full_like(m, np.nan),) * 4}[check]
     monkeypatch.setattr(suites, check, nan)
-    result = suites.extension_suite(3, 5, oracles=2, probes=10)
+    result = suites.extension_suite(3, 5, probes=10)
     assert not result.passed
     assert len(result.details["failures"]) == 2
     if check != "unit_ball_decomposition":
@@ -230,7 +230,7 @@ def test_extension_queries_phi_of_zero_once_per_oracle(monkeypatch):
     boundedness_check(EffectMapOracle.from_descriptor(random_symmetry(3, 4, family=AFFINE)), seed=1)
     assert zeros == ["descriptor"]  # to recenter; the recentered map is not asked
     zeros.clear()
-    assert extension_suite(3, 5, oracles=2, probes=10).passed
+    assert extension_suite(3, 5, probes=10).passed
     assert zeros == ["descriptor"] * 4  # per oracle: the linearity oracle and the bounded one
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from effectsym.effects import rank_one_projection
 from effectsym.extension import EffectMapOracle, OracleError
 from effectsym.linalg import adjoint, frobenius_norm, operator_norm
 from effectsym.recover import (
@@ -19,6 +20,7 @@ from effectsym.recover import (
     recover_affine,
     recover_triple,
     recover_triple_hermitian,
+    route,
     verify_descriptor,
 )
 from effectsym.rng import Stream
@@ -266,7 +268,7 @@ def test_recover_triple_roundtrip_both_kinds():
         assert report.descriptor.kind == kind
         assert u_distance(report.descriptor, d) <= 1e-7
         assert report.max_residual <= 1e-8
-        scaling_dev = float(np.max(np.abs(report.scaling.values - report.scaling.lambdas)))
+        scaling_dev = float(np.max(np.abs(report.scaling.values - SCALING_GRID)))
         assert scaling_dev <= 1e-9
 
 
@@ -307,9 +309,9 @@ def test_recover_hermitian_refuses_dim_two():
 
 
 def test_scaling_identity_map():
-    p = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    samples = extract_scaling_function(identity_oracle(3), p, [0.0, 0.25, 0.5, 1.0])
-    assert np.allclose(samples.values, [0.0, 0.25, 0.5, 1.0], atol=1e-14)
+    samples = extract_scaling_function(identity_oracle(3), seed=5)
+    assert samples.projection.tobytes() == rank_one_projection(random_unit_vector(3, 5)).tobytes()
+    assert np.allclose(samples.values, SCALING_GRID, atol=1e-14)
     assert np.max(samples.residuals) < 1e-14
     chk = check_scaling_identity(samples)
     assert chk.ok and chk.max_identity_deviation < 1e-14
@@ -317,9 +319,7 @@ def test_scaling_identity_map():
 
 def test_scaling_canonical_descriptor_grid():
     d = random_symmetry(3, 31, family=TRIPLE_EFFECTS)
-    phi = EffectMapOracle.from_descriptor(d)
-    p = np.outer(*(lambda x: (x, np.conj(x)))(random_unit_vector(3, 5)))
-    samples = extract_scaling_function(phi, p, SCALING_GRID)
+    samples = extract_scaling_function(EffectMapOracle.from_descriptor(d), seed=5)
     chk = check_scaling_identity(samples)
     assert chk.ok
     assert chk.max_identity_deviation <= 1e-9
@@ -337,8 +337,8 @@ def test_scaling_corrupt_oracle_detected():
         lam = float(np.trace(np.asarray(a)).real)
         return (lam * lam) * p
 
-    samples = extract_scaling_function(oracle(3, corrupt), p, [0.0, 0.5, 1.0])
-    assert samples.values[1] == pytest.approx(0.25)
+    samples = extract_scaling_function(oracle(3, corrupt), seed=1)
+    assert samples.values[8] == pytest.approx(0.25)  # f(1/2)
     chk = check_scaling_identity(samples)
     assert not chk.ok
     assert chk.max_identity_deviation == pytest.approx(0.25)
@@ -347,30 +347,37 @@ def test_scaling_corrupt_oracle_detected():
 def test_scaling_rejects_rank_deficient_image():
     squash = oracle(3, lambda a: np.zeros((3, 3), dtype=complex))
     with pytest.raises(ReconstructionError):
-        extract_scaling_function(squash, np.diag([1.0, 0, 0]).astype(complex), [0.5])
+        extract_scaling_function(squash, seed=1)
 
 
 def test_scaling_square_grid_deviation():
-    lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     from effectsym.recover import ScalingSamples
 
     samples = ScalingSamples(
         projection=np.diag([1.0, 0.0]).astype(complex),
-        lambdas=lam,
-        values=lam ** 2,
-        residuals=np.zeros_like(lam),
+        values=SCALING_GRID ** 2,
+        residuals=np.zeros_like(SCALING_GRID),
     )
     chk = check_scaling_identity(samples)
     assert not chk.ok
     assert chk.max_identity_deviation == pytest.approx(0.25)
 
 
+def test_scaling_samples_hold_one_sample_per_grid_point():
+    from effectsym.recover import ScalingSamples
+
+    p, grid = np.diag([1.0, 0.0]).astype(complex), SCALING_GRID
+    for values, residuals in ((grid[:-1], grid[:-1]), (grid, grid[:-1]), (np.append(grid, 1.0), grid)):
+        with pytest.raises(ValueError, match="one value and one residual per grid point"):
+            ScalingSamples(p, values, residuals)
+
+
 def ref_check_scaling_identity(samples):
     """The identity check one grid point at a time: (ok, identity,
     multiplicative, orthoadditive, proportionality) deviations."""
-    lam, f = samples.lambdas, samples.values
-    id_dev = float(np.max(np.abs(f - lam))) if len(lam) else 0.0
-    prop_res = float(np.max(samples.residuals)) if len(lam) else 0.0
+    lam, f = SCALING_GRID, samples.values
+    id_dev = float(np.max(np.abs(f - lam)))
+    prop_res = float(np.max(samples.residuals))
 
     def grid_index(x):
         hits = np.flatnonzero(np.abs(lam - x) <= 1e-12)
@@ -388,25 +395,11 @@ def ref_check_scaling_identity(samples):
     return id_dev <= 1e-9 and prop_res <= 1e-9, id_dev, mult_dev, ortho_dev, prop_res
 
 
-def scaling_grids():
-    """(name, lambdas): the recovery grid, the grid with the square of
-    every point, off-grid points, duplicates, points within 1e-12 of a
-    square, NaN, and the empty grid."""
-    s = Stream(17)
-    yield "grid", SCALING_GRID
-    yield "with_squares", np.concatenate([SCALING_GRID, SCALING_GRID ** 2])
-    yield "off_grid", np.concatenate([SCALING_GRID, s.uniform(9)])
-    yield "duplicates", np.repeat(SCALING_GRID, 2)[::-1].copy()
-    yield "near_squares", np.array([0.5, 0.25 + 5e-13, 0.25, 0.75 - 2e-12, 0.75, 0.0, 1.0])
-    yield "nan_lambda", np.concatenate([SCALING_GRID, [np.nan]])
-    yield "empty", np.zeros(0)
-
-
-@pytest.mark.parametrize("name, lam", list(scaling_grids()), ids=[n for n, _ in scaling_grids()])
 @pytest.mark.parametrize("noise", ["exact", "ulps", "coarse", "nan_values", "nan_residuals"])
-def test_stacked_scaling_check_equals_per_point_loop_bitwise(name, lam, noise):
+def test_stacked_scaling_check_equals_per_point_loop_bitwise(noise):
     from effectsym.recover import ScalingSamples
 
+    lam = SCALING_GRID
     s = Stream(len(lam) + len(noise))
     fields = ("max_identity_deviation", "max_multiplicative_deviation",
               "max_orthoadditive_deviation", "max_proportionality_residual")
@@ -424,7 +417,7 @@ def test_stacked_scaling_check_equals_per_point_loop_bitwise(name, lam, noise):
             residuals = 1e-10 * s.uniform(len(lam))
         elif noise == "nan_residuals":
             residuals[1::4] = np.nan
-        samples = ScalingSamples(np.diag([1.0, 0.0]).astype(complex), lam, values, residuals)
+        samples = ScalingSamples(np.diag([1.0, 0.0]).astype(complex), values, residuals)
         got = check_scaling_identity(samples)
         ok, *want = ref_check_scaling_identity(samples)
         assert got.ok == ok
@@ -497,11 +490,11 @@ def ref_reconstruction_residual(action, u, kind, seed):
     return worst
 
 
-def ref_scaling(phi, p, lambdas):
+def ref_scaling(phi, p):
     img_p = phi(p)
     denom = float(np.trace(img_p @ img_p).real)
     values, residuals = [], []
-    for lam in lambdas:
+    for lam in SCALING_GRID:
         img = phi(lam * p)
         values.append(float(np.trace(img @ img_p).real) / denom)
         residuals.append(frobenius_norm(img - values[-1] * img_p))
@@ -546,10 +539,8 @@ def test_stacked_residuals_equal_per_sample_loop_bitwise(dim):
             reconstruct_unitary_from_projection_action(action, tol=np.nextafter(worst, -1.0), seed=dim)
 
         if not d.complement:
-            x = random_unit_vector(dim, dim)
-            p = np.outer(x, np.conj(x))
-            samples = extract_scaling_function(phi, p, SCALING_GRID)
-            values, residuals = ref_scaling(phi, p, SCALING_GRID)
+            samples = extract_scaling_function(phi, seed=dim)
+            values, residuals = ref_scaling(phi, rank_one_projection(random_unit_vector(dim, dim)))
             assert np.array_equal(samples.values, values)
             assert np.array_equal(samples.residuals, residuals)
 
@@ -751,13 +742,12 @@ INPUT_SEQUENCES = {
     (TRIPLE_HERMITIAN, -1): (391, "e8d6d31b2ffbb2ece97b325fd36df43f791bfe69c16c05810558f88a560bb036",
                              "d1b552b40d1a0cd1fd65bd2d24cd573c21fa1b67d57ac421111d6a6105853275"),
 }
-ROUTES = {AFFINE: recover_affine, TRIPLE_EFFECTS: recover_triple, TRIPLE_HERMITIAN: recover_triple_hermitian}
 
 
 @pytest.mark.parametrize("family, sign", sorted(INPUT_SEQUENCES))
 def test_oracle_input_sequence_is_pinned(family, sign, oracle_queries):
     d = random_symmetry(4, 7, family=family, **({"sign": sign} if family == TRIPLE_HERMITIAN else {}))
-    assert ROUTES[family](oracle(4, lambda m: apply_symmetry(d, m)), seed=11).canonical
+    assert route(family)(oracle(4, lambda m: apply_symmetry(d, m)), seed=11).canonical
     assert oracle_queries.digest() == INPUT_SEQUENCES[family, sign]
 
 
@@ -797,18 +787,18 @@ ROUTE_FLAGS = {AFFINE: {"complement": True}, TRIPLE_EFFECTS: {}, TRIPLE_HERMITIA
 @pytest.mark.parametrize("family, dim", sorted(STACKED_INPUT_SEQUENCES))
 def test_stacked_checks_keep_the_input_sequence(family, dim, oracle_queries):
     d = random_symmetry(dim, 7, family=family, **ROUTE_FLAGS[family])
-    assert ROUTES[family](oracle(dim, lambda m: apply_symmetry(d, m)), seed=11).canonical
+    assert route(family)(oracle(dim, lambda m: apply_symmetry(d, m)), seed=11).canonical
     assert oracle_queries.digest() == STACKED_INPUT_SEQUENCES[family, dim]
 
 
 FIRST_BASIS_PROJECTION = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 
-@pytest.mark.parametrize("family", sorted(ROUTES))
+@pytest.mark.parametrize("family", sorted(MIN_DIM))
 @pytest.mark.parametrize("k", [1, 37, 100, "rebuild"])
 def test_wrong_shape_at_the_kth_verify_query_stops_there(family, k, oracle_queries):
     d = random_symmetry(4, 7, family=family, **ROUTE_FLAGS[family])
-    assert ROUTES[family](oracle(4, lambda m: apply_symmetry(d, m)), seed=11).canonical
+    assert route(family)(oracle(4, lambda m: apply_symmetry(d, m)), seed=11).canonical
     if k == "rebuild":
         # The rebuild's first query; with the complement or sign -1 flag set
         # it reaches the oracle through the derived (complement, negated) map.
@@ -821,7 +811,7 @@ def test_wrong_shape_at_the_kth_verify_query_stops_there(family, k, oracle_queri
         queries.append(m.copy())
         return np.eye(3) if len(queries) == bad_at else apply_symmetry(d, m)
 
-    report = ROUTES[family](oracle(4, evaluate), seed=11)
+    report = route(family)(oracle(4, evaluate), seed=11)
     assert report.verdict == REJECTED and report.reason.startswith("oracle output has shape")
     assert len(queries) == bad_at
     assert np.array_equal(report.witness[0], queries[-1])
@@ -913,16 +903,12 @@ def test_non_hermitian_similarity_is_rejected_without_raising(route):
         assert report.witness is not None
 
 
-ROUTES = {AFFINE: recover_affine, TRIPLE_EFFECTS: recover_triple,
-          TRIPLE_HERMITIAN: recover_triple_hermitian}
-
-
-@pytest.mark.parametrize("family", sorted(ROUTES))
+@pytest.mark.parametrize("family", sorted(MIN_DIM))
 def test_each_route_refuses_a_dimension_below_its_family_minimum(family):
     calls = []
     phi = oracle(MIN_DIM[family] - 1, lambda a: calls.append(1) or np.asarray(a, complex))
     with pytest.raises(ValueError, match=f"{family} recovery needs dim >= {MIN_DIM[family]}"):
-        ROUTES[family](phi, seed=1)
+        route(family)(phi, seed=1)
     assert calls == []
 
 
@@ -937,7 +923,7 @@ def test_a_tight_tolerance_rejects_the_nearly_canonical_map():
     assert recover_affine(nearly_conjugation_oracle(4), tol=1e-8, seed=1).verdict == REJECTED
 
 
-@pytest.mark.parametrize("route", list(ROUTES.values()))
+@pytest.mark.parametrize("route", [recover_affine, recover_triple, recover_triple_hermitian])
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_a_tolerance_outside_zero_to_infinity_is_refused(route, tol):
     """A NaN or infinite tolerance would accept the nearly canonical map."""
@@ -951,7 +937,8 @@ def test_a_trials_that_is_not_an_integer_is_refused(trials):
     calls = []
     phi = oracle(3, lambda a: calls.append(1) or np.asarray(a, complex))
     d = SymmetryDescriptor(UNITARY, np.eye(3))
-    for run in (*ROUTES.values(), preservation_probe, lambda phi, **kw: verify_descriptor(phi, d, **kw)):
+    runs = (*map(route, sorted(MIN_DIM)), preservation_probe, lambda phi, **kw: verify_descriptor(phi, d, **kw))
+    for run in runs:
         with pytest.raises(ValueError, match="trials must be an integer"):
             run(phi, trials=trials, seed=1)
     with pytest.raises(ValueError, match="trials must be an integer"):
@@ -993,7 +980,7 @@ def nan_on_rank_one_projections(d):
 @pytest.mark.parametrize("map_seed", range(6))
 def test_nan_answers_are_rejected_not_raised(family, make, prefix, map_seed):
     d = random_symmetry(4, map_seed, family=family)
-    report = ROUTES[family](oracle(4, make(d)), seed=1)
+    report = route(family)(oracle(4, make(d)), seed=1)
     assert report.verdict == REJECTED
     assert report.reason.startswith(prefix), report.reason
     if family != AFFINE:

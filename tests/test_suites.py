@@ -113,9 +113,10 @@ def test_rejection_failures_name_the_route(monkeypatch):
 def test_extension_failure_names_only_the_nonlinear_oracle(monkeypatch):
     defects = iter([1e-3, 0.0])
     monkeypatch.setattr(suites, "linearity_defect", lambda phi, stream, probes: next(defects))
-    result = suites.extension_suite(3, 5, oracles=2, probes=2)
+    result = suites.extension_suite(3, 5, probes=2)
     assert result.details["failures"] == ["oracle 0: linearity deviation 1.000e-03"]
     assert result.details["max_linearity_deviation"] == 1e-3
+    assert result.details["oracles"] == 2
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
