@@ -88,9 +88,9 @@ def _write(obj, path: str | None) -> None:
         raise CliError(f"cannot write output: {err}", EXIT_IO) from err
 
 
-def _write_report(args: argparse.Namespace, keys: tuple[str, ...], elapsed: float, **body) -> None:
-    """Write a report: the echo of the flags in ``keys``, ``body``, the wall time, the version."""
-    config = {key: getattr(args, key, None) for key in keys}
+def _write_report(args: argparse.Namespace, elapsed: float, **body) -> None:
+    """Write a report: the parser's echo of the flags, ``body``, the wall time, the version."""
+    config = {key: value for key, value in vars(args).items() if key != "command"}
     _write({"config": config, **body, "wall_time_s": elapsed, "version": __version__}, args.output)
 
 
@@ -116,7 +116,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError) as err:  # ValueError: not UTF-8 or not JSON
         raise CliError(f"cannot read map file: {err}", EXIT_BAD_INPUT) from err
     try:
-        oracle, form = oracle_from_obj(obj)
+        oracle = oracle_from_obj(obj)
     except ValueError as err:
         raise CliError(f"bad map file: {err}", EXIT_BAD_INPUT) from err
     if args.dim is not None and args.dim != oracle.dim:
@@ -130,8 +130,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise CliError(str(err), EXIT_BAD_INPUT) from err
     elapsed = time.perf_counter() - start
-    _write_report(args, ("family", "input", "output", "dim", "seed", "tol", "trials"), elapsed,
-                  input_form=form, report=report_to_obj(report))
+    _write_report(args, elapsed, input_form=oracle.label, report=report_to_obj(report))
     return EXIT_OK if report.canonical else EXIT_REJECTED
 
 
@@ -144,7 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     all_passed = all(r.passed for r in results)
     suites = [{"name": r.name, "passed": r.passed, "skipped": r.skipped, "details": r.details} for r in results]
-    _write_report(args, ("dim", "seed", "trials", "tol", "output"), elapsed, suites=suites, all_passed=all_passed)
+    _write_report(args, elapsed, suites=suites, all_passed=all_passed)
     for r in results:
         status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
         print(f"{status} {r.name}", file=sys.stderr)

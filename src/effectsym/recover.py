@@ -46,7 +46,8 @@ Stages that query every sample whatever the answers (the verify stage,
 the rank-one checks of a rebuilt unitary, the scaling samples) ask the
 oracle one input at a time in a fixed order, then compute the expected
 side on the whole stack; each residual norm is taken per matrix and
-folded with ``max``, as a per-sample loop would.  The affinity probe and
+folded with ``max``, as a per-sample loop would (the rebuild then folds
+in the images it asked, by ``nan_max``).  The affinity probe and
 the triple identity stop at their first violation; the preservation probe
 keeps every witness but can raise partway on NaN.  All three stay per trial;
 their per-trial products use ``ndarray.dot``, which at dim >= 2 gives the
@@ -68,6 +69,7 @@ from .linalg import (
     frobenius_norm,
     hermitize,
     hermiticity_defect,
+    nan_max,
 )
 from .rng import Stream
 from .sampling import (
@@ -258,8 +260,8 @@ def reconstruct_unitary_from_projection_action(
     vectors f_i of the basis projections, align the phase of each f_j
     (j >= 1) against the image of the projection onto (e_0 + e_j)/sqrt2,
     decide unitary vs antiunitary from the image of the projection onto
-    (e_0 + i e_1)/sqrt2, then verify on ``RECONSTRUCT_CHECKS`` random
-    rank-one projections.
+    (e_0 + i e_1)/sqrt2, then compare the candidate with these 2 dim
+    images and on ``RECONSTRUCT_CHECKS`` random rank-one projections.
     Raises :class:`ReconstructionError` whenever the action strays from
     a single-conjugation form.
     """
@@ -267,25 +269,20 @@ def reconstruct_unitary_from_projection_action(
     if dim < 2:
         raise ValueError("reconstruction needs dim >= 2")
     eye = np.eye(dim, dtype=complex)
+    inputs, images = [], []  # every projection asked, and its image
 
-    frame = []
-    for i in range(dim):
-        img = phi(np.outer(eye[i], eye[i]))
-        frame.append(_rank_one_vector(img, f"image of basis projection {i}"))
+    def ask(p: np.ndarray) -> np.ndarray:
+        inputs.append(p)
+        images.append(phi(p))
+        return images[-1]
 
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            overlap = abs(np.vdot(frame[i], frame[j]))
-            if overlap > RANK_ONE_TOL:
-                raise ReconstructionError(
-                    f"images of orthogonal basis projections {i}, {j} are not "
-                    f"orthogonal (overlap {overlap:.3e})"
-                )
+    frame = [_rank_one_vector(ask(np.outer(eye[i], eye[i])), f"image of basis projection {i}")
+             for i in range(dim)]
 
     sqrt2 = np.sqrt(2.0)
     for j in range(1, dim):
         x = (eye[0] + eye[j]) / sqrt2
-        r = phi(np.outer(x, np.conj(x)))
+        r = ask(np.outer(x, np.conj(x)))
         z = np.vdot(frame[j], r @ frame[0])
         if not abs(z) >= PHASE_CUTOFF:  # true on NaN
             raise ReconstructionError(
@@ -294,7 +291,7 @@ def reconstruct_unitary_from_projection_action(
         frame[j] = (z / abs(z)) * frame[j]
 
     x = (eye[0] + 1j * eye[1]) / sqrt2
-    s_img = phi(np.outer(x, np.conj(x)))
+    s_img = ask(np.outer(x, np.conj(x)))
     plus = (frame[0] + 1j * frame[1]) / sqrt2
     minus = (frame[0] - 1j * frame[1]) / sqrt2
     d_plus = frobenius_norm(s_img - np.outer(plus, np.conj(plus)))
@@ -304,8 +301,9 @@ def reconstruct_unitary_from_projection_action(
     w, _, vh = np.linalg.svd(np.column_stack(frame))  # the nearest unitary to the frame
     d = gauge_normalize(SymmetryDescriptor(kind, w @ vh))
     xs = random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS))
-    worst = _residual(phi, d, np.array([np.outer(x, np.conj(x)) for x in xs]))
-    if worst > tol:
+    worst = nan_max(_residual(phi, d, np.array([np.outer(x, np.conj(x)) for x in xs])),
+                    *map(frobenius_norm, np.array(images) - _apply_symmetry(d, np.array(inputs))))
+    if not worst <= tol:
         raise ReconstructionError(
             f"reconstruction verification failed: rank-one residual {worst:.3e} "
             f"above {tol:g}"

@@ -9,8 +9,8 @@ order is part of the contract so streams stay reproducible:
   R-diagonal phase fix, which makes the distribution Haar.
 * ``random_effect``: the stream's first output seeds the Haar rotation,
   then ``dim`` uniforms give the eigenvalues.
-* ``random_projection``: first output seeds the Haar rotation, then one
-  integer draw picks the rank uniformly in 1..dim-1.
+* ``random_projection``: first output seeds the Haar rotation, then the
+  next output x picks the rank 1 + x % (dim - 1), as for the pairs.
 
 Batched forms (``haar_unitaries``, ``random_effects``, ...) return one
 result per seed; result i is bit for bit the per-seed sampler (the
@@ -87,11 +87,11 @@ def random_effect(dim: int, seed: int) -> np.ndarray:
 
 
 def _frames(dim: int, seeds):
-    """Per seed: the Haar frame of the stream's first output, and the next two outputs."""
+    """Per seed: the Haar frame of the stream's first output, the rank its second picks, its third output."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
     raw = u64_grid(seeds, 3)
-    return zip(haar_unitaries(dim, raw[:, 0]), raw[:, 1].tolist(), raw[:, 2].tolist())
+    return zip(haar_unitaries(dim, raw[:, 0]), (1 + raw[:, 1] % (dim - 1)).tolist(), raw[:, 2].tolist())
 
 
 def _projection(cols: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ def _projection(cols: np.ndarray) -> np.ndarray:
 
 def random_projections(dim: int, seeds) -> list[np.ndarray]:
     """Haar-rotated orthogonal projections of random rank in 1..dim-1."""
-    return [_projection(u[:, :1 + x % (dim - 1)]) for u, x, _ in _frames(dim, seeds)]
+    return [_projection(u[:, :rank]) for u, rank, _ in _frames(dim, seeds)]
 
 
 def random_projection(dim: int, seed: int) -> np.ndarray:
@@ -109,15 +109,14 @@ def random_projection(dim: int, seed: int) -> np.ndarray:
 
 
 def nested_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs (P, Q) of projections with P <= Q, each sharing one Haar frame."""
-    frames = [(u, 1 + x % (dim - 1), y) for u, x, y in _frames(dim, seeds)]  # rank of Q
-    return [(_projection(u[:, :1 + y % q]), _projection(u[:, :q])) for u, q, y in frames]
+    """Pairs (P, Q) of projections with P <= Q, each sharing one Haar frame; Q has the frame's rank."""
+    return [(_projection(u[:, :1 + y % q]), _projection(u[:, :q])) for u, q, y in _frames(dim, seeds)]
 
 
 def orthogonal_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs (P, Q) of projections with PQ = 0, from disjoint Haar columns."""
-    frames = [(u, 1 + x % (dim - 1), y) for u, x, y in _frames(dim, seeds)]  # rank of P
-    return [(_projection(u[:, :p]), _projection(u[:, p:p + 1 + y % (dim - p)])) for u, p, y in frames]
+    """Pairs (P, Q) of projections with PQ = 0, from disjoint Haar columns; P has the frame's rank."""
+    return [(_projection(u[:, :p]), _projection(u[:, p:p + 1 + y % (dim - p)]))
+            for u, p, y in _frames(dim, seeds)]
 
 
 def random_hermitians(dim: int, seeds) -> np.ndarray:

@@ -130,12 +130,12 @@ def affine_rep_from_obj(obj: Any) -> AffineMapRep:
     return AffineMapRep(linear=linear, constant=constant)
 
 
-def oracle_from_obj(obj: Any) -> tuple[EffectMapOracle, str]:
-    """Build an oracle from either serialized form; returns (oracle, form)."""
+def oracle_from_obj(obj: Any) -> EffectMapOracle:
+    """Build an oracle from either serialized form; its ``label`` names the form."""
     if isinstance(obj, dict) and "kind" in obj:
-        return EffectMapOracle.from_descriptor(descriptor_from_obj(obj)), "descriptor"
+        return EffectMapOracle.from_descriptor(descriptor_from_obj(obj))
     if isinstance(obj, dict) and "linear" in obj:
-        return EffectMapOracle.from_affine_rep(affine_rep_from_obj(obj)), "affine_rep"
+        return EffectMapOracle.from_affine_rep(affine_rep_from_obj(obj))
     raise ValueError("map file is neither a descriptor nor an affine map")
 
 

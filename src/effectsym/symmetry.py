@@ -44,7 +44,10 @@ bit for bit with the trace against :func:`hermitian_basis` on every
 finite input.  Only the encode table writes the basis order: the decode
 table is the encode table read backwards, :func:`hermitian_basis` is
 the decoded identity, and :func:`to_affine_rep` encodes the basis images
-with one gather per block of dim of them.
+with one gather per block of dim of them.  The rule is private:
+:func:`_encode` and :func:`_decode` evaluate an :class:`AffineMapRep`,
+and their gather tables build :func:`hermitian_basis` and
+:func:`to_affine_rep`.
 """
 
 from __future__ import annotations
@@ -148,32 +151,6 @@ def _decode(c: np.ndarray, dim: int) -> np.ndarray:
     out = np.concatenate((c, _ZERO))[index] * factor
     out += 0.0  # as in _encode
     return out.view(complex).reshape(dim, dim)
-
-
-def _real_array(x, what: str) -> np.ndarray:
-    """``x`` as a float array.  Refuses what a float cast would mangle
-    (complex parts, bools, non-numbers) and non-finite entries."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
-    a = a.astype(float, order="C")  # a fresh array, in the layout a query reads
-    if np.count_nonzero(np.isfinite(a)) != a.size:
-        raise ValueError(f"{what} has non-finite entries")
-    return a
-
-
-def encode_hermitian(a) -> np.ndarray:
-    """Real coordinates c_k = tr(B_k A) of a Hermitian matrix."""
-    return _encode(as_square_array(a))
-
-
-def decode_hermitian(coords, dim: int) -> np.ndarray:
-    """Inverse of :func:`encode_hermitian`; the coordinates must be finite
-    real numbers."""
-    c = _real_array(coords, "coordinates")
-    if c.shape != (dim * dim,):
-        raise ValueError(f"expected {dim * dim} coordinates, got shape {c.shape}")
-    return _decode(c, dim)
 
 
 @dataclass(frozen=True)
@@ -294,7 +271,12 @@ class AffineMapRep:
     def __post_init__(self):
         c = as_square_array(self.constant)
         n = c.shape[0]
-        lin = _real_array(self.linear, "linear part")
+        lin = np.asarray(self.linear)
+        if lin.dtype.kind not in "iuf":  # a float cast would drop complex parts and read bools as 0, 1
+            raise ValueError(f"linear part must be real numbers, got dtype {lin.dtype}")
+        lin = lin.astype(float, order="C")  # a fresh array, in the layout a query reads
+        if np.count_nonzero(np.isfinite(lin)) != lin.size:
+            raise ValueError("linear part has non-finite entries")
         if lin.shape != (n * n, n * n):
             raise ValueError(
                 f"linear part has shape {lin.shape}, expected {(n * n, n * n)}"

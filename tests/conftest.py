@@ -6,7 +6,7 @@ import pytest
 
 from effectsym.extension import EffectMapOracle
 from effectsym.linalg import hermitize
-from effectsym.symmetry import AffineMapRep, apply_symmetry, encode_hermitian
+from effectsym.symmetry import AffineMapRep, _encode, apply_symmetry
 
 
 class QueryLog(list):
@@ -61,7 +61,7 @@ def _per_basis_affine_rep(d):
     and an encoding per element of the double-loop basis, then the columns
     stacked."""
     const = hermitize(apply_symmetry(d, np.zeros((d.dim, d.dim))))
-    cols = [encode_hermitian(apply_symmetry(d, b) - const) for b in _loop_hermitian_basis(d.dim)]
+    cols = [_encode(apply_symmetry(d, b) - const) for b in _loop_hermitian_basis(d.dim)]
     return AffineMapRep(linear=np.column_stack(cols), constant=const)
 
 

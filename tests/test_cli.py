@@ -101,6 +101,22 @@ def test_recover_affine_rep_input(tmp_path):
     assert load_json(tmp_path / "r.json")["input_form"] == "affine_rep"
 
 
+def test_reports_echo_every_flag_in_parser_order(tmp_path):
+    """The config echo is the parser's namespace: these keys, in this order."""
+    mapfile, out = tmp_path / "m.json", tmp_path / "r.json"
+    assert run(["synth", "--dim", 3, "--seed", 5, "--output", mapfile]) == 0
+    assert run(["recover", "--input", mapfile, "--seed", 2, "--output", out]) == 0
+    report = load_json(out)
+    assert list(report["config"]) == ["family", "input", "output", "dim", "seed", "tol", "trials"]
+    assert report["config"] == {"family": "affine", "input": str(mapfile), "output": str(out),
+                                "dim": None, "seed": 2, "tol": 1e-8, "trials": 100}
+    assert report["input_form"] == "descriptor"
+    assert run(["verify", "--dim", 3, "--seed", 2, "--trials", 5, "--output", out]) == 0
+    report = load_json(out)
+    assert list(report["config"]) == ["dim", "seed", "trials", "tol", "output"]
+    assert report["config"] == {"dim": 3, "seed": 2, "trials": 5, "tol": 1e-8, "output": str(out)}
+
+
 def test_recover_halving_map_rejected(tmp_path):
     # affine form of A -> A/2: linear = I/2, constant = 0
     mapfile = tmp_path / "half.json"

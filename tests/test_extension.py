@@ -260,12 +260,12 @@ def test_extension_matches_affine_rep_linear_part():
         assert frobenius_norm(rep.constant) < 1e-12
         phi = EffectMapOracle.from_affine_rep(rep)
         from effectsym.sampling import random_hermitian
-        from effectsym.symmetry import decode_hermitian, encode_hermitian
+        from effectsym.symmetry import _decode, _encode
 
         for _ in range(20):
             h = random_hermitian(4, s.next_u64())
             via_formula = extend_linear(phi, h)
-            via_rep = decode_hermitian(rep.linear @ encode_hermitian(h), 4)
+            via_rep = _decode(rep.linear @ _encode(h), 4)
             assert frobenius_norm(via_formula - via_rep) <= 1e-9
 
 

@@ -145,8 +145,39 @@ def test_reconstruct_rejects_non_orthogonal_images():
         # every rank-one projection lands on the same projection
         return e0
 
-    with pytest.raises(ReconstructionError, match="not.*orthogonal|orthogonal"):
+    with pytest.raises(ReconstructionError, match="reconstruction verification failed"):
         reconstruct_unitary_from_projection_action(oracle(3, collapse))
+
+
+def corrupted_at_one_rebuild_query(d, where):
+    """The descriptor's map, but wrong on one projection the rebuild asks: a
+    basis projection or a phase projection by a factor 1 + 1e-7, or the
+    kind projection onto (e_0 + i e_1)/sqrt2 by 1e-3 H."""
+    eye = np.eye(d.dim, dtype=complex)
+    x = {"basis": eye[-1], "phase": (eye[0] + eye[1]) / np.sqrt(2.0),
+         "kind": (eye[0] + 1j * eye[1]) / np.sqrt(2.0)}[where]
+    h = np.zeros((d.dim, d.dim), dtype=complex)
+    h[0, 2] = h[2, 0] = 1.0 / np.sqrt(2.0)
+
+    def evaluate(a):
+        out = apply_symmetry(d, a)
+        if not np.array_equal(a, np.outer(x, np.conj(x))):
+            return out
+        return out + 1e-3 * h if where == "kind" else out * (1.0 + 1e-7)
+    return oracle(d.dim, evaluate)
+
+
+@pytest.mark.parametrize("where", ["basis", "phase", "kind"])
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("family", [AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN])
+def test_rebuild_compares_every_image_it_asked(family, dim, where):
+    """Each corruption leaves the rebuilt U and its random checks clean, so
+    only the comparison of the asked images with the candidate refuses it."""
+    for seed in range(2):
+        d = random_symmetry(dim, seed, family=family)
+        report = route(family)(corrupted_at_one_rebuild_query(d, where), seed=seed)
+        assert report.verdict == REJECTED
+        assert report.reason.startswith("reconstruction verification failed"), report.reason
 
 
 def test_reconstruct_needs_dim_two():
@@ -481,9 +512,14 @@ def ref_verify(phi, d, trials, seed, domain):
 
 
 def ref_reconstruction_residual(action, u, kind, seed):
+    """Over the rebuild's 2 dim asked projections (basis, phase, kind), then its random checks."""
+    dim = u.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    xs = [*eye, *((eye[0] + eye[j]) / np.sqrt(2.0) for j in range(1, dim)),
+          (eye[0] + 1j * eye[1]) / np.sqrt(2.0)]
+    xs += [random_unit_vector(dim, s) for s in Stream(seed).u64_block(RECONSTRUCT_CHECKS).tolist()]
     worst = 0.0
-    for s in Stream(seed).u64_block(RECONSTRUCT_CHECKS).tolist():
-        x = random_unit_vector(u.shape[0], s)
+    for x in xs:
         px = np.outer(x, np.conj(x))
         expected = u @ (np.conj(px) if kind == ANTIUNITARY else px) @ adjoint(u)
         worst = max(worst, frobenius_norm(action(px) - expected))

@@ -206,10 +206,10 @@ def test_affine_rep_roundtrip():
 
 def test_oracle_from_obj_both_forms():
     d = random_symmetry(3, 13, family="affine")
-    oracle_d, form_d = oracle_from_obj(descriptor_to_obj(d))
-    assert form_d == "descriptor"
-    oracle_r, form_r = oracle_from_obj(affine_rep_to_obj(to_affine_rep(d)))
-    assert form_r == "affine_rep"
+    oracle_d = oracle_from_obj(descriptor_to_obj(d))
+    assert oracle_d.label == "descriptor"
+    oracle_r = oracle_from_obj(affine_rep_to_obj(to_affine_rep(d)))
+    assert oracle_r.label == "affine_rep"
     a = random_effect(3, 17)
     assert np.allclose(oracle_d(a), apply_symmetry(d, a))
     assert np.allclose(oracle_r(a), apply_symmetry(d, a), atol=1e-11)
