@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .recover import ACCEPT_TOL, MIN_DIM, route
@@ -46,7 +47,9 @@ class CliError(Exception):
         self.code = code
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="effectsym",
         description="Synthesize, recover, and verify symmetries of the operator interval [0, I].",
@@ -151,8 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handler = {"synth": cmd_synth, "recover": cmd_recover, "verify": cmd_verify}[args.command]
     try:
         return handler(args)

@@ -19,6 +19,7 @@ from .linalg import (
     as_square_array,
     eig_hermitian,
     eigenvalues_hermitian,
+    frobenius_norm,
     from_spectrum,
     psd_parts,
     require_hermitian,
@@ -99,7 +100,7 @@ def rank_one_projection(x) -> np.ndarray:
     a zero vector or one whose norm is not finite is refused."""
     v = np.asarray(x, dtype=complex).reshape(-1)
     with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
-        nrm = np.linalg.norm(v)
+        nrm = frobenius_norm(v)
     if not 1e-12 <= nrm < np.inf:  # false on NaN
         raise ValueError(f"cannot project onto a zero or non-finite vector (norm {nrm})")
     v = v / nrm

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -99,11 +100,11 @@ class EffectMapOracle:
     # __call__ has validated the input, so the evaluators skip the checks.
     @classmethod
     def from_descriptor(cls, d: SymmetryDescriptor) -> "EffectMapOracle":
-        return cls(d.dim, lambda m: _apply_symmetry(d, m), label="descriptor")
+        return cls(d.dim, partial(_apply_symmetry, d), label="descriptor")
 
     @classmethod
     def from_affine_rep(cls, rep: AffineMapRep) -> "EffectMapOracle":
-        return cls(rep.dim, lambda m: _apply_affine_rep(rep, m), label="affine_rep")
+        return cls(rep.dim, partial(_apply_affine_rep, rep), label="affine_rep")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ wrappers; the view and its bits are those of ``np.conj(np.swapaxes(...))``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -47,8 +49,16 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + adjoint(a))
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def frobenius_norm(a) -> float:
+    """``float(np.linalg.norm(a))`` bit for bit: numpy's own ``ord=None``
+    branch (same cast, ``ravel``, ``dot`` calls and sum) without its
+    dispatch; ``math.sqrt`` rounds correctly, as numpy's ``sqrt`` does."""
+    x = np.asarray(a)
+    x = (x if issubclass(x.dtype.type, (np.inexact, np.object_)) else x.astype(float)).ravel(order="K")
+    if x.dtype.kind == "c":
+        x, y = x.real, x.imag
+        return math.sqrt(x.dot(x) + y.dot(y))
+    return math.sqrt(x.dot(x))
 
 
 def nan_max(*values: float) -> float:

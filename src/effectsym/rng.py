@@ -36,6 +36,9 @@ Derived values:
 Batched form: :func:`u64_grid` draws outputs k + 1 .. k + n of many seeds;
 row i is bit for bit what ``Stream(seeds[i])`` draws after its first k (one
 row is :meth:`Stream.u64_block`); early-stopping stages draw 1, 2, 4, ... trials at a time.
+The block forms build their constants at import and write in place only
+into arrays they just allocated: the same operations on the same operands
+in the same order, with ``log``, ``cos`` and ``sin`` on contiguous arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
+_U_GAMMA, _U_MIX_1, _U_MIX_2 = np.uint64(_GAMMA), np.uint64(_MIX_1), np.uint64(_MIX_2)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def mix64(z: int) -> int:
@@ -56,10 +61,13 @@ def mix64(z: int) -> int:
 
 
 def _mix64_block(z: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps mod 2**64 without overflow warnings
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-    return z ^ (z >> np.uint64(31))
+    # mix64 of each entry of a fresh array, in place; uint64 arithmetic wraps without overflow warnings
+    z ^= z >> _S30
+    z *= _U_MIX_1
+    z ^= z >> _S27
+    z *= _U_MIX_2
+    z ^= z >> _S31
+    return z
 
 
 def u64_grid(seeds, n: int, counter: int = 0) -> np.ndarray:
@@ -68,19 +76,22 @@ def u64_grid(seeds, n: int, counter: int = 0) -> np.ndarray:
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
         seeds = np.array([int(seed) & _MASK for seed in seeds], dtype=np.uint64)
     ks = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
-    return _mix64_block(seeds[:, None] + ks * np.uint64(_GAMMA))
+    ks *= _U_GAMMA
+    return _mix64_block(seeds[:, None] + ks)
 
 
 def _unit_floats(raw: np.ndarray) -> np.ndarray:
     """``uniform`` of each raw output, elementwise."""
-    return (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    out = (raw >> _S11).astype(np.float64)
+    out *= 2.0 ** -53
+    return out
 
 
 def _box_muller(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normals (z0, z1) of the output pairs (2j, 2j + 1) along the last axis."""
-    u1 = ((raw[..., 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * _unit_floats(raw[..., 1::2])
+    top = (raw >> _S11).astype(np.float64)  # one shift and conversion for the whole block
+    radius = np.sqrt(-2.0 * np.log((top[..., 0::2] + 1.0) * 2.0 ** -53))
+    angle = 2.0 * np.pi * (top[..., 1::2] * 2.0 ** -53)
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
@@ -93,6 +104,7 @@ class Stream:
 
     def __init__(self, seed: int):
         self._seed = int(seed) & _MASK
+        self._seeds = np.array([self._seed], dtype=np.uint64)  # u64_block's one-row grid
         self._counter = 0
 
     def next_u64(self) -> int:
@@ -104,7 +116,7 @@ class Stream:
         if n < 0:
             raise ValueError(f"u64_block needs n >= 0, got {n}")
         self._counter += n
-        return u64_grid([self._seed], n, self._counter - n)[0]
+        return u64_grid(self._seeds, n, self._counter - n)[0]
 
     def spawn(self) -> "Stream":
         """Child stream seeded with this stream's next output."""

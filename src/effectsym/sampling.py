@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import adjoint, from_spectrum, hermitize
+from .linalg import adjoint, frobenius_norm, from_spectrum, hermitize
 from .rng import Stream, _box_muller, _unit_floats, u64_grid
 
 
@@ -63,8 +63,9 @@ def haar_unitaries(dim: int, seeds) -> np.ndarray:
     q, r = np.linalg.qr(complex_gaussians(dim, seeds))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     absd = np.abs(d)
-    ph = np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
-    return q * ph[:, None, :]
+    nonzero = absd > 0
+    q *= np.where(nonzero, d / np.where(nonzero, absd, 1.0), 1.0)[:, None, :]  # q is QR's fresh array
+    return q
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -137,7 +138,7 @@ def random_unit_vectors(dim: int, seeds) -> np.ndarray:
     re, im = _box_muller(u64_grid(seeds, 2 * dim))
     x = re + 1j * im
     for row in x:
-        row /= np.linalg.norm(row)
+        row /= frobenius_norm(row)
     return x
 
 

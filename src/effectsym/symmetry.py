@@ -180,6 +180,7 @@ class SymmetryDescriptor:
         u_adj, eye = _frozen(adjoint(u), np.eye(n, dtype=complex))  # once for every evaluation
         object.__setattr__(self, "_u_adj", u_adj)
         object.__setattr__(self, "_eye", eye)
+        object.__setattr__(self, "_sign", np.complex128(self.sign))
 
     @property
     def dim(self) -> int:
@@ -205,17 +206,18 @@ def _apply_symmetry(d: SymmetryDescriptor, m: np.ndarray) -> np.ndarray:
     The sign multiplies in place even when it is +1: ``1 * x`` is a
     complex product, which turns an overflowed entry's other part into
     NaN (``0 * inf``) and a -0.0 real part over a negative imaginary part
-    into +0.0, so skipping it would change those bits.
+    into +0.0, so skipping it would change those bits.  It is the
+    descriptor's ``complex128`` sign, the scalar numpy promotes the int to.
     """
     if d.complement:
         m = d._eye - m
     if d.kind == ANTIUNITARY:
         m = m.conj()
-    if m.ndim == 2 and d.dim > 1:
+    if m.ndim == 2 and m.shape[0] > 1:
         out = d.unitary.dot(m).dot(d._u_adj)
     else:
         out = d.unitary @ m @ d._u_adj
-    out *= d.sign
+    out *= d._sign
     return out
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from effectsym.cli import main
+from effectsym.cli import build_parser, main
 from effectsym.serialize import affine_rep_to_obj, descriptor_from_obj, descriptor_to_obj, dump_json, load_json
 from effectsym.symmetry import random_symmetry
 
@@ -363,6 +363,32 @@ def test_recover_io_failure(tmp_path):
     assert run(["synth", "--dim", 3, "--output", mapfile]) == 0
     out = tmp_path / "no_dir" / "r.json"
     assert run(["recover", "--input", mapfile, "--output", out]) == 3
+
+
+def test_one_parser_serves_every_call_and_keeps_nothing(tmp_path, capsys):
+    """The parser is built once per process; a call's flags do not carry
+    into the next call, and help and errors read the same each time."""
+    parser = build_parser()
+    assert build_parser() is parser
+    with_dim = parser.parse_args(["recover", "--input", "m.json", "--dim", "3", "--tol", "1e-6"])
+    without = parser.parse_args(["recover", "--input", "m.json"])
+    assert (with_dim.dim, with_dim.tol) == (3, 1e-6) and (without.dim, without.tol) == (None, 1e-8)
+    outputs = []
+    for _ in range(2):
+        for argv in (["--help"], ["recover", "--help"], ["verify"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            outputs.append((exc.value.code, *capsys.readouterr()))
+    assert outputs[:3] == outputs[3:]
+    assert [code for code, _, _ in outputs[:3]] == [0, 0, 2]
+    mapfile = tmp_path / "m.json"
+    assert run(["synth", "--dim", 3, "--seed", 2, "--output", mapfile]) == 0
+    reports = []
+    for argv in (["--dim", 3, "--seed", 5], [], ["--dim", 3, "--seed", 5]):
+        out = tmp_path / f"r{len(reports)}.json"
+        assert run(["recover", "--input", mapfile, "--output", out, *argv]) == 0
+        reports.append({k: v for k, v in load_json(out)["config"].items() if k != "output"})
+    assert reports[0] == reports[2] and (reports[1]["dim"], reports[1]["seed"]) == (None, 0)
 
 
 def test_version_flag():

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from effectsym.effects import as_effect, positive_negative_parts
 from effectsym.extension import _psd_parts
@@ -175,3 +180,30 @@ def test_one_split_keeps_the_bits_of_both_former_splits(dim):
         assert same_bits(_psd_parts(m[None])[0], four)
     for a in random_effects(dim, seeds):
         assert same_bits(as_effect(a), ref_as_effect(a))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324]
+norm_floats = st.sampled_from(SPECIAL_FLOATS) | st.floats(-1e3, 1e3)
+norm_elements = {
+    np.complex128: st.builds(complex, norm_floats, norm_floats),
+    np.float64: norm_floats,
+    np.int64: st.integers(-(2**62), 2**62),
+}
+
+
+def _same_float_bits(x: float, y: float) -> bool:
+    return (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(norm_elements, key=str)).flatmap(
+           lambda dt: arrays(dt, array_shapes(min_dims=1, max_dims=3, max_side=5), elements=norm_elements[dt])),
+       st.sampled_from(["C", "F", "reversed"]))
+def test_frobenius_norm_has_the_bits_of_numpys_norm(a, layout):
+    """The trimmed norm against numpy's own expression, on any layout:
+    a Fortran copy and a view walking every axis backwards."""
+    a = {"C": a, "F": np.asfortranarray(a), "reversed": a[(slice(None, None, -1),) * a.ndim]}[layout]
+    with np.errstate(all="ignore"):
+        got, expected = frobenius_norm(a), float(np.linalg.norm(a))
+    assert type(got) is float
+    assert _same_float_bits(got, expected)

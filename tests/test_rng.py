@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from effectsym.rng import Stream, mix64, u64_grid
+from effectsym.rng import Stream, _box_muller, _unit_floats, mix64, u64_grid
+from effectsym.sampling import haar_unitaries
 
 # Published reference outputs of SplitMix64 for seed 0.
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -40,6 +41,57 @@ def test_grid_rows_are_streams_at_a_counter():
         s.u64_block(4)
         assert np.array_equal(row, s.u64_block(9))
     assert np.array_equal(u64_grid(np.array(seeds[:4], dtype=np.uint64), 9, counter=4), grid[:4])
+
+
+def test_grid_rows_are_scalar_draws_at_high_seeds_and_counters():
+    """Seeds at and above 2**63 (whose sums with k * GAMMA wrap) and
+    counters past 0: each row is what the scalar stream draws."""
+    seeds = [2**63, 2**63 + 1, 2**64 - 1, 2**64 - 0x9E3779B97F4A7C15, 2**64 + 2**63]
+    for counter in (1, 5, 1000):
+        grid = u64_grid(seeds, 6, counter=counter)
+        for seed, row in zip(seeds, grid):
+            s = Stream(seed)
+            s.u64_block(counter)
+            assert [int(x) for x in row] == [s.next_u64() for _ in range(6)]
+
+
+# Raw outputs at both ends of the 53-bit range and in between.
+EDGE_RAW = np.array([[0, 2**64 - 1, 2**11 - 1, 2**11, 2**63, 2**63 - 1, 0xE220A8397B1DCDAF, 12345]],
+                    dtype=np.uint64)
+
+
+def test_box_muller_is_the_docstring_formula():
+    """u1 = ((out >> 11) + 1) * 2**-53 and u2 = (out >> 11) * 2**-53 taken in
+    exact integers first, then z0, z1 = sqrt(-2 ln u1) * (cos, sin)(2 pi u2)."""
+    raw = np.concatenate([EDGE_RAW, u64_grid([3, 2**63 + 9], 8)])
+    top = [[int(x) >> 11 for x in row] for row in raw]
+    u1 = np.array([[x + 1 for x in row[0::2]] for row in top], dtype=float) * 2.0 ** -53  # x + 1 <= 2**53, exact
+    u2 = np.array([row[1::2] for row in top], dtype=float) * 2.0 ** -53
+    radius = np.sqrt(-2 * np.log(u1))
+    z0, z1 = _box_muller(raw)
+    assert z0.tobytes() == (radius * np.cos(2 * np.pi * u2)).tobytes()
+    assert z1.tobytes() == (radius * np.sin(2 * np.pi * u2)).tobytes()
+    for n in (1, 2, 7, 8):  # one row: the layout Stream.gaussian draws
+        g = Stream(n).gaussian(n)
+        re, im = _box_muller(Stream(n).u64_block(2 * ((n + 1) // 2)))
+        assert g.tobytes() == np.ravel(np.column_stack([re, im]))[:n].tobytes()
+
+
+def test_block_forms_leave_their_arguments_alone():
+    """Each block form writes only into arrays it allocated: read-only
+    inputs are accepted and come back unchanged."""
+    seeds = np.array([0, 7, 2**64 - 1], dtype=np.uint64)
+    raw = np.concatenate([EDGE_RAW, EDGE_RAW[:, ::-1]])
+    for a in (seeds, raw):
+        a.setflags(write=False)
+    kept = seeds.copy(), raw.copy()
+    first = u64_grid(seeds, 4, counter=2), _unit_floats(raw), _box_muller(raw), haar_unitaries(3, seeds)
+    second = u64_grid(seeds, 4, counter=2), _unit_floats(raw), _box_muller(raw), haar_unitaries(3, seeds)
+    assert np.array_equal(seeds, kept[0]) and np.array_equal(raw, kept[1])
+    for x, y in zip(first, second):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    s = Stream(5)
+    assert np.array_equal(np.concatenate([s.u64_block(3), s.u64_block(2)]), u64_grid([5], 5)[0])
 
 
 def test_seed_wraps_to_64_bits():

@@ -268,6 +268,30 @@ def test_apply_symmetry_matches_the_plain_formula_bitwise(dim):
         assert _apply_symmetry(d, stack[:1]).tobytes() == reference_apply(d, stack[:1]).tobytes()
 
 
+def _same_bits_nan_as_nan(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal bytes, except that a NaN matches any NaN (an inf - inf sign
+    bit is not part of the contract)."""
+    fx, fy = x.view(float), y.view(float)
+    nan = np.isnan(fx)
+    return np.array_equal(nan, np.isnan(fy)) and fx[~nan].tobytes() == fy[~nan].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_apply_symmetry_matches_the_plain_formula_past_overflow(dim):
+    """The docstring's two cases, for both kinds, with and without the
+    complement, sign +1 and -1: a -0.0 real part over a negative
+    imaginary part, and entries near 1e308 whose products overflow."""
+    inputs = [np.full((dim, dim), complex(-0.0, -1.0)), _signed_zeros(dim, 7), np.full((dim, dim), 1e308),
+              random_effect(dim, 5) * 1.7e308, np.full((dim, dim), complex(1.7e308, -1.7e308))]
+    stack = np.array(inputs)
+    for seed, (kind, comp, sign) in enumerate(FLAGS):
+        d = SymmetryDescriptor(kind, haar_unitary(dim, seed), complement=comp, sign=sign)
+        with np.errstate(all="ignore"):
+            for m in inputs:
+                assert _same_bits_nan_as_nan(_apply_symmetry(d, m), reference_apply(d, m))
+            assert _same_bits_nan_as_nan(_apply_symmetry(d, stack), reference_apply(d, stack))
+
+
 bounded_matrices = st.integers(1, 6).flatmap(
     lambda n: arrays(complex, (n, n), elements=st.complex_numbers(max_magnitude=1e300, allow_nan=False,
                                                                   allow_infinity=False, allow_subnormal=True))
