@@ -26,12 +26,13 @@ spectral norm their scales and one division the rescaled parts (numpy
 divides a complex entry by a real norm entry by entry, so the bits are
 those of one part at a time), and the oracle is then asked for A1..A4 of
 each matrix in turn, one input at a time, in the order a per-matrix loop
-would ask.
-:func:`extend_linear` and :func:`unit_ball_decomposition` are the
-one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
+would ask.  One multiply scales the answers by their norms (a real
+array runs the complex multiply a Python float does) and one expression
+recombines them.  :func:`extend_linear` and :func:`unit_ball_decomposition`
+are the one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
 extend all their samples as one stack, since they query every sample
-whatever the answers.  Reported norms are taken per matrix and folded
-with a max, so results are bit for bit those of the per-matrix loop.
+whatever the answers.  Their norms come from one ``frobenius_norms``
+pass and are folded with a max, bit for bit as in the per-matrix loop.
 :func:`is_affine` stops at its first violation and stays per trial.
 
 The extension checks fail closed on NaN: their comparisons are written
@@ -49,13 +50,15 @@ requires ``||phi(0)||_F <= DEFAULT_TOL = 1e-9``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, hermitize, nan_max, operator_norm, psd_parts
+from .linalg import (DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, frobenius_norms, hermitize, nan_max,
+                     operator_norm, psd_parts)
 from .rng import Stream, _box_muller, _unit_floats
 from .sampling import _doubling_effect_pairs, random_effects
 from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
@@ -163,40 +166,49 @@ def _extend(phi: EffectMapOracle, mats: np.ndarray) -> np.ndarray:
     """:func:`extend_linear` of each matrix of a validated stack, for an
     oracle already known to fix 0.  Parts and norms are computed
     ``EXTEND_CHUNK`` matrices at a time; the oracle is asked for A1..A4
-    of each matrix in turn."""
+    of each matrix in turn; its answers are scaled and recombined stacked."""
     out = np.empty(mats.shape, dtype=complex)
-    zero = np.zeros(mats.shape[1:], dtype=complex)
     for start in range(0, len(mats), EXTEND_CHUNK):
         parts = _psd_parts(mats[start:start + EXTEND_CHUNK])
         norms = np.linalg.norm(parts, 2, axis=(-2, -1))
         # each part over its own norm, as one division; a part below the cutoff is never asked
-        units = parts / np.where(norms < ZERO_NORM_CUTOFF, 1.0, norms)[..., None, None]
-        for k, (four, nrms) in enumerate(zip(units, norms.tolist()), start):
-            a1, a2, a3, a4 = (zero if nrm < ZERO_NORM_CUTOFF else nrm * phi(a)
-                              for a, nrm in zip(four, nrms))
-            out[k] = (a1 - a2) + 1j * (a3 - a4)
+        small = norms < ZERO_NORM_CUTOFF
+        units = parts / np.where(small, 1.0, norms)[..., None, None]
+        answers = np.zeros(parts.shape, dtype=complex)  # a finite norm times 0 is +0, as a zero image
+        for k, j in zip(*np.nonzero(~small)):
+            answers[k, j] = phi(units[k, j])
+        a1, a2, a3, a4 = (norms[..., None, None] * answers).swapaxes(0, 1)
+        out[start:start + EXTEND_CHUNK] = (a1 - a2) + 1j * (a3 - a4)
     return out
 
 
 def linearity_defect(phi: EffectMapOracle, stream: Stream, probes: int) -> float:
     """Worst ||ext(aM + bN) - a ext(M) - b ext(N)|| / (||M|| + ||N||)
-    over ``probes`` draws from ``stream`` of Gaussian M, N and a, b
-    uniform on [-2, 2]; ``phi`` must fix 0 (checked once).
+    over ``probes`` (an integer, at least 1) draws from ``stream`` of Gaussian
+    M, N and a, b uniform on [-2, 2]; ``phi`` must fix 0 (checked once).
 
     Each probe draws M, N, a, b in that order, all probes in one block;
     aM + bN, M and N of each probe are extended in that order."""
+    _require_count(probes, "probes")
     _require_fixes_zero(phi)
     dim = phi.dim
     width = 4 * dim * dim + 2
     raw = stream.u64_block(probes * width).reshape(probes, width)
     re, im = _box_muller(raw[:, :-2].reshape(2 * probes, 2 * dim * dim))
-    pairs = (re + 1j * im).reshape(probes, 2, dim, dim)
-    coefs = (-2.0 + 4.0 * _unit_floats(raw[:, -2:])).tolist()
-    mats = np.array([(a * m + b * n, m, n) for (m, n), (a, b) in zip(pairs, coefs)])
-    ext = _extend(phi, mats.reshape(-1, dim, dim)).reshape(mats.shape)
-    defects = [frobenius_norm(lhs - (a * em + b * en)) / (frobenius_norm(m) + frobenius_norm(n))
-               for (_, m, n), (lhs, em, en), (a, b) in zip(mats, ext, coefs)]
-    return nan_max(0.0, *defects)
+    m, n = (re + 1j * im).reshape(probes, 2, dim, dim).swapaxes(0, 1)
+    a, b = (-2.0 + 4.0 * _unit_floats(raw[:, -2:])).T[..., None, None]
+    ext = _extend(phi, np.stack((a * m + b * n, m, n), axis=1).reshape(-1, dim, dim))
+    lhs, em, en = ext.reshape(probes, 3, dim, dim).swapaxes(0, 1)
+    defects = frobenius_norms(lhs - (a * em + b * en)) / (frobenius_norms(m) + frobenius_norms(n))
+    return nan_max(0.0, *defects.tolist())
+
+
+def _require_count(n, what: str) -> None:
+    """Refuse ``n`` unless it is an integer (not a bool; numpy's are) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{what} must be at least 1")
 
 
 def boundedness_check(phi: EffectMapOracle, seed: int = 0) -> float:

@@ -61,6 +61,21 @@ def frobenius_norm(a) -> float:
     return math.sqrt(x.dot(x))
 
 
+def frobenius_norms(stack) -> np.ndarray:
+    """:func:`frobenius_norm` of each matrix or vector of a stack, bit for bit: the same
+    cast, each one's ``ravel(order="K")`` as a contiguous row, and per row the same BLAS
+    ``dot`` (``np.vecdot`` runs it once per row) and a correctly rounded ``sqrt``."""
+    x = np.asarray(stack)
+    x = x if issubclass(x.dtype.type, (np.inexact, np.object_)) else x.astype(float)
+    if len(x) and not x[0].flags.c_contiguous:  # each row in its matrix's own ravel order
+        x = np.array([m.ravel(order="K") for m in x])
+    x = x.reshape(len(x), math.prod(x.shape[1:]))
+    if x.dtype.kind == "c":
+        x, y = x.real, x.imag
+        return np.sqrt(np.vecdot(x, x) + np.vecdot(y, y))
+    return np.sqrt(np.vecdot(x, x))
+
+
 def nan_max(*values: float) -> float:
     """Largest of ``values``, or NaN if any of them is NaN.  Python's
     ``max`` passes over a NaN that is not first, so a NaN defect folded

@@ -45,9 +45,10 @@ oracle).
 Stages that query every sample whatever the answers (the verify stage,
 the rank-one checks of a rebuilt unitary, the scaling samples) ask the
 oracle one input at a time in a fixed order, then compute the expected
-side on the whole stack; each residual norm is taken per matrix and
-folded with ``max``, as a per-sample loop would (the rebuild then folds
-in the images it asked, by ``nan_max``).  The affinity probe and
+side, the residuals and their norms on the whole stack; the norms come
+from one ``linalg.frobenius_norms`` pass, which keeps the bits of a norm
+per matrix, and are folded with ``max``, as a per-sample loop would (the
+rebuild then folds in the images it asked, by ``nan_max``).  The affinity probe and
 the triple identity stop at their first violation; the preservation probe
 keeps every witness but can raise partway on NaN.  All three stay per trial;
 their per-trial products use ``ndarray.dot``, which at dim >= 2 gives the
@@ -57,16 +58,16 @@ bits of ``@`` without its per-call set-up.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .effects import rank_one_projection
-from .extension import PROBE_TOL, EffectMapOracle, OracleError, is_affine
+from .extension import PROBE_TOL, EffectMapOracle, OracleError, _require_count, is_affine
 from .linalg import (
     eigenvalues_hermitian,
     frobenius_norm,
+    frobenius_norms,
     hermitize,
     hermiticity_defect,
     nan_max,
@@ -301,8 +302,8 @@ def reconstruct_unitary_from_projection_action(
     w, _, vh = np.linalg.svd(np.column_stack(frame))  # the nearest unitary to the frame
     d = gauge_normalize(SymmetryDescriptor(kind, w @ vh))
     xs = random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS))
-    worst = nan_max(_residual(phi, d, np.array([np.outer(x, np.conj(x)) for x in xs])),
-                    *map(frobenius_norm, np.array(images) - _apply_symmetry(d, np.array(inputs))))
+    worst = nan_max(_residual(phi, d, xs[:, :, None] * xs.conj()[:, None, :]),
+                    *frobenius_norms(np.array(images) - _apply_symmetry(d, np.array(inputs))).tolist())
     if not worst <= tol:
         raise ReconstructionError(
             f"reconstruction verification failed: rank-one residual {worst:.3e} "
@@ -332,11 +333,10 @@ def verify_descriptor(
 
 def _residual(phi, d: SymmetryDescriptor, samples: np.ndarray) -> float:
     """Max ||phi(A) - d(A)||_F over a stack of samples.  The oracle is
-    asked in order, then d is applied to the whole stack; each norm is
-    taken on its own matrix and a NaN norm is passed over, as by a
-    running ``max``."""
+    asked in order, then d is applied to the whole stack and the norms
+    taken in one pass; a NaN norm is passed over, as by a running ``max``."""
     images = np.array([phi(a) for a in samples])
-    return max([0.0, *(frobenius_norm(x) for x in images - _apply_symmetry(d, samples))])
+    return max([0.0, *frobenius_norms(images - _apply_symmetry(d, samples)).tolist()])
 
 
 def extract_scaling_function(phi, seed: int) -> ScalingSamples:
@@ -352,9 +352,9 @@ def extract_scaling_function(phi, seed: int) -> ScalingSamples:
     img_p = phi(p)
     _rank_one_vector(img_p, "image of the scaling projection")
     denom = float(np.trace(img_p @ img_p).real)
-    images = np.array([phi(lam * p) for lam in SCALING_GRID])
+    images = np.array([phi(a) for a in SCALING_GRID[:, None, None] * p])
     values = np.trace(images @ img_p, axis1=-2, axis2=-1).real / denom
-    residuals = np.array([frobenius_norm(img - f * img_p) for img, f in zip(images, values.tolist())])
+    residuals = frobenius_norms(images - values[:, None, None] * img_p)
     return ScalingSamples(projection=p, values=values, residuals=residuals)
 
 
@@ -468,10 +468,7 @@ def _hermitian_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int,
 def check_run(trials, tol: float = ACCEPT_TOL) -> None:
     """Refuse a run whose ``trials`` is not an integer of at least 1 (a bool
     is not one; numpy integers are) or whose ``tol`` is not finite and positive."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _require_count(trials, "trials")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 

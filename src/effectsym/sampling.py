@@ -16,8 +16,9 @@ Batched forms (``haar_unitaries``, ``random_effects``, ...) return one
 result per seed; result i is bit for bit the per-seed sampler (the
 one-row case) at ``seeds[i]``, each row drawing its stream as above, in
 one ``u64_grid`` pass, Box-Muller pass, stacked QR, phase fix and
-``(u * lam) @ u*``.  Projection rank slicing and unit-vector norms would
-not stay bit-identical stacked and run per row.  Stages that stop at
+``(u * lam) @ u*``.  Unit vectors divide by one ``frobenius_norms``
+pass, whose rows keep the per-vector bits; projection rank slicing would
+not stay bit-identical stacked and runs per row.  Stages that stop at
 their first failure draw in doubling chunks of 1, 2, 4, ... trials.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import adjoint, frobenius_norm, from_spectrum, hermitize
+from .linalg import adjoint, frobenius_norms, from_spectrum, hermitize
 from .rng import Stream, _box_muller, _unit_floats, u64_grid
 
 
@@ -137,8 +138,7 @@ def random_unit_vectors(dim: int, seeds) -> np.ndarray:
         raise ValueError("dim must be at least 1")
     re, im = _box_muller(u64_grid(seeds, 2 * dim))
     x = re + 1j * im
-    for row in x:
-        row /= frobenius_norm(row)
+    x /= frobenius_norms(x)[:, None]
     return x
 
 

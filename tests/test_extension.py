@@ -15,7 +15,7 @@ from effectsym.extension import (
     linearity_defect,
     unit_ball_decomposition,
 )
-from effectsym.linalg import adjoint, frobenius_norm, hermitize, operator_norm
+from effectsym.linalg import adjoint, frobenius_norm, hermitize, nan_max, operator_norm
 from effectsym.rng import Stream
 from effectsym.sampling import complex_gaussian, haar_unitary, random_effect
 from effectsym.symmetry import (
@@ -201,6 +201,20 @@ def test_extension_suite_fails_closed_on_nan(monkeypatch, check):
         assert math.isnan(result.details[key])
 
 
+@pytest.mark.parametrize("probes", [0, -1, True, 2.0])
+def test_an_empty_or_non_integer_linearity_battery_is_refused(probes):
+    """With no probe, A -> A^2 passed having been probed nowhere."""
+    from effectsym.suites import extension_suite
+
+    calls = []
+    phi = EffectMapOracle(3, lambda a: calls.append(1) or a @ a, label="squared")
+    with pytest.raises(ValueError, match="probes must be"):
+        linearity_defect(phi, Stream(1), probes)
+    assert calls == []
+    with pytest.raises(ValueError, match="probes must be"):
+        extension_suite(3, 1, probes=probes)
+
+
 def test_oracle_rejects_wrong_shape_output():
     for bad in (np.eye(3), np.ones(4), np.ones((4, 4, 1))):
         phi = EffectMapOracle(4, lambda a, bad=bad: bad)
@@ -379,7 +393,7 @@ def ref_linearity_defect(phi, stream, probes):
         beta = -2.0 + 4.0 * stream.uniform()
         lhs = ref_extend(phi, alpha * m + beta * n)
         rhs = alpha * ref_extend(phi, m) + beta * ref_extend(phi, n)
-        worst = max(worst, frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n)))
+        worst = nan_max(worst, frobenius_norm(lhs - rhs) / (frobenius_norm(m) + frobenius_norm(n)))
     return worst
 
 
@@ -402,6 +416,29 @@ def zero_fixing_oracles(dim):
     yield EffectMapOracle(dim, lambda a: a @ a, label="squared")
 
 
+def non_finite_oracle(dim):
+    """A linear canonical map whose answer has a NaN entry where
+    1.5 < tr A < 1.6 and an inf entry where tr A > dim - 0.2."""
+    d = random_symmetry(dim, dim + 7, family=AFFINE, complement=False)
+
+    def evaluate(a):
+        out, tr = apply_symmetry(d, a), np.trace(a).real
+        if 1.5 < tr < 1.6:
+            out[0, -1] = np.nan
+        if tr > dim - 0.2:
+            out[-1, 0] = np.inf
+        return out
+
+    return EffectMapOracle(dim, evaluate, label="non-finite")
+
+
+def same_bits_or_nan(x, y) -> bool:
+    """Equal bit for bit, except that a NaN matches any NaN."""
+    x, y = (np.ascontiguousarray(v, dtype=complex).view(float) for v in (x, y))
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.where(nan, 0.0, x).tobytes() == np.where(nan, 0.0, y).tobytes()
+
+
 def any_oracles(dim):
     yield from zero_fixing_oracles(dim)
     for kind in (UNITARY, ANTIUNITARY):
@@ -420,6 +457,14 @@ def test_stacked_extension_equals_per_matrix_loop_bitwise(dim):
             assert np.array_equal(extend_linear(phi, m), ref_extend(phi, m))
     for seed, phi in enumerate(any_oracles(dim)):
         assert boundedness_check(phi, seed=seed) == ref_boundedness(phi, seed)
+    phi = non_finite_oracle(dim)  # NaN and inf answers, folded with nan_max
+    s = Stream(200 + dim)
+    with np.errstate(invalid="ignore"):  # 0 * inf in the complex products
+        for probes in (1, 7, 9):
+            assert same_bits_or_nan(linearity_defect(phi, Stream(probes), probes),
+                                    ref_linearity_defect(phi, Stream(probes), probes))
+        for m in (*(complex_gaussian(dim, s) for _ in range(6)), np.eye(dim), 2.2 * np.eye(dim)):
+            assert same_bits_or_nan(extend_linear(phi, m), ref_extend(phi, m))
     s = Stream(100 + dim)
     for _ in range(10):
         g = complex_gaussian(dim, s)

@@ -14,6 +14,7 @@ from effectsym.linalg import (
     eig_hermitian,
     eigenvalues_hermitian,
     frobenius_norm,
+    frobenius_norms,
     hermitize,
     operator_norm,
     psd_parts,
@@ -207,3 +208,33 @@ def test_frobenius_norm_has_the_bits_of_numpys_norm(a, layout):
         got, expected = frobenius_norm(a), float(np.linalg.norm(a))
     assert type(got) is float
     assert _same_float_bits(got, expected)
+
+
+STACK_LAYOUTS = {
+    "C": lambda s: s,
+    "F": np.asfortranarray,
+    "every other": lambda s: s[::2],
+    "reversed": lambda s: s[(slice(None, None, -1),) * s.ndim],
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(norm_elements, key=str)).flatmap(
+           lambda dt: arrays(dt, st.tuples(st.integers(0, 40), array_shapes(max_dims=2, max_side=5)).map(
+               lambda ns: (ns[0], *ns[1])), elements=norm_elements[dt])),
+       st.sampled_from(sorted(STACK_LAYOUTS)))
+def test_frobenius_norms_have_the_bits_of_the_per_matrix_norm(stack, layout):
+    """Rows of vectors and of matrices, on any layout of the stack: the
+    stacked norms against :func:`frobenius_norm` of each matrix."""
+    stack = STACK_LAYOUTS[layout](stack)
+    with np.errstate(over="ignore"):
+        got, expected = frobenius_norms(stack), [frobenius_norm(m) for m in stack]
+    assert got.dtype == np.float64 and got.shape == (len(stack),)
+    assert all(map(_same_float_bits, got.tolist(), expected))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 4), (0, 3, 3)])
+@pytest.mark.parametrize("dtype", [complex, float, np.int64])
+def test_frobenius_norms_of_an_empty_stack_are_empty(shape, dtype):
+    got = frobenius_norms(np.zeros(shape, dtype=dtype))
+    assert got.dtype == np.float64 and got.shape == (0,)

@@ -551,6 +551,11 @@ def nan_above_half_trace(d):
     return lambda a: np.full((d.dim, d.dim), np.nan) if np.trace(a).real > d.dim / 2 else apply_symmetry(d, a)
 
 
+def nan_between_traces(d, low, high):
+    """The descriptor's map, but NaN wherever low < tr A < high."""
+    return lambda a: np.full((d.dim, d.dim), np.nan) if low < np.trace(a).real < high else apply_symmetry(d, a)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_stacked_residuals_equal_per_sample_loop_bitwise(dim):
     descriptors = list(flagged_descriptors(dim))
@@ -575,10 +580,11 @@ def test_stacked_residuals_equal_per_sample_loop_bitwise(dim):
             reconstruct_unitary_from_projection_action(action, tol=np.nextafter(worst, -1.0), seed=dim)
 
         if not d.complement:
-            samples = extract_scaling_function(phi, seed=dim)
-            values, residuals = ref_scaling(phi, rank_one_projection(random_unit_vector(dim, dim)))
-            assert np.array_equal(samples.values, values)
-            assert np.array_equal(samples.residuals, residuals)
+            for scaled in (phi, oracle(dim, nan_between_traces(d, 0.3, 0.6))):
+                samples = extract_scaling_function(scaled, seed=dim)
+                values, residuals = ref_scaling(scaled, rank_one_projection(random_unit_vector(dim, dim)))
+                assert np.array_equal(samples.values, values, equal_nan=True)
+                assert np.array_equal(samples.residuals, residuals, equal_nan=True)
 
 
 # ----------------------------------------------------- round-trip battery
