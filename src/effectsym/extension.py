@@ -33,7 +33,10 @@ are the one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
 extend all their samples as one stack, since they query every sample
 whatever the answers.  Their norms come from one ``frobenius_norms``
 pass and are folded with a max, bit for bit as in the per-matrix loop.
-:func:`is_affine` stops at its first violation and stays per trial.
+:func:`is_affine` stops at its first violation: it draws one trial, then
+blocks of at most 32, forms each block's lam*A + (1 - lam)*B as one stack
+(a float64 lam column runs the complex multiply a Python float does), and
+asks, checks and folds per trial.
 
 The extension checks fail closed on NaN: their comparisons are written
 ``not (x <= bound)`` and their folds are :func:`nan_max`, so an oracle
@@ -60,7 +63,7 @@ import numpy as np
 from .linalg import (DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, frobenius_norms, hermitize, nan_max,
                      operator_norm, psd_parts)
 from .rng import Stream, _box_muller, _unit_floats
-from .sampling import _doubling_effect_pairs, random_effects
+from .sampling import _effect_pair_blocks, random_effects
 from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
 
 ZERO_NORM_CUTOFF = 1e-12
@@ -129,13 +132,15 @@ def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
     """Probe phi(lam*A + (1-lam)*B) = lam*phi(A) + (1-lam)*phi(B) on
     random triples; stop at the first violation."""
     worst = 0.0
-    for (lam,), a, b in _doubling_effect_pairs(phi.dim, Stream(seed), AFFINE_PROBE_TRIALS, lead=1):
-        lhs = phi(lam * a + (1.0 - lam) * b)
-        rhs = lam * phi(a) + (1.0 - lam) * phi(b)
-        dev = frobenius_norm(lhs - rhs)
-        worst = max(worst, dev)
-        if dev > PROBE_TOL:
-            return AffinityResult(worst, (lam, a.copy(), b.copy()))
+    for lams, a_block, b_block in _effect_pair_blocks(phi.dim, Stream(seed), AFFINE_PROBE_TRIALS, lead=1):
+        mixes = lams[..., None] * a_block + (1.0 - lams[..., None]) * b_block
+        for (lam,), mix, a, b in zip(lams.tolist(), mixes, a_block, b_block):
+            lhs = phi(mix)
+            rhs = lam * phi(a) + (1.0 - lam) * phi(b)
+            dev = frobenius_norm(lhs - rhs)
+            worst = max(worst, dev)
+            if dev > PROBE_TOL:
+                return AffinityResult(worst, (lam, a.copy(), b.copy()))
     return AffinityResult(worst)
 
 

@@ -49,10 +49,15 @@ side, the residuals and their norms on the whole stack; the norms come
 from one ``linalg.frobenius_norms`` pass, which keeps the bits of a norm
 per matrix, and are folded with ``max``, as a per-sample loop would (the
 rebuild then folds in the images it asked, by ``nan_max``).  The affinity probe and
-the triple identity stop at their first violation; the preservation probe
-keeps every witness but can raise partway on NaN.  All three stay per trial;
-their per-trial products use ``ndarray.dot``, which at dim >= 2 gives the
-bits of ``@`` without its per-call set-up.
+the triple identity stop at their first violation: they draw one trial,
+then blocks of at most 32, form each block's inputs as one stack (ABA as
+``A @ B @ A``, which has the bits of ``a.dot(b).dot(a)``), and ask, check
+and stop per trial; the identity's per-trial products use ``ndarray.dot``,
+which at dim >= 2 gives the bits of ``@`` without its per-call set-up.
+The preservation probe keeps every witness: it asks per trial and checks
+on the stack of answers, except that a trial whose order check could raise
+(a difference with an entry that is not finite or near overflow) runs that
+check in the loop, so the probe raises where a per-trial loop would.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import numpy as np
 from .effects import rank_one_projection
 from .extension import PROBE_TOL, EffectMapOracle, OracleError, _require_count, is_affine
 from .linalg import (
+    adjoint,
     eigenvalues_hermitian,
     frobenius_norm,
     frobenius_norms,
@@ -74,12 +80,13 @@ from .linalg import (
 )
 from .rng import Stream
 from .sampling import (
-    _doubling_effect_pairs,
-    nested_projection_pairs,
-    orthogonal_projection_pairs,
+    _effect_pair_blocks,
+    _frame_nested,
+    _frame_orthogonal,
+    _frame_projection,
+    _frames,
     random_effects,
     random_hermitians,
-    random_projections,
     random_unit_vector,
     random_unit_vectors,
 )
@@ -198,38 +205,51 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
     the images of P and I - P sum to I?), one nested pair (is order
     preserved?  a difference of images that is not Hermitian fails it
     with its hermiticity defect), one orthogonal pair (do images
-    multiply to 0?).
+    multiply to 0?).  The oracle is asked per trial, in that order; the
+    checks then run on the stack of answers, and the witnesses are listed
+    per trial in that order.  An order check that can raise (a difference
+    whose squared entries do not sum to a finite number) runs in the loop,
+    so it raises at its trial, before the orthogonal pair is asked.
     """
     check_run(trials)
     dim = phi.dim
     eye = np.eye(dim, dtype=complex)
-    seeds = Stream(seed).u64_block(3 * trials).reshape(trials, 3)
-    samples = zip(random_projections(dim, seeds[:, 0]), nested_projection_pairs(dim, seeds[:, 1]),
-                  orthogonal_projection_pairs(dim, seeds[:, 2]))
+    frames = list(_frames(dim, Stream(seed).u64_block(3 * trials)))
+    samples = [(_frame_projection(*frames[i]), _frame_nested(*frames[i + 1]), _frame_orthogonal(*frames[i + 2]))
+               for i in range(0, 3 * trials, 3)]
+    img = np.empty((trials, 6, dim, dim), dtype=complex)  # φ of P, I - P, P_low, P_high, Q1, Q2
+    order = {}  # the order defect of each trial checked in the loop: its skew, or minus its least eigenvalue
+
+    for t, (p, (p_low, p_high), (q1, q2)) in enumerate(samples):
+        img[t, 0], img[t, 1], img[t, 2], img[t, 3] = phi(p), phi(eye - p), phi(p_low), phi(p_high)
+        diff = img[t, 3] - img[t, 2]
+        if not np.vdot(diff, diff).real < math.inf:  # an entry not finite or near overflow
+            skew = hermiticity_defect(diff)
+            order[t] = skew if skew > PROBE_TOL else float(-eigenvalues_hermitian(hermitize(diff))[0])
+        img[t, 4], img[t, 5] = phi(q1), phi(q2)
+
+    p_img, c_img, low, high, q1_img, q2_img = img.swapaxes(0, 1)
+    herm, idem = frobenius_norms(p_img - adjoint(p_img)), frobenius_norms(p_img @ p_img - p_img)
+    proj = np.where(idem > herm, idem, herm).tolist()  # max(herm, idem) of each, as Python's max picks
+    comp = frobenius_norms(p_img + c_img - eye).tolist()
+    diffs = high - low
+    skews = frobenius_norms(diffs - adjoint(diffs)).tolist()
+    within = [t for t in range(trials) if t not in order and not skews[t] > PROBE_TOL]
+    # eigenvalues_hermitian(hermitize(diff)) symmetrizes twice; a finite diff passes its checks
+    gaps = np.linalg.eigvalsh(hermitize(hermitize(diffs[within])))[:, 0]
+    order = {**dict(enumerate(skews)), **dict(zip(within, (-gaps).tolist())), **order}
+    prod = frobenius_norms(q1_img @ q2_img).tolist()
+
     witnesses: list[ProbeWitness] = []
-
-    for p, (p_low, p_high), (q1, q2) in samples:
-        img = phi(p)
-        defect = max(hermiticity_defect(img), frobenius_norm(img.dot(img) - img))
-        if defect > PROBE_TOL:
-            witnesses.append(ProbeWitness("projections", (p,), defect))
-        comp_defect = frobenius_norm(img + phi(eye - p) - eye)
-        if comp_defect > PROBE_TOL:
-            witnesses.append(ProbeWitness("orthocomplement", (p,), comp_defect))
-
-        img_low, img_high = phi(p_low), phi(p_high)
-        diff = img_high - img_low
-        skew = hermiticity_defect(diff)
-        if skew > PROBE_TOL:  # false on NaN, which eigenvalues_hermitian refuses
-            witnesses.append(ProbeWitness("order", (p_low, p_high), skew))
-        else:  # skew within PROBE_TOL; a tiny diff is not refused for its relative skew
-            gap = eigenvalues_hermitian(hermitize(diff))[0]
-            if not gap >= -PROBE_TOL:
-                witnesses.append(ProbeWitness("order", (p_low, p_high), float(-gap)))
-
-        prod = frobenius_norm(phi(q1).dot(phi(q2)))
-        if prod > PROBE_TOL:
-            witnesses.append(ProbeWitness("orthogonality", (q1, q2), prod))
+    for t, (p, low_high, q1_q2) in enumerate(samples):
+        if proj[t] > PROBE_TOL:
+            witnesses.append(ProbeWitness("projections", (p,), proj[t]))
+        if comp[t] > PROBE_TOL:
+            witnesses.append(ProbeWitness("orthocomplement", (p,), comp[t]))
+        if not order[t] <= PROBE_TOL:  # a skew above PROBE_TOL, or a least eigenvalue below -PROBE_TOL or NaN
+            witnesses.append(ProbeWitness("order", low_high, order[t]))
+        if prod[t] > PROBE_TOL:
+            witnesses.append(ProbeWitness("orthogonality", q1_q2, prod[t]))
 
     return ProbeReport(witnesses=tuple(witnesses), samples_used=trials)
 
@@ -428,13 +448,14 @@ def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
 
 def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream, sign: int = 1) -> None:
     action = phi if sign == 1 else phi.then(np.negative)
-    for _, a, b in _doubling_effect_pairs(phi.dim, s.spawn(), TRIPLE_PROBE_PAIRS):
-        lhs = action(a.dot(b).dot(a))
-        phi_a = action(a)
-        dev = frobenius_norm(lhs - phi_a.dot(action(b)).dot(phi_a))
-        if dev > PROBE_TOL:
-            found["witness"] = (a.copy(), b.copy())
-            raise ReconstructionError(f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}")
+    for _, a_block, b_block in _effect_pair_blocks(phi.dim, s.spawn(), TRIPLE_PROBE_PAIRS):
+        for aba, a, b in zip(a_block @ b_block @ a_block, a_block, b_block):
+            lhs = action(aba)
+            phi_a = action(a)
+            dev = frobenius_norm(lhs - phi_a.dot(action(b)).dot(phi_a))
+            if dev > PROBE_TOL:
+                found["witness"] = (a.copy(), b.copy())
+                raise ReconstructionError(f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}")
 
     probe = found["probe"] = preservation_probe(action, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
     if not probe.all_preserved:

@@ -18,8 +18,9 @@ one-row case) at ``seeds[i]``, each row drawing its stream as above, in
 one ``u64_grid`` pass, Box-Muller pass, stacked QR, phase fix and
 ``(u * lam) @ u*``.  Unit vectors divide by one ``frobenius_norms``
 pass, whose rows keep the per-vector bits; projection rank slicing would
-not stay bit-identical stacked and runs per row.  Stages that stop at
-their first failure draw in doubling chunks of 1, 2, 4, ... trials.
+not stay bit-identical stacked and runs per frame, by private builders
+that the preservation probe shares over one ``_frames`` pass.  Stages that
+stop at their first failure draw one trial, then blocks of at most 32.
 """
 
 from __future__ import annotations
@@ -30,19 +31,18 @@ from .linalg import adjoint, frobenius_norms, from_spectrum, hermitize
 from .rng import Stream, _box_muller, _unit_floats, u64_grid
 
 
-def _doubling_effect_pairs(dim: int, stream: Stream, total: int, lead: int = 0):
-    """Per trial, a list of ``lead`` uniforms in [0, 1) (as
-    ``Stream.uniform`` maps the stream's outputs), then effects A and B
-    seeded by its next two outputs; trials are drawn 1, 2, 4, ... at a
-    time, so a stage that stops at its first failure draws little it
-    never uses."""
-    done, n = 0, 1
+def _effect_pair_blocks(dim: int, stream: Stream, total: int, lead: int = 0):
+    """Blocks of n trials as (n x lead uniforms in [0, 1), as ``Stream.uniform``
+    maps the outputs; effects A; effects B), A and B seeded by each trial's next
+    two outputs.  n is 1, so a stage that stops at its first failure draws little
+    it never uses, then at most 32, which keeps a block's stacks small at d = 16."""
+    done = 0
     while done < total:
-        n = min(n, total - done)
+        n = min(32 if done else 1, total - done)
         raw = stream.u64_block((lead + 2) * n).reshape(n, lead + 2)
         ab = random_effects(dim, raw[:, lead:].ravel())
-        yield from zip(_unit_floats(raw[:, :lead]).tolist(), ab[0::2], ab[1::2])
-        done, n = done + n, 2 * n
+        yield _unit_floats(raw[:, :lead]), ab[0::2], ab[1::2]
+        done += n
 
 
 def complex_gaussian(dim: int, stream: Stream) -> np.ndarray:
@@ -100,9 +100,21 @@ def _projection(cols: np.ndarray) -> np.ndarray:
     return hermitize(cols @ adjoint(cols))
 
 
+def _frame_projection(u: np.ndarray, rank: int, _) -> np.ndarray:
+    return _projection(u[:, :rank])
+
+
+def _frame_nested(u: np.ndarray, q: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+    return _projection(u[:, :1 + y % q]), _projection(u[:, :q])
+
+
+def _frame_orthogonal(u: np.ndarray, p: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+    return _projection(u[:, :p]), _projection(u[:, p:p + 1 + y % (u.shape[0] - p)])
+
+
 def random_projections(dim: int, seeds) -> list[np.ndarray]:
     """Haar-rotated orthogonal projections of random rank in 1..dim-1."""
-    return [_projection(u[:, :rank]) for u, rank, _ in _frames(dim, seeds)]
+    return [_frame_projection(*f) for f in _frames(dim, seeds)]
 
 
 def random_projection(dim: int, seed: int) -> np.ndarray:
@@ -112,13 +124,12 @@ def random_projection(dim: int, seed: int) -> np.ndarray:
 
 def nested_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs (P, Q) of projections with P <= Q, each sharing one Haar frame; Q has the frame's rank."""
-    return [(_projection(u[:, :1 + y % q]), _projection(u[:, :q])) for u, q, y in _frames(dim, seeds)]
+    return [_frame_nested(*f) for f in _frames(dim, seeds)]
 
 
 def orthogonal_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs (P, Q) of projections with PQ = 0, from disjoint Haar columns; P has the frame's rank."""
-    return [(_projection(u[:, :p]), _projection(u[:, p:p + 1 + y % (dim - p)]))
-            for u, p, y in _frames(dim, seeds)]
+    return [_frame_orthogonal(*f) for f in _frames(dim, seeds)]
 
 
 def random_hermitians(dim: int, seeds) -> np.ndarray:

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectsym.effects import rank_one_projection
-from effectsym.extension import EffectMapOracle, OracleError
-from effectsym.linalg import adjoint, frobenius_norm, operator_norm
+from effectsym.extension import PROBE_TOL, EffectMapOracle, OracleError, is_affine
+from effectsym.linalg import (adjoint, eigenvalues_hermitian, frobenius_norm, hermiticity_defect, hermitize,
+                              operator_norm)
 from effectsym.recover import (
     MIN_DIM,
     RECONSTRUCT_CHECKS,
     REJECTED,
+    ProbeReport,
+    ProbeWitness,
     ReconstructionError,
     SCALING_GRID,
     check_run,
@@ -24,7 +29,16 @@ from effectsym.recover import (
     verify_descriptor,
 )
 from effectsym.rng import Stream
-from effectsym.sampling import haar_unitary, random_effect, random_hermitian, random_unit_vector
+from effectsym.sampling import (
+    haar_unitary,
+    nested_projection_pairs,
+    orthogonal_projection_pairs,
+    random_effect,
+    random_effects,
+    random_hermitian,
+    random_projections,
+    random_unit_vector,
+)
 from effectsym.symmetry import (
     AFFINE,
     ANTIUNITARY,
@@ -96,6 +110,115 @@ def test_probe_witnesses_iff_flags_false():
     bad = preservation_probe(oracle(3, lambda a: 0.5 * np.asarray(a, complex)), trials=5)
     failed = set(bad.failed_checks())
     assert failed == {w.check for w in bad.witnesses}
+
+
+def ref_preservation_probe(phi, trials, seed):
+    """The probe as one loop over its trials, each check right after its
+    queries: the order check raises where ``eigenvalues_hermitian`` refuses."""
+    dim = phi.dim
+    eye = np.eye(dim, dtype=complex)
+    seeds = Stream(seed).u64_block(3 * trials).reshape(trials, 3)
+    samples = zip(random_projections(dim, seeds[:, 0]), nested_projection_pairs(dim, seeds[:, 1]),
+                  orthogonal_projection_pairs(dim, seeds[:, 2]))
+    witnesses = []
+    for p, (p_low, p_high), (q1, q2) in samples:
+        img = phi(p)
+        defect = max(hermiticity_defect(img), frobenius_norm(img.dot(img) - img))
+        if defect > PROBE_TOL:
+            witnesses.append(ProbeWitness("projections", (p,), defect))
+        comp_defect = frobenius_norm(img + phi(eye - p) - eye)
+        if comp_defect > PROBE_TOL:
+            witnesses.append(ProbeWitness("orthocomplement", (p,), comp_defect))
+        img_low, img_high = phi(p_low), phi(p_high)
+        diff = img_high - img_low
+        skew = hermiticity_defect(diff)
+        if skew > PROBE_TOL:
+            witnesses.append(ProbeWitness("order", (p_low, p_high), skew))
+        else:
+            gap = eigenvalues_hermitian(hermitize(diff))[0]
+            if not gap >= -PROBE_TOL:
+                witnesses.append(ProbeWitness("order", (p_low, p_high), float(-gap)))
+        prod = frobenius_norm(phi(q1).dot(phi(q2)))
+        if prod > PROBE_TOL:
+            witnesses.append(ProbeWitness("orthogonality", (q1, q2), prod))
+    return ProbeReport(witnesses=tuple(witnesses), samples_used=trials)
+
+
+def probe_outcome(probe, dim, evaluate, trials, seed):
+    """The probe's failed checks and witnesses as (check, input bytes, defect
+    type and bytes), or the type and message of what it raised, with the
+    number of queries it asked."""
+    asked = []
+
+    def counted(m):
+        asked.append(None)
+        return evaluate(m, len(asked))
+
+    try:
+        with np.errstate(all="ignore"):  # corrupted answers overflow and make NaN
+            report = probe(oracle(dim, counted), trials, seed)
+    except Exception as err:  # the raise, whatever its type, is part of the outcome
+        return type(err), str(err), len(asked)
+    witnesses = [(w.check, tuple(x.tobytes() for x in w.inputs), type(w.defect), np.float64(w.defect).tobytes())
+                 for w in report.witnesses]
+    return report.failed_checks(), witnesses, report.samples_used, len(asked)
+
+
+CORRUPTIONS = {
+    "nan": lambda x: np.where(np.eye(len(x), dtype=bool), np.nan, x),
+    "1e300": lambda x: x * 1e300,
+    "non_hermitian": lambda x: x + np.triu(np.ones(x.shape), 1),
+    "inf_off_diagonal": lambda x: np.where(np.eye(len(x), k=1, dtype=bool), np.inf, x),
+}
+
+
+def corrupted_at(d, k, how):
+    """The descriptor's map with its k-th answer corrupted."""
+    return lambda m, n: CORRUPTIONS[how](apply_symmetry(d, m)) if n == k else apply_symmetry(d, m)
+
+
+def huge_above_trace(d, bound=2.5):
+    """Answers 0.5 (X + X*) 1.5e308 for the descriptor's answer X wherever tr A > bound: finite, but
+    the order check's difference overflows."""
+    def evaluate(m, _):
+        x = apply_symmetry(d, m)
+        return hermitize(x) * 1.5e308 if np.trace(m).real > bound else x
+    return evaluate
+
+
+def canonical(d):
+    return lambda m, _: apply_symmetry(d, m)
+
+
+PROBE_CASES = {
+    **{f"{kind}-d{dim}": (dim, canonical(SymmetryDescriptor(kind, haar_unitary(dim, 3))))
+       for kind in (UNITARY, ANTIUNITARY) for dim in (3, 4, 6)},
+    "halving": (3, lambda m, _: 0.5 * m),
+    "complement": (4, lambda m, _: np.eye(4) - m),
+    "determinant": (4, lambda m, _: np.linalg.det(m) * np.eye(4)),
+    "partial_transpose": (4, lambda m, _: m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)),
+    **{f"{how}-at-{k}": (4, corrupted_at(random_symmetry(4, 3, family=TRIPLE_EFFECTS), k, how))
+       for how in CORRUPTIONS for k in (1, 3, 4, 6, 10)},
+    "huge-repro": (4, huge_above_trace(random_symmetry(4, 3, family=TRIPLE_EFFECTS))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_CASES))
+def test_stacked_probe_equals_per_trial_loop_bitwise(case):
+    dim, evaluate = PROBE_CASES[case]
+    expected = probe_outcome(ref_preservation_probe, dim, evaluate, 16, 5)
+    if case == "huge-repro":  # the order check of a finite difference that overflows raises at its trial
+        assert expected == (ValueError, "matrix has non-finite entries", 10)
+    assert probe_outcome(preservation_probe, dim, evaluate, 16, 5) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6 * 6), st.sampled_from(sorted(CORRUPTIONS)), st.sampled_from([3, 4]),
+       st.sampled_from([UNITARY, ANTIUNITARY]))
+def test_stacked_probe_equals_per_trial_loop_on_one_corrupted_query_bitwise(k, how, dim, kind):
+    evaluate = corrupted_at(SymmetryDescriptor(kind, haar_unitary(dim, 3)), k, how)
+    assert probe_outcome(preservation_probe, dim, evaluate, 6, 2) == probe_outcome(
+        ref_preservation_probe, dim, evaluate, 6, 2)
 
 
 # ---------------------------------------------------------- reconstruction
@@ -886,7 +1009,7 @@ def test_queries_to_first_probe_rejection(oracle_queries):
 
 
 @pytest.mark.parametrize("stage, route", [("affinity", recover_affine), ("identity", recover_triple)])
-def test_first_violation_stages_draw_in_doubling_chunks(stage, route, monkeypatch):
+def test_first_violation_stages_draw_one_trial_then_blocks(stage, route, monkeypatch):
     import effectsym.sampling
 
     sizes = []
@@ -898,11 +1021,45 @@ def test_first_violation_stages_draw_in_doubling_chunks(stage, route, monkeypatc
 
     monkeypatch.setattr(effectsym.sampling, "random_effects", counted)
     route(identity_oracle(4), seed=2)
-    trials = [1, 2, 4, 8, 16, 32, 1] if stage == "affinity" else [1, 2, 4, 8, 1]
+    trials = [1, 32, 31] if stage == "affinity" else [1, 15]
     assert sizes[:len(trials)] == [2 * n for n in trials]  # A and B of each trial
     sizes.clear()
     route(oracle(4, squared), seed=2)  # rejected at the first trial
     assert sizes == [2]
+
+
+def squared_after(u, start):
+    """U A U* for the first ``start`` queries and U A² U* from then on, with the list of queries asked."""
+    asked = []
+
+    def evaluate(m):
+        asked.append(None)
+        return u @ (m @ m if len(asked) > start else m) @ adjoint(u)
+
+    return asked, evaluate
+
+
+@pytest.mark.parametrize("stage, k", [("affinity", k) for k in (1, 2, 32, 33, 64)]
+                         + [("identity", k) for k in (1, 2, 16)])
+def test_blocks_change_no_query_and_no_witness(stage, k):
+    """A map that turns non-canonical at trial k is refused there, after 3k queries,
+    with trial k's own draw as witness, wherever k falls in the blocks."""
+    asked, evaluate = squared_after(haar_unitary(4, 1), 3 * (k - 1))
+    if stage == "affinity":
+        lam, a, b = is_affine(oracle(4, evaluate), seed=8).witness
+        s = Stream(8)
+        s.u64_block(3 * (k - 1))
+        expected_lam = s.uniform()
+        assert type(lam) is float and np.float64(lam).tobytes() == np.float64(expected_lam).tobytes()
+    else:
+        report = recover_triple(oracle(4, evaluate), seed=8)
+        assert report.reason.startswith("triple identity violated")
+        a, b = report.witness
+        s = Stream(8).spawn()
+        s.u64_block(2 * (k - 1))
+    expected_a, expected_b = random_effects(4, s.u64_block(2))
+    assert len(asked) == 3 * k
+    assert a.tobytes() == expected_a.tobytes() and b.tobytes() == expected_b.tobytes()
 
 
 @pytest.mark.parametrize("route", [recover_affine, recover_triple, recover_triple_hermitian])
