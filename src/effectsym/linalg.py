@@ -12,6 +12,14 @@ V diag(w) V* :func:`from_spectrum` are written only here; ``eigh`` and
 ``@`` treat each matrix of a stack as one matrix, so a stacked split
 keeps the bits of a one-matrix split.
 
+Haar draws factor their Gaussian stacks with :func:`_qr_unitary_and_diagonal`,
+which runs the two LAPACK gufuncs behind ``np.linalg.qr``, ``qr_r_raw``
+(``zgeqrf``) and ``qr_reduced`` (``zungqr``), from the private
+``numpy.linalg._umath_linalg`` module on the same operands and under the same
+error state, so Q and R's diagonal keep numpy's bits.  It skips the
+wrapper's copy, casts and ``triu``: R is never formed, and its diagonal is
+read in place from the factored stack.
+
 Stages take an adjoint per sample, so :func:`adjoint` uses the array's
 own ``swapaxes`` and ``conj`` methods rather than numpy's function
 wrappers; the view and its bits are those of ``np.conj(np.swapaxes(...))``.
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 DEFAULT_TOL = 1e-9
 
@@ -74,6 +83,20 @@ def frobenius_norms(stack) -> np.ndarray:
         x, y = x.real, x.imag
         return np.sqrt(np.vecdot(x, x) + np.vecdot(y, y))
     return np.sqrt(np.vecdot(x, x))
+
+
+def _raise_qr_error(err, flag):
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+@np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _qr_unitary_and_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R's diagonal of each matrix of a stack ``a`` of square complex128 matrices,
+    bit for bit those of ``np.linalg.qr(a)``.  ``a`` is factored in place, so it must be
+    an array the caller owns and no longer needs, as ``np.linalg.qr``'s own copy is.
+    A LAPACK argument error raises ``LinAlgError``, as in ``np.linalg.qr``."""
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), a.diagonal(axis1=-2, axis2=-1)
 
 
 def nan_max(*values: float) -> float:

@@ -6,7 +6,10 @@ order is part of the contract so streams stay reproducible:
 
 * ``haar_unitary``: one complex Gaussian matrix (entries row-major, one
   Box-Muller pair per entry, real part first), then QR with the
-  R-diagonal phase fix, which makes the distribution Haar.
+  R-diagonal phase fix, which makes the distribution Haar.  The QR is
+  ``np.linalg.qr``'s own pair of LAPACK gufuncs, called directly by
+  ``linalg._qr_unitary_and_diagonal``: Q and R's diagonal keep numpy's
+  bits, and R itself is never formed.
 * ``random_effect``: the stream's first output seeds the Haar rotation,
   then ``dim`` uniforms give the eigenvalues.
 * ``random_projection``: first output seeds the Haar rotation, then the
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import adjoint, frobenius_norms, from_spectrum, hermitize
+from .linalg import _qr_unitary_and_diagonal, adjoint, frobenius_norms, from_spectrum, hermitize
 from .rng import Stream, _box_muller, _unit_floats, u64_grid
 
 
@@ -60,9 +63,14 @@ def complex_gaussians(dim: int, seeds) -> np.ndarray:
 
 
 def haar_unitaries(dim: int, seeds) -> np.ndarray:
-    """Haar-distributed unitaries via QR of complex Gaussian matrices."""
-    q, r = np.linalg.qr(complex_gaussians(dim, seeds))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    """Haar-distributed unitaries via QR of complex Gaussian matrices.
+
+    The fresh Gaussian stack is factored in place by numpy's QR gufuncs
+    (``qr_r_raw``, then ``qr_reduced`` for Q), which give ``np.linalg.qr``'s
+    bits for Q and R's diagonal; R is never formed.  Each column of Q is
+    multiplied by the phase of R's diagonal entry (Mezzadri 2007), left as
+    it is where that entry is 0."""
+    q, d = _qr_unitary_and_diagonal(complex_gaussians(dim, seeds))
     absd = np.abs(d)
     nonzero = absd > 0
     q *= np.where(nonzero, d / np.where(nonzero, absd, 1.0), 1.0)[:, None, :]  # q is QR's fresh array

@@ -171,8 +171,9 @@ class SymmetryDescriptor:
             raise ValueError("complement and sign flip cannot both be set")
         u = as_square_array(self.unitary)
         n = u.shape[0]
-        defect = frobenius_norm(adjoint(u) @ u - np.eye(n))
-        if defect > UNITARITY_TOL * n:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN, refused below
+            defect = frobenius_norm(adjoint(u) @ u - np.eye(n))
+        if not defect <= UNITARITY_TOL * n:  # true on NaN
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         u = u.copy()
         u.setflags(write=False)

@@ -240,6 +240,18 @@ def test_recover_refuses_a_string_complement_flag(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_recover_refuses_a_descriptor_whose_unitarity_defect_is_nan(tmp_path, capsys):
+    mapfile = tmp_path / "m.json"
+    assert run(["synth", "--dim", 2, "--seed", 4, "--output", mapfile]) == 0
+    obj = load_json(mapfile)
+    obj["u"]["data"] = [[[1e200, 0.0], [1e200, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]]  # U*U is inf - inf
+    mapfile.write_text(json.dumps(obj))
+    with np.errstate(all="raise"):  # no overflow reaches numpy's error state
+        assert run(["recover", "--input", mapfile, "--output", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+    assert "bad map file: matrix is not unitary" in capsys.readouterr().err
+
+
 def test_recover_dim_mismatch(tmp_path):
     mapfile = tmp_path / "m.json"
     assert run(["synth", "--dim", 3, "--output", mapfile]) == 0

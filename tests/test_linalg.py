@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from effectsym.effects import as_effect, positive_negative_parts
 from effectsym.extension import _psd_parts
 from effectsym.linalg import (
+    _qr_unitary_and_diagonal,
     adjoint,
     as_square_array,
     eig_hermitian,
@@ -238,3 +239,50 @@ def test_frobenius_norms_have_the_bits_of_the_per_matrix_norm(stack, layout):
 def test_frobenius_norms_of_an_empty_stack_are_empty(shape, dtype):
     got = frobenius_norms(np.zeros(shape, dtype=dtype))
     assert got.dtype == np.float64 and got.shape == (0,)
+
+
+def _same_bits_or_both_nan(a, b) -> bool:
+    """Equal shape and dtype, NaN where the other is NaN, and the same bits elsewhere."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    x, y = a.view(float), b.view(float)
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+def _outcome(qr, stack):
+    try:
+        return qr(stack), None
+    except Exception as err:  # noqa: BLE001 - the type is compared below
+        return None, type(err)
+
+
+# One extreme entry, a zero column (R's diagonal 0, the phase fix's absd == 0 branch),
+# or a NaN or inf entry, at a place drawn by hypothesis.
+QR_SPECIALS = ["none", "huge", "tiny", "zero column", "nan", "inf"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 16), st.sampled_from([0, 1, 2, 32, 100]), st.integers(0, 2**32 - 1),
+       st.integers(-300, 300), st.sampled_from(QR_SPECIALS), st.integers(0, 10**6))
+def test_qr_helper_matches_numpy_qr_bitwise(dim, n, seed, exponent, special, where):
+    """Q and R's diagonal from numpy's QR gufuncs against ``np.linalg.qr``, on
+    Gaussian stacks scaled by 1e-300 to 1e300, with one special entry or column."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):  # at 1e300 a large draw is inf, which is one more case
+        stack = (rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))) * 10.0**exponent
+    if n and special != "none":
+        k, i, j = where % n, where % dim, (where // dim) % dim
+        if special == "zero column":
+            stack[k, :, j] = 0.0
+        else:
+            stack[k, i, j] = {"huge": 1e300 - 1e300j, "tiny": 1e-300j, "nan": complex(np.nan, 1.0),
+                              "inf": complex(1.0, -np.inf)}[special]
+    with np.errstate(all="raise"):  # both set the error state they factor under
+        got, got_err = _outcome(_qr_unitary_and_diagonal, stack.copy())
+        want, want_err = _outcome(np.linalg.qr, stack)
+    assert got_err is want_err
+    if want is not None:
+        (q, d), (q_ref, r_ref) = got, want
+        assert _same_bits_or_both_nan(q, q_ref)
+        assert _same_bits_or_both_nan(np.ascontiguousarray(d), np.diagonal(r_ref, axis1=-2, axis2=-1).copy())

@@ -203,6 +203,13 @@ def test_descriptor_validation():
         SymmetryDescriptor("unitary", np.eye(2), complement=True, sign=-1)
 
 
+def test_descriptor_refuses_a_matrix_whose_unitarity_defect_overflows_to_nan():
+    """U*U overflows to inf - inf, so the defect is NaN; a comparison that is
+    false on NaN used to accept this matrix."""
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="^matrix is not unitary \\(defect nan\\)$"):
+        SymmetryDescriptor("unitary", [[1e200, 1e200], [1e200, -1e200]])
+
+
 def test_apply_identity_and_complement():
     a = random_effect(3, 1)
     ident = SymmetryDescriptor(UNITARY, np.eye(3))
