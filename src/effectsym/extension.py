@@ -4,7 +4,8 @@ An :class:`EffectMapOracle` wraps an arbitrary deterministic evaluator
 from effects to Hermitian matrices; a map derived from one, such as
 A -> phi(A) - phi(0), is the oracle ``phi.then(f)``.  A query validates
 its input once (``as_square_array``), calls the evaluator once and
-shape-checks the answer; the oracles built from a descriptor or an
+raises :class:`OracleError` unless the answer reads as a complex array
+of the input's shape; the oracles built from a descriptor or an
 affine-map rep evaluate the validated input directly.  For an oracle that
 is affine and fixes 0, :func:`extend_linear` evaluates the unique linear
 extension to all square matrices along one path: split M into Re M and
@@ -33,10 +34,10 @@ are the one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
 extend all their samples as one stack, since they query every sample
 whatever the answers.  Their norms come from one ``frobenius_norms``
 pass and are folded with a max, bit for bit as in the per-matrix loop.
-:func:`is_affine` stops at its first violation: it draws one trial, then
-blocks of at most 32, forms each block's lam*A + (1 - lam)*B as one stack
-(a float64 lam column runs the complex multiply a Python float does), and
-asks, checks and folds per trial.
+:func:`is_affine` is the identity walk (:func:`_identity_walk`) on the
+convex form, forming each block's lam*A + (1 - lam)*B as one stack (a
+float64 lam column runs the complex multiply a Python float does); the
+triple identity of :mod:`effectsym.recover` is the same walk on ABA.
 
 The extension checks fail closed on NaN: their comparisons are written
 ``not (x <= bound)`` and their folds are :func:`nan_max`, so an oracle
@@ -63,7 +64,7 @@ import numpy as np
 from .linalg import (DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, frobenius_norms, hermitize, nan_max,
                      operator_norm, psd_parts)
 from .rng import Stream, _box_muller, _unit_floats
-from .sampling import _effect_pair_blocks, random_effects
+from .sampling import random_effects
 from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
 
 ZERO_NORM_CUTOFF = 1e-12
@@ -93,8 +94,12 @@ class EffectMapOracle:
         return self._answer(as_square_array(a, self.dim))
 
     def _answer(self, m: np.ndarray) -> np.ndarray:
-        """phi(m) for a validated m; :class:`OracleError` unless it is dim x dim."""
-        out = np.asarray(self.evaluator(m), dtype=complex)
+        """phi(m) for a validated m; :class:`OracleError` unless it is a dim x dim complex array."""
+        answer = self.evaluator(m)
+        try:
+            out = np.asarray(answer, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise OracleError(f"oracle output of type {type(answer).__name__} is not a complex array", m.copy())
         if out.shape != m.shape:
             raise OracleError(f"oracle output has shape {out.shape}, expected {m.shape}", m.copy())
         return out
@@ -128,20 +133,38 @@ class AffinityResult:
         return self.witness is None
 
 
+def _identity_walk(phi: EffectMapOracle, seed: int, trials: int, lead: int, form, combine):
+    """(worst deviation, first violating ``(*t, A, B)`` or None) of the identity
+    phi(form(t, A, B)) = combine(*t, phi(A), phi(B)) over ``trials`` draws from
+    ``Stream(seed)``: ``lead`` uniforms t in [0, 1), as ``Stream.uniform`` maps
+    them, then two outputs seeding effects A and B.  It draws one trial, then
+    blocks of at most 32 (a map refused at once costs one draw, and a block's
+    stacks stay small at d = 16), ``form`` building a block's inputs as one
+    stack; per trial it asks phi(input), phi(A), phi(B) and stops at the first
+    deviation above ``PROBE_TOL`` (a NaN one is passed over)."""
+    stream, worst, done = Stream(seed), 0.0, 0
+    while done < trials:
+        n = min(32 if done else 1, trials - done)
+        raw = stream.u64_block((lead + 2) * n).reshape(n, lead + 2)
+        heads = _unit_floats(raw[:, :lead])
+        ab = random_effects(phi.dim, raw[:, lead:].ravel())
+        a_block, b_block = ab[0::2], ab[1::2]
+        for head, x, a, b in zip(heads.tolist(), form(heads, a_block, b_block), a_block, b_block):
+            dev = frobenius_norm(phi(x) - combine(*head, phi(a), phi(b)))
+            worst = max(worst, dev)
+            if dev > PROBE_TOL:
+                return worst, (*head, a.copy(), b.copy())
+        done += n
+    return worst, None
+
+
 def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
     """Probe phi(lam*A + (1-lam)*B) = lam*phi(A) + (1-lam)*phi(B) on
     random triples; stop at the first violation."""
-    worst = 0.0
-    for lams, a_block, b_block in _effect_pair_blocks(phi.dim, Stream(seed), AFFINE_PROBE_TRIALS, lead=1):
-        mixes = lams[..., None] * a_block + (1.0 - lams[..., None]) * b_block
-        for (lam,), mix, a, b in zip(lams.tolist(), mixes, a_block, b_block):
-            lhs = phi(mix)
-            rhs = lam * phi(a) + (1.0 - lam) * phi(b)
-            dev = frobenius_norm(lhs - rhs)
-            worst = max(worst, dev)
-            if dev > PROBE_TOL:
-                return AffinityResult(worst, (lam, a.copy(), b.copy()))
-    return AffinityResult(worst)
+    return AffinityResult(*_identity_walk(
+        phi, seed, AFFINE_PROBE_TRIALS, 1,
+        lambda lams, a, b: lams[..., None] * a + (1.0 - lams[..., None]) * b,
+        lambda lam, phi_a, phi_b: lam * phi_a + (1.0 - lam) * phi_b))
 
 
 def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:

@@ -49,11 +49,11 @@ side, the residuals and their norms on the whole stack; the norms come
 from one ``linalg.frobenius_norms`` pass, which keeps the bits of a norm
 per matrix, and are folded with ``max``, as a per-sample loop would (the
 rebuild then folds in the images it asked, by ``nan_max``).  The affinity probe and
-the triple identity stop at their first violation: they draw one trial,
-then blocks of at most 32, form each block's inputs as one stack (ABA as
-``A @ B @ A``, which has the bits of ``a.dot(b).dot(a)``), and ask, check
-and stop per trial; the identity's per-trial products use ``ndarray.dot``,
-which at dim >= 2 gives the bits of ``@`` without its per-call set-up.
+the triple identity stop at their first violation: both are the identity
+walk of :mod:`effectsym.extension`, the triple one forming ABA as
+``A @ B @ A`` on the block (the bits of ``a.dot(b).dot(a)``) and its
+per-trial products with ``ndarray.dot``, which at dim >= 2 gives the bits
+of ``@`` without its per-call set-up.
 The preservation probe keeps every witness: it asks per trial and checks
 on the stack of answers, except that a trial whose order check could raise
 (a difference with an entry that is not finite or near overflow) runs that
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import rank_one_projection
-from .extension import PROBE_TOL, EffectMapOracle, OracleError, _require_count, is_affine
+from .extension import PROBE_TOL, EffectMapOracle, OracleError, _identity_walk, _require_count, is_affine
 from .linalg import (
     adjoint,
     eigenvalues_hermitian,
@@ -80,7 +80,6 @@ from .linalg import (
 )
 from .rng import Stream
 from .sampling import (
-    _effect_pair_blocks,
     _frame_nested,
     _frame_orthogonal,
     _frame_projection,
@@ -448,14 +447,11 @@ def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
 
 def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream, sign: int = 1) -> None:
     action = phi if sign == 1 else phi.then(np.negative)
-    for _, a_block, b_block in _effect_pair_blocks(phi.dim, s.spawn(), TRIPLE_PROBE_PAIRS):
-        for aba, a, b in zip(a_block @ b_block @ a_block, a_block, b_block):
-            lhs = action(aba)
-            phi_a = action(a)
-            dev = frobenius_norm(lhs - phi_a.dot(action(b)).dot(phi_a))
-            if dev > PROBE_TOL:
-                found["witness"] = (a.copy(), b.copy())
-                raise ReconstructionError(f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {dev:.3e}")
+    worst, witness = _identity_walk(action, s.next_u64(), TRIPLE_PROBE_PAIRS, 0,
+                                    lambda _, a, b: a @ b @ a, lambda phi_a, phi_b: phi_a.dot(phi_b).dot(phi_a))
+    if witness:
+        found["witness"] = witness
+        raise ReconstructionError(f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {worst:.3e}")
 
     probe = found["probe"] = preservation_probe(action, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
     if not probe.all_preserved:

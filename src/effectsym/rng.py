@@ -35,8 +35,7 @@ Derived values:
 
 Batched form: :func:`u64_grid` draws outputs k + 1 .. k + n of many seeds;
 row i is bit for bit what ``Stream(seeds[i])`` draws after its first k (one
-row is :meth:`Stream.u64_block`); early-stopping stages draw one trial, then
-blocks of at most 32 trials.
+row is :meth:`Stream.u64_block`).
 The block forms build their constants at import and write in place only
 into arrays they just allocated: the same operations on the same operands
 in the same order, with ``log``, ``cos`` and ``sin`` on contiguous arrays.

@@ -22,8 +22,7 @@ one ``u64_grid`` pass, Box-Muller pass, stacked QR, phase fix and
 ``(u * lam) @ u*``.  Unit vectors divide by one ``frobenius_norms``
 pass, whose rows keep the per-vector bits; projection rank slicing would
 not stay bit-identical stacked and runs per frame, by private builders
-that the preservation probe shares over one ``_frames`` pass.  Stages that
-stop at their first failure draw one trial, then blocks of at most 32.
+that the preservation probe shares over one ``_frames`` pass.
 """
 
 from __future__ import annotations
@@ -32,20 +31,6 @@ import numpy as np
 
 from .linalg import _qr_unitary_and_diagonal, adjoint, frobenius_norms, from_spectrum, hermitize
 from .rng import Stream, _box_muller, _unit_floats, u64_grid
-
-
-def _effect_pair_blocks(dim: int, stream: Stream, total: int, lead: int = 0):
-    """Blocks of n trials as (n x lead uniforms in [0, 1), as ``Stream.uniform``
-    maps the outputs; effects A; effects B), A and B seeded by each trial's next
-    two outputs.  n is 1, so a stage that stops at its first failure draws little
-    it never uses, then at most 32, which keeps a block's stacks small at d = 16."""
-    done = 0
-    while done < total:
-        n = min(32 if done else 1, total - done)
-        raw = stream.u64_block((lead + 2) * n).reshape(n, lead + 2)
-        ab = random_effects(dim, raw[:, lead:].ravel())
-        yield _unit_floats(raw[:, :lead]), ab[0::2], ab[1::2]
-        done += n
 
 
 def complex_gaussian(dim: int, stream: Stream) -> np.ndarray:
@@ -117,6 +102,7 @@ def _frame_nested(u: np.ndarray, q: int, y: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _frame_orthogonal(u: np.ndarray, p: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) with PQ = 0, from disjoint columns of the frame; P has the frame's rank."""
     return _projection(u[:, :p]), _projection(u[:, p:p + 1 + y % (u.shape[0] - p)])
 
 
@@ -133,11 +119,6 @@ def random_projection(dim: int, seed: int) -> np.ndarray:
 def nested_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs (P, Q) of projections with P <= Q, each sharing one Haar frame; Q has the frame's rank."""
     return [_frame_nested(*f) for f in _frames(dim, seeds)]
-
-
-def orthogonal_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs (P, Q) of projections with PQ = 0, from disjoint Haar columns; P has the frame's rank."""
-    return [_frame_orthogonal(*f) for f in _frames(dim, seeds)]
 
 
 def random_hermitians(dim: int, seeds) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectsym.effects import rank_one_projection
-from effectsym.extension import PROBE_TOL, EffectMapOracle, OracleError, is_affine
+from effectsym.extension import AFFINE_PROBE_TRIALS, PROBE_TOL, EffectMapOracle, OracleError, is_affine
 from effectsym.linalg import (adjoint, eigenvalues_hermitian, frobenius_norm, hermiticity_defect, hermitize,
                               operator_norm)
 from effectsym.recover import (
@@ -28,11 +28,12 @@ from effectsym.recover import (
     route,
     verify_descriptor,
 )
-from effectsym.rng import Stream
+from effectsym.rng import Stream, _unit_floats
 from effectsym.sampling import (
+    _frame_orthogonal,
+    _frames,
     haar_unitary,
     nested_projection_pairs,
-    orthogonal_projection_pairs,
     random_effect,
     random_effects,
     random_hermitian,
@@ -119,7 +120,7 @@ def ref_preservation_probe(phi, trials, seed):
     eye = np.eye(dim, dtype=complex)
     seeds = Stream(seed).u64_block(3 * trials).reshape(trials, 3)
     samples = zip(random_projections(dim, seeds[:, 0]), nested_projection_pairs(dim, seeds[:, 1]),
-                  orthogonal_projection_pairs(dim, seeds[:, 2]))
+                  [_frame_orthogonal(*f) for f in _frames(dim, seeds[:, 2])])
     witnesses = []
     for p, (p_low, p_high), (q1, q2) in samples:
         img = phi(p)
@@ -1010,16 +1011,16 @@ def test_queries_to_first_probe_rejection(oracle_queries):
 
 @pytest.mark.parametrize("stage, route", [("affinity", recover_affine), ("identity", recover_triple)])
 def test_first_violation_stages_draw_one_trial_then_blocks(stage, route, monkeypatch):
-    import effectsym.sampling
+    import effectsym.extension
 
     sizes = []
-    original = effectsym.sampling.random_effects
+    original = effectsym.extension.random_effects
 
     def counted(dim, seeds):
         sizes.append(len(seeds))
         return original(dim, seeds)
 
-    monkeypatch.setattr(effectsym.sampling, "random_effects", counted)
+    monkeypatch.setattr(effectsym.extension, "random_effects", counted)
     route(identity_oracle(4), seed=2)
     trials = [1, 32, 31] if stage == "affinity" else [1, 15]
     assert sizes[:len(trials)] == [2 * n for n in trials]  # A and B of each trial
@@ -1077,6 +1078,140 @@ def test_wrong_shape_output_is_rejected_with_its_input(route, bad):
     assert "expected (4, 4)" in report.reason
     (query,) = report.witness
     assert np.array_equal(query, queries[-1])
+
+
+@pytest.mark.parametrize("bad", ["abc", {"a": 1}, [[1, 2], [3]], object()],
+                         ids=["str", "dict", "ragged", "object"])
+def test_an_answer_that_is_not_a_complex_array_is_rejected_with_its_input(bad):
+    queries = []
+
+    def evaluate(m):
+        queries.append(m.copy())
+        return bad
+
+    for phi in (oracle(3, evaluate), oracle(3, evaluate).then(np.negative)):
+        for family in sorted(MIN_DIM):
+            queries.clear()
+            report = route(family)(phi, seed=1)
+            assert report.verdict == REJECTED and report.reason.startswith("oracle output of type")
+            assert len(queries) == 1 and np.array_equal(report.witness[0], queries[0])
+        queries.clear()
+        with pytest.raises(OracleError, match="is not a complex array") as err:
+            verify_descriptor(phi, SymmetryDescriptor(UNITARY, np.eye(3)), trials=5, seed=1)
+        assert len(queries) == 1 and np.array_equal(err.value.query, queries[0])
+
+
+def ref_effect_pair_blocks(dim, stream, total, lead=0):
+    """The draw of the first-violation stages written as a generator: blocks of
+    one trial, then at most 32, of (lead uniforms, effects A, effects B)."""
+    done = 0
+    while done < total:
+        n = min(32 if done else 1, total - done)
+        raw = stream.u64_block((lead + 2) * n).reshape(n, lead + 2)
+        ab = random_effects(dim, raw[:, lead:].ravel())
+        yield _unit_floats(raw[:, :lead]), ab[0::2], ab[1::2]
+        done += n
+
+
+def ref_is_affine(phi, seed):
+    """The affinity probe as its own per-trial loop: (worst, witness)."""
+    worst = 0.0
+    for lams, a_block, b_block in ref_effect_pair_blocks(phi.dim, Stream(seed), AFFINE_PROBE_TRIALS, lead=1):
+        mixes = lams[..., None] * a_block + (1.0 - lams[..., None]) * b_block
+        for (lam,), mix, a, b in zip(lams.tolist(), mixes, a_block, b_block):
+            lhs = phi(mix)
+            rhs = lam * phi(a) + (1.0 - lam) * phi(b)
+            dev = frobenius_norm(lhs - rhs)
+            worst = max(worst, dev)
+            if dev > PROBE_TOL:
+                return worst, (lam, a.copy(), b.copy())
+    return worst, None
+
+
+def ref_triple_identity(action, stream, pairs):
+    """The triple identity as its own per-trial loop: (deviation, witness) of
+    the first violation, or (None, None)."""
+    for _, a_block, b_block in ref_effect_pair_blocks(action.dim, stream, pairs):
+        for aba, a, b in zip(a_block @ b_block @ a_block, a_block, b_block):
+            lhs = action(aba)
+            phi_a = action(a)
+            dev = frobenius_norm(lhs - phi_a.dot(action(b)).dot(phi_a))
+            if dev > PROBE_TOL:
+                return dev, (a.copy(), b.copy())
+    return None, None
+
+
+def scripted(u, nan_at=(), square_after=None):
+    """U A U*, U A² U* after query ``square_after``, an all-NaN answer at the
+    queries numbered in ``nan_at``; with the bytes of every query asked."""
+    asked = []
+
+    def evaluate(m):
+        asked.append(m.tobytes())
+        if len(asked) in nan_at:
+            return np.full(m.shape, np.nan)
+        squared = square_after is not None and len(asked) > square_after
+        return u @ (m @ m if squared else m) @ adjoint(u)
+
+    return asked, evaluate
+
+
+class WalkDone(Exception):
+    pass
+
+
+WALK_CASES = {
+    "canonical": {},
+    **{f"refused at trial {k}": {"square_after": 3 * (k - 1)} for k in (1, 2, 33, 64)},
+    "NaN at trial 2": {"nan_at": {4}},
+    "NaN at trial 2, refused at 33": {"nan_at": {4, 5}, "square_after": 96},
+    "NaN throughout": {"nan_at": range(1, 1000)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+@pytest.mark.parametrize("dim, seed", [(3, 5), (4, 8)])
+def test_identity_walk_matches_the_per_trial_loops_bitwise(case, dim, seed, monkeypatch):
+    """Both structures' walks ask the queries, fold the deviation and keep the
+    witness of the per-trial reference loops, bit for bit, on maps refused at
+    block edges and maps whose deviation is NaN; the triple walk runs 64 trials here."""
+    import effectsym.recover
+
+    u = haar_unitary(dim, seed)
+
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    def witness_bytes(w):
+        return None if w is None else [np.asarray(x).tobytes() for x in w]
+
+    asked, evaluate = scripted(u, **WALK_CASES[case])
+    aff = is_affine(oracle(dim, evaluate), seed)
+    ref_asked, ref_evaluate = scripted(u, **WALK_CASES[case])
+    ref_worst, ref_witness = ref_is_affine(oracle(dim, ref_evaluate), seed)
+    assert ("refused" in case) == (ref_witness is not None)
+    assert asked == ref_asked and bits(aff.max_deviation) == bits(ref_worst)
+    assert witness_bytes(aff.witness) == witness_bytes(ref_witness)
+    assert aff.witness is None or type(aff.witness[0]) is float
+
+    walk, walked = effectsym.recover._identity_walk, []
+
+    def recorded_walk(*args):
+        walked.append(walk(*args))
+        raise WalkDone
+
+    monkeypatch.setattr(effectsym.recover, "_identity_walk", recorded_walk)
+    monkeypatch.setattr(effectsym.recover, "TRIPLE_PROBE_PAIRS", 64)
+    asked, evaluate = scripted(u, **WALK_CASES[case])
+    with pytest.raises(WalkDone):
+        recover_triple(oracle(dim, evaluate), seed=seed)
+    ((worst, witness),) = walked
+    ref_asked, ref_evaluate = scripted(u, **WALK_CASES[case])
+    ref_dev, ref_witness = ref_triple_identity(oracle(dim, ref_evaluate), Stream(seed).spawn(), 64)
+    assert ("refused" in case) == (ref_witness is not None)
+    assert asked == ref_asked and witness_bytes(witness) == witness_bytes(ref_witness)
+    if ref_witness is not None:
+        assert bits(worst) == bits(ref_dev)
 
 
 def similarity_oracle(dim):

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from effectsym.linalg import adjoint, frobenius_norm, hermitize
 from effectsym.rng import Stream
 from effectsym.sampling import (
+    _frame_orthogonal,
+    _frames,
     complex_gaussian,
     complex_gaussians,
     haar_unitaries,
     haar_unitary,
     nested_projection_pairs,
-    orthogonal_projection_pairs,
     random_effect,
     random_effects,
     random_hermitian,
@@ -21,6 +22,12 @@ from effectsym.sampling import (
     random_unit_vector,
     random_unit_vectors,
 )
+
+
+def probe_orthogonal_pairs(dim, seeds):
+    """The preservation probe's pairs (P, Q) with PQ = 0, one per seed."""
+    return [_frame_orthogonal(*f) for f in _frames(dim, seeds)]
+
 
 # Frozen from this implementation's own seeded run; guards the whole
 # stream (SplitMix64 -> Box-Muller -> QR phase fix -> assembly).
@@ -111,7 +118,7 @@ def test_nested_projections_order():
 
 def test_orthogonal_projections_product():
     for seed in range(25):
-        p, q = orthogonal_projection_pairs(4, [seed])[0]
+        p, q = probe_orthogonal_pairs(4, [seed])[0]
         assert frobenius_norm(p @ q) < 1e-12
         assert np.trace(p).real >= 0.99 and np.trace(q).real >= 0.99
 
@@ -200,8 +207,8 @@ SAMPLERS = {
     "nested_projections": (nested_projection_pairs,
                            lambda dim, seed: nested_projection_pairs(dim, [seed])[0],
                            ref_nested_projections, 2),
-    "orthogonal_projections": (orthogonal_projection_pairs,
-                               lambda dim, seed: orthogonal_projection_pairs(dim, [seed])[0],
+    "orthogonal_projections": (probe_orthogonal_pairs,
+                               lambda dim, seed: probe_orthogonal_pairs(dim, [seed])[0],
                                ref_orthogonal_projections, 2),
 }
 DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 16]
