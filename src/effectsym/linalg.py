@@ -61,28 +61,29 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def frobenius_norm(a) -> float:
     """``float(np.linalg.norm(a))`` bit for bit: numpy's own ``ord=None``
     branch (same cast, ``ravel``, ``dot`` calls and sum) without its
-    dispatch; ``math.sqrt`` rounds correctly, as numpy's ``sqrt`` does."""
+    dispatch; ``math.sqrt`` rounds correctly, as numpy's ``sqrt`` does.
+    One path serves every dtype: a real array's imaginary part is zeros,
+    whose ``dot`` is an exact +0.0, so the sum keeps the bits of numpy's
+    real branch."""
     x = np.asarray(a)
     x = (x if issubclass(x.dtype.type, (np.inexact, np.object_)) else x.astype(float)).ravel(order="K")
-    if x.dtype.kind == "c":
-        x, y = x.real, x.imag
-        return math.sqrt(x.dot(x) + y.dot(y))
-    return math.sqrt(x.dot(x))
+    x, y = x.real, x.imag
+    return math.sqrt(x.dot(x) + y.dot(y))
 
 
 def frobenius_norms(stack) -> np.ndarray:
     """:func:`frobenius_norm` of each matrix or vector of a stack, bit for bit: the same
     cast, each one's ``ravel(order="K")`` as a contiguous row, and per row the same BLAS
-    ``dot`` (``np.vecdot`` runs it once per row) and a correctly rounded ``sqrt``."""
+    ``dot`` (``np.vecdot`` runs it once per row) and a correctly rounded ``sqrt``.  As
+    there, one path serves every dtype: a real row adds the exact +0.0 of its zero
+    imaginary part."""
     x = np.asarray(stack)
     x = x if issubclass(x.dtype.type, (np.inexact, np.object_)) else x.astype(float)
     if len(x) and not x[0].flags.c_contiguous:  # each row in its matrix's own ravel order
         x = np.array([m.ravel(order="K") for m in x])
     x = x.reshape(len(x), math.prod(x.shape[1:]))
-    if x.dtype.kind == "c":
-        x, y = x.real, x.imag
-        return np.sqrt(np.vecdot(x, x) + np.vecdot(y, y))
-    return np.sqrt(np.vecdot(x, x))
+    x, y = x.real, x.imag
+    return np.sqrt(np.vecdot(x, x) + np.vecdot(y, y))
 
 
 def _raise_qr_error(err, flag):

@@ -70,11 +70,18 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _seed64(seed) -> int:
+    """An integer seed (a numpy integer counts, a bool does not) reduced mod 2**64."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & _MASK
+
+
 def u64_grid(seeds, n: int, counter: int = 0) -> np.ndarray:
     """Outputs ``counter + 1 .. counter + n`` of each seed's stream (seeds
     reduced mod 2**64, as by :class:`Stream`), shape ``(len(seeds), n)``."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-        seeds = np.array([int(seed) & _MASK for seed in seeds], dtype=np.uint64)
+        seeds = np.array([_seed64(seed) for seed in seeds], dtype=np.uint64)
     ks = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
     ks *= _U_GAMMA
     return _mix64_block(seeds[:, None] + ks)
@@ -98,12 +105,13 @@ def _box_muller(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Stream:
     """Counter-based SplitMix64 stream.
 
-    State: the seed and the count of outputs drawn; each output is a pure
-    function of both, so a stream is shared only by advancing it.
+    State: the seed (an integer, reduced mod 2**64) and the count of outputs
+    drawn; each output is a pure function of both, so a stream is shared only
+    by advancing it.
     """
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK
+        self._seed = _seed64(seed)
         self._seeds = np.array([self._seed], dtype=np.uint64)  # u64_block's one-row grid
         self._counter = 0
 

@@ -45,7 +45,6 @@ from .linalg import adjoint, frobenius_norm, nan_max
 from .recover import (
     ACCEPT_TOL,
     MIN_DIM,
-    SCALING_GRID,
     check_run,
     check_scaling_identity,
     extract_scaling_function,
@@ -173,9 +172,7 @@ def triple_roundtrip_suite(dim: int, seed: int, descriptors: int, tol: float = R
     failures, max_u, max_res, reports = _roundtrip(
         Stream(seed), dim, descriptors, TRIPLE_EFFECTS, lambda i: {"kind": _kind(i)}, tol
     )
-    max_scaling = max(
-        [0.0] + [float(np.max(np.abs(r.scaling.values - SCALING_GRID))) for r in reports]
-    )
+    max_scaling = nan_max(0.0, *(check_scaling_identity(r.scaling).max_identity_deviation for r in reports))
     return _result(
         "triple_roundtrip", failures, dim,
         max_u <= U_MATCH_TOL and max_res <= tol and max_scaling <= SCALING_TOL,

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from effectsym.extension import EffectMapOracle
+from effectsym.recover import recover_affine
 from effectsym.rng import Stream, _box_muller, _unit_floats, mix64, u64_grid
-from effectsym.sampling import haar_unitaries
+from effectsym.sampling import haar_unitaries, random_effect
+from effectsym.symmetry import random_symmetry
 
 # Published reference outputs of SplitMix64 for seed 0.
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -96,6 +99,19 @@ def test_block_forms_leave_their_arguments_alone():
 
 def test_seed_wraps_to_64_bits():
     assert Stream(2**64 + 5).next_u64() == Stream(5).next_u64()
+
+
+@pytest.mark.parametrize("draw", [
+    Stream,
+    lambda seed: u64_grid([seed], 1),
+    lambda seed: random_effect(3, seed),
+    lambda seed: recover_affine(EffectMapOracle.from_descriptor(random_symmetry(3, 1)), seed=seed),
+], ids=["Stream", "u64_grid", "random_effect", "recover_affine"])
+@pytest.mark.parametrize("seed", [1.5, True, "3", np.float64(2.0)], ids=repr)
+def test_a_seed_that_is_not_an_integer_is_refused(draw, seed):
+    """A float, bool or string seed used to be truncated to another seed's stream."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        draw(seed)
 
 
 def test_spawn_deterministic_and_decorrelated():

@@ -13,6 +13,8 @@ from effectsym.rng import Stream
 from effectsym.sampling import random_effects
 from effectsym.symmetry import TRIPLE_EFFECTS
 
+import test_acceptance
+
 # Key order of each suite's details; the verify JSON is written in this order.
 VERIFY_DETAIL_KEYS = {
     "triple_closure": ["dim", "pairs", "min_eigenvalue", "max_eigenvalue"],
@@ -110,13 +112,33 @@ def test_rejection_failures_name_the_route(monkeypatch):
     ]
 
 
-def test_extension_failure_names_only_the_nonlinear_oracle(monkeypatch):
-    defects = iter([1e-3, 0.0])
-    monkeypatch.setattr(suites, "linearity_defect", lambda phi, stream, probes: next(defects))
-    result = suites.extension_suite(3, 5, probes=2)
-    assert result.details["failures"] == ["oracle 0: linearity deviation 1.000e-03"]
-    assert result.details["max_linearity_deviation"] == 1e-3
-    assert result.details["oracles"] == 2
+def test_extension_failure_names_only_the_nonlinear_oracle():
+    """Oracle 0's check answers the defect and oracle 1's a clean 0; a NaN fails closed."""
+    for check, defect, key, failure in [
+        ("linearity_defect", 1e-3, "max_linearity_deviation", "oracle 0: linearity deviation 1.000e-03"),
+        ("linearity_defect", math.nan, "max_linearity_deviation", "oracle 0: linearity deviation nan"),
+        ("boundedness_check", math.nan, "max_extension_norm", "oracle 0: extension norm nan above 2"),
+    ]:
+        answers = iter([defect, 0.0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(suites, check, lambda *args, **kwargs: next(answers))
+            result = suites.extension_suite(3, 5, probes=2)
+        assert not result.passed
+        assert result.details["failures"] == [failure]
+        assert np.array_equal(result.details[key], defect, equal_nan=True)
+        assert result.details["oracles"] == 2
+
+
+@pytest.mark.parametrize("module, check", [
+    (suites, "linearity_defect"),
+    (suites, "boundedness_check"),
+    (test_acceptance, "boundedness_check"),  # the norm bound it checks by hand
+], ids=["suite linearity", "suite bound", "flag-combo bound"])
+def test_acceptance_criterion_6_fails_on_a_nan_defect(monkeypatch, module, check):
+    """Criterion 6 runs the extension suite, so it fails closed where the suite does."""
+    monkeypatch.setattr(module, check, lambda *args, **kwargs: math.nan)
+    with pytest.raises(AssertionError, match="ACCEPTANCE 6 .*: FAIL"):
+        test_acceptance.test_criterion_6_extension_machinery()
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
