@@ -47,9 +47,10 @@ the rank-one checks of a rebuilt unitary, the scaling samples) ask the
 oracle one input at a time in a fixed order, then compute the expected
 side, the residuals and their norms on the whole stack; the norms come
 from one ``linalg.frobenius_norms`` pass, which keeps the bits of a norm
-per matrix, and are folded with ``max``, as a per-sample loop would (the
-rebuild then folds in the images it asked, by ``nan_max``).  The affinity probe and
-the triple identity stop at their first violation: both are the identity
+per matrix.  The rebuild asks its ``RECONSTRUCT_CHECKS`` random rank-one
+projections after the 2 dim it was built from, and compares all of these
+images with its candidate in one such pass.  The affinity probe and the
+triple identity stop at their first violation: both are the identity
 walk of :mod:`effectsym.extension`, the triple one forming ABA as
 ``A @ B @ A`` on the block (the bits of ``a.dot(b).dot(a)``) and its
 per-trial products with ``ndarray.dot``, which at dim >= 2 gives the bits
@@ -58,6 +59,12 @@ The preservation probe keeps every witness: it asks per trial and checks
 on the stack of answers, except that a trial whose order check could raise
 (a difference with an entry that is not finite or near overflow) runs that
 check in the loop, so the probe raises where a per-trial loop would.
+
+Every check on answers fails when ``not (defect <= bound)`` and folds with
+``nan_max``, so a NaN defect fails it.  ROADMAP item 1 leaves three sites
+for a benchmark change: the identity walk, which passes over a NaN
+deviation, the verify stage's ``max``, which passes over a NaN norm, and
+the probe's in-loop order check, which raises.
 """
 
 from __future__ import annotations
@@ -214,42 +221,36 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
     dim = phi.dim
     eye = np.eye(dim, dtype=complex)
     frames = list(_frames(dim, Stream(seed).u64_block(3 * trials)))
-    samples = [(_frame_projection(*frames[i]), _frame_nested(*frames[i + 1]), _frame_orthogonal(*frames[i + 2]))
-               for i in range(0, 3 * trials, 3)]
+    samples = [((_frame_projection(*frames[i]),), _frame_nested(*frames[i + 1]), _frame_orthogonal(*frames[i + 2]))
+               for i in range(0, 3 * trials, 3)]  # the inputs of each check: (P,), the nested and the orthogonal pair
     img = np.empty((trials, 6, dim, dim), dtype=complex)  # φ of P, I - P, P_low, P_high, Q1, Q2
     order = {}  # the order defect of each trial checked in the loop: its skew, or minus its least eigenvalue
 
-    for t, (p, (p_low, p_high), (q1, q2)) in enumerate(samples):
+    for t, ((p,), (p_low, p_high), (q1, q2)) in enumerate(samples):
         img[t, 0], img[t, 1], img[t, 2], img[t, 3] = phi(p), phi(eye - p), phi(p_low), phi(p_high)
         diff = img[t, 3] - img[t, 2]
         if not np.vdot(diff, diff).real < math.inf:  # an entry not finite or near overflow
+            # ROADMAP item 1: raises on a non-finite difference, and the bench pins that raise
             skew = hermiticity_defect(diff)
             order[t] = skew if skew > PROBE_TOL else float(-eigenvalues_hermitian(hermitize(diff))[0])
         img[t, 4], img[t, 5] = phi(q1), phi(q2)
 
     p_img, c_img, low, high, q1_img, q2_img = img.swapaxes(0, 1)
     herm, idem = frobenius_norms(p_img - adjoint(p_img)), frobenius_norms(p_img @ p_img - p_img)
-    proj = np.where(idem > herm, idem, herm).tolist()  # max(herm, idem) of each, as Python's max picks
-    comp = frobenius_norms(p_img + c_img - eye).tolist()
     diffs = high - low
     skews = frobenius_norms(diffs - adjoint(diffs)).tolist()
-    within = [t for t in range(trials) if t not in order and not skews[t] > PROBE_TOL]
+    within = [t for t in range(trials) if t not in order and skews[t] <= PROBE_TOL]
     # eigenvalues_hermitian(hermitize(diff)) symmetrizes twice; a finite diff passes its checks
     gaps = np.linalg.eigvalsh(hermitize(hermitize(diffs[within])))[:, 0]
     order = {**dict(enumerate(skews)), **dict(zip(within, (-gaps).tolist())), **order}
-    prod = frobenius_norms(q1_img @ q2_img).tolist()
-
-    witnesses: list[ProbeWitness] = []
-    for t, (p, low_high, q1_q2) in enumerate(samples):
-        if proj[t] > PROBE_TOL:
-            witnesses.append(ProbeWitness("projections", (p,), proj[t]))
-        if comp[t] > PROBE_TOL:
-            witnesses.append(ProbeWitness("orthocomplement", (p,), comp[t]))
-        if not order[t] <= PROBE_TOL:  # a skew above PROBE_TOL, or a least eigenvalue below -PROBE_TOL or NaN
-            witnesses.append(ProbeWitness("order", low_high, order[t]))
-        if prod[t] > PROBE_TOL:
-            witnesses.append(ProbeWitness("orthogonality", q1_q2, prod[t]))
-
+    table = (  # (check, its defect per trial, the index of its inputs in a trial's sample)
+        ("projections", np.maximum(herm, idem).tolist(), 0),
+        ("orthocomplement", frobenius_norms(p_img + c_img - eye).tolist(), 0),
+        ("order", order, 1),  # a skew, or minus a least eigenvalue
+        ("orthogonality", frobenius_norms(q1_img @ q2_img).tolist(), 2),
+    )
+    witnesses = [ProbeWitness(check, samples[t][i], defects[t])
+                 for t in range(trials) for check, defects, i in table if not defects[t] <= PROBE_TOL]
     return ProbeReport(witnesses=tuple(witnesses), samples_used=trials)
 
 
@@ -260,7 +261,7 @@ def _rank_one_vector(img: np.ndarray, what: str) -> np.ndarray:
     herm = hermiticity_defect(img)
     w, v = np.linalg.eigh(hermitize(img))
     rest = float(np.max(np.abs(w[:-1]))) if len(w) > 1 else 0.0
-    if herm > RANK_ONE_TOL or abs(w[-1] - 1.0) > RANK_ONE_TOL or rest > RANK_ONE_TOL:
+    if not (herm <= RANK_ONE_TOL and abs(w[-1] - 1.0) <= RANK_ONE_TOL and rest <= RANK_ONE_TOL):
         raise ReconstructionError(
             f"{what} is not a rank-one projection (projection preservation fails): "
             f"top eigenvalue {w[-1]:.6f}, residual spectrum {rest:.3e}, "
@@ -321,8 +322,9 @@ def reconstruct_unitary_from_projection_action(
     w, _, vh = np.linalg.svd(np.column_stack(frame))  # the nearest unitary to the frame
     d = gauge_normalize(SymmetryDescriptor(kind, w @ vh))
     xs = random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS))
-    worst = nan_max(_residual(phi, d, xs[:, :, None] * xs.conj()[:, None, :]),
-                    *frobenius_norms(np.array(images) - _apply_symmetry(d, np.array(inputs))).tolist())
+    for p in xs[:, :, None] * xs.conj()[:, None, :]:
+        ask(p)
+    worst = nan_max(*frobenius_norms(np.array(images) - _apply_symmetry(d, np.array(inputs))).tolist())
     if not worst <= tol:
         raise ReconstructionError(
             f"reconstruction verification failed: rank-one residual {worst:.3e} "
@@ -341,20 +343,17 @@ def verify_descriptor(
     """Max Frobenius residual between the oracle and the descriptor.
 
     ``domain`` picks the sampling measure: random effects, or Gaussian
-    Hermitian matrices for maps defined on all self-adjoints.
+    Hermitian matrices for maps defined on all self-adjoints.  The oracle
+    is asked in order, then d is applied to the whole stack and the norms
+    taken in one pass; a NaN norm is passed over, as by a running ``max``.
     """
     if domain not in (EFFECTS_DOMAIN, HERMITIAN_DOMAIN):
         raise ValueError(f"unknown sampling domain {domain!r}")
     check_run(trials)
     sampler = random_effects if domain == EFFECTS_DOMAIN else random_hermitians
-    return _residual(phi, d, sampler(d.dim, Stream(seed).u64_block(trials)))
-
-
-def _residual(phi, d: SymmetryDescriptor, samples: np.ndarray) -> float:
-    """Max ||phi(A) - d(A)||_F over a stack of samples.  The oracle is
-    asked in order, then d is applied to the whole stack and the norms
-    taken in one pass; a NaN norm is passed over, as by a running ``max``."""
+    samples = sampler(d.dim, Stream(seed).u64_block(trials))
     images = np.array([phi(a) for a in samples])
+    # ROADMAP item 1: this max passes over a NaN norm, and the bench pins that acceptance
     return max([0.0, *frobenius_norms(images - _apply_symmetry(d, samples)).tolist()])
 
 
@@ -397,8 +396,7 @@ def check_scaling_identity(samples: ScalingSamples) -> ScalingCheck:
     sq = root * root // 16
     mult = np.abs(f[sq] - np.float_power(f, 2)[root])
     ortho = np.abs(f[sq] + f[16 - sq] - 1.0)
-    # diagnostics only: fmax passes over a NaN deviation
-    mult_dev, ortho_dev = (float(np.fmax.reduce(x, initial=0.0)) for x in (mult, ortho))
+    mult_dev, ortho_dev = nan_max(0.0, *mult), nan_max(0.0, *ortho)
 
     ok = id_dev <= PROBE_TOL and prop_res <= PROBE_TOL
     return ScalingCheck(ok, id_dev, mult_dev, ortho_dev, prop_res)
@@ -420,7 +418,7 @@ def _verify(found: dict, phi, d: SymmetryDescriptor, tol: float, trials: int, se
     d = gauge_normalize(d)
     residual = verify_descriptor(phi, d, trials, seed=seed, domain=domain)
     found.update(descriptor=d, max_residual=residual)
-    if residual > tol:
+    if not residual <= tol:
         where = " on Hermitian samples" if domain == HERMITIAN_DOMAIN else ""
         raise ReconstructionError(
             f"canonical-form residual {residual:.3e} above tolerance {tol:g}{where}"

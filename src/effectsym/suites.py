@@ -141,8 +141,8 @@ def _roundtrip(
             continue
         reports.append(report)
         u_rec, u_true = gauge_normalize(report.descriptor).unitary, gauge_normalize(d_true).unitary
-        max_u = max(max_u, frobenius_norm(u_rec - u_true))
-        max_res = max(max_res, report.max_residual)
+        max_u = nan_max(max_u, frobenius_norm(u_rec - u_true))
+        max_res = nan_max(max_res, report.max_residual)
     return failures, max_u, max_res, reports
 
 
@@ -261,13 +261,13 @@ def scaling_grid_suite(dim: int, seed: int, oracles: int) -> SuiteResult:
         d = random_symmetry(dim, s.next_u64(), family=TRIPLE_EFFECTS)
         phi = EffectMapOracle.from_descriptor(d)
         chk = check_scaling_identity(extract_scaling_function(phi, s.next_u64()))
-        max_id = max(max_id, chk.max_identity_deviation)
-        max_mult = max(max_mult, chk.max_multiplicative_deviation)
-        max_ortho = max(max_ortho, chk.max_orthoadditive_deviation)
+        max_id = nan_max(max_id, chk.max_identity_deviation)
+        max_mult = nan_max(max_mult, chk.max_multiplicative_deviation)
+        max_ortho = nan_max(max_ortho, chk.max_orthoadditive_deviation)
         if not chk:
             failures.append(f"oracle {k}: identity deviation {chk.max_identity_deviation:.3e}")
     return _result(
-        "scaling_grid", failures, dim, max(max_id, max_mult, max_ortho) <= SCALING_TOL,
+        "scaling_grid", failures, dim, nan_max(max_id, max_mult, max_ortho) <= SCALING_TOL,
         oracles=oracles, max_identity_deviation=max_id,
         max_multiplicative_deviation=max_mult, max_orthoadditive_deviation=max_ortho,
     )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from effectsym.effects import rank_one_projection
 from effectsym.extension import AFFINE_PROBE_TRIALS, PROBE_TOL, EffectMapOracle, OracleError, is_affine
 from effectsym.linalg import (adjoint, eigenvalues_hermitian, frobenius_norm, hermiticity_defect, hermitize,
-                              operator_norm)
+                              nan_max, operator_norm)
 from effectsym.recover import (
     MIN_DIM,
     RECONSTRUCT_CHECKS,
@@ -17,6 +17,8 @@ from effectsym.recover import (
     ProbeWitness,
     ReconstructionError,
     SCALING_GRID,
+    TRIPLE_PROBE_PAIRS,
+    TRIPLE_PROBE_TRIALS,
     check_run,
     check_scaling_identity,
     extract_scaling_function,
@@ -124,11 +126,11 @@ def ref_preservation_probe(phi, trials, seed):
     witnesses = []
     for p, (p_low, p_high), (q1, q2) in samples:
         img = phi(p)
-        defect = max(hermiticity_defect(img), frobenius_norm(img.dot(img) - img))
-        if defect > PROBE_TOL:
+        defect = nan_max(hermiticity_defect(img), frobenius_norm(img.dot(img) - img))
+        if not defect <= PROBE_TOL:
             witnesses.append(ProbeWitness("projections", (p,), defect))
         comp_defect = frobenius_norm(img + phi(eye - p) - eye)
-        if comp_defect > PROBE_TOL:
+        if not comp_defect <= PROBE_TOL:
             witnesses.append(ProbeWitness("orthocomplement", (p,), comp_defect))
         img_low, img_high = phi(p_low), phi(p_high)
         diff = img_high - img_low
@@ -140,7 +142,7 @@ def ref_preservation_probe(phi, trials, seed):
             if not gap >= -PROBE_TOL:
                 witnesses.append(ProbeWitness("order", (p_low, p_high), float(-gap)))
         prod = frobenius_norm(phi(q1).dot(phi(q2)))
-        if prod > PROBE_TOL:
+        if not prod <= PROBE_TOL:
             witnesses.append(ProbeWitness("orthogonality", (q1, q2), prod))
     return ProbeReport(witnesses=tuple(witnesses), samples_used=trials)
 
@@ -543,10 +545,10 @@ def ref_check_scaling_identity(samples):
         j = grid_index(l * l)
         if j is None:
             continue
-        mult_dev = max(mult_dev, abs(f[j] - f[i] ** 2))
+        mult_dev = nan_max(mult_dev, abs(f[j] - f[i] ** 2))
         k = grid_index(1.0 - l * l)
         if k is not None:
-            ortho_dev = max(ortho_dev, abs(f[j] + f[k] - 1.0))
+            ortho_dev = nan_max(ortho_dev, abs(f[j] + f[k] - 1.0))
     return id_dev <= 1e-9 and prop_res <= 1e-9, id_dev, mult_dev, ortho_dev, prop_res
 
 
@@ -1338,3 +1340,69 @@ def test_nan_at_phase_alignment_is_rejected_not_raised(map_seed):
     report = recover_affine(oracle(4, nan_on_rank_one_off_diagonal(d)), seed=1)
     assert report.verdict == REJECTED
     assert report.reason == "phase alignment degenerate for basis column 1 (|overlap| = nan)"
+
+
+# --------------------------------------- one bad answer at a single query
+
+
+def answer_corrupted_at(d, k, corrupt):
+    """The descriptor's map with its k-th answer (counting from 0) passed
+    through ``corrupt``, and the list of the inputs it was asked."""
+    asked = []
+
+    def evaluate(m):
+        asked.append(m.copy())
+        return corrupt(apply_symmetry(d, m)) if len(asked) == k + 1 else apply_symmetry(d, m)
+    return oracle(d.dim, evaluate), asked
+
+
+def nan_diagonal(x):
+    return np.where(np.eye(len(x), dtype=bool), np.nan, x)
+
+
+def check_positions(family, dim):
+    """Query positions, counting from 0, of a clean run's checks on answers
+    that must fail closed: the probe's P, I - P, Q1 and Q2 on the triple
+    routes, the rebuild's ``RECONSTRUCT_CHECKS`` projections, and φ(0) on the
+    affine route or φ(I) on the Hermitian one.  Also the position of the
+    rebuild's first query, which is the first basis projection."""
+    walk = 3 * (AFFINE_PROBE_TRIALS if family == AFFINE else TRIPLE_PROBE_PAIRS)  # φ(x), φ(A), φ(B) per trial
+    if family == AFFINE:
+        positions, rebuild = [walk], walk + 1  # φ(0) follows the affinity walk
+    else:
+        first = int(family == TRIPLE_HERMITIAN)  # φ(I) comes first on the Hermitian route
+        probe = first + walk  # each probe trial asks P, I - P, P_low, P_high, Q1, Q2
+        positions = [0] * first + [probe + 6 * t + i for t in range(TRIPLE_PROBE_TRIALS) for i in (0, 1, 4, 5)]
+        rebuild = probe + 6 * TRIPLE_PROBE_TRIALS
+    return positions + [rebuild + 2 * dim + j for j in range(RECONSTRUCT_CHECKS)], rebuild
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("family", [AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN])
+def test_one_nan_answer_at_a_check_fails_closed(family, dim):
+    d = random_symmetry(dim, 5, family=family)
+    positions, rebuild = check_positions(family, dim)
+    phi, asked = answer_corrupted_at(d, -1, nan_diagonal)
+    assert route(family)(phi, seed=2).canonical
+    assert np.array_equal(asked[rebuild], np.diag(np.eye(dim)[0]).astype(complex))
+    accepted = []
+    for k in positions:
+        with np.errstate(all="ignore"):  # a NaN answer makes NaN products
+            report = route(family)(answer_corrupted_at(d, k, nan_diagonal)[0], seed=2)
+        if report.verdict != REJECTED:
+            accepted.append(k)
+    assert accepted == [], f"{len(accepted)} of {len(positions)} positions not rejected"
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("family", [AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN])
+def test_one_wrong_shape_answer_is_rejected_with_its_query_as_witness(family, dim):
+    """A strided sweep over every stage of a clean run's queries."""
+    d = random_symmetry(dim, 5, family=family)
+    phi, asked = answer_corrupted_at(d, -1, None)
+    assert route(family)(phi, seed=2).canonical
+    for k in range(0, len(asked), 17):
+        phi, asked = answer_corrupted_at(d, k, lambda x: np.eye(dim + 1))
+        report = route(family)(phi, seed=2)
+        assert report.verdict == REJECTED and report.reason.startswith("oracle output has shape"), k
+        assert len(asked) == k + 1 and np.array_equal(report.witness[0], asked[k]), k
