@@ -6,7 +6,9 @@ A -> phi(A) - phi(0), is the oracle ``phi.then(f)``.  A query validates
 its input once (``as_square_array``), calls the evaluator once and
 raises :class:`OracleError` unless the answer reads as a complex array
 of the input's shape; the oracles built from a descriptor or an
-affine-map rep evaluate the validated input directly.  For an oracle that
+affine-map rep hold an evaluator bound once to that map (its flags, or
+its gather tables and constant, read at construction) and evaluate the
+validated input directly.  For an oracle that
 is affine and fixes 0, :func:`extend_linear` evaluates the unique linear
 extension to all square matrices along one path: split M into Re M and
 Im M, split each into its positive and negative parts, so that
@@ -57,7 +59,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -66,7 +67,7 @@ from .linalg import (DEFAULT_TOL, adjoint, as_square_array, frobenius_norm, frob
                      operator_norm, psd_parts)
 from .rng import Stream, _box_muller, _unit_floats
 from .sampling import random_effects
-from .symmetry import AffineMapRep, SymmetryDescriptor, _apply_affine_rep, _apply_symmetry
+from .symmetry import AffineMapRep, SymmetryDescriptor, _affine_evaluator, _symmetry_evaluator
 
 ZERO_NORM_CUTOFF = 1e-12
 PROBE_TOL = 1e-9
@@ -112,11 +113,11 @@ class EffectMapOracle:
     # __call__ has validated the input, so the evaluators skip the checks.
     @classmethod
     def from_descriptor(cls, d: SymmetryDescriptor) -> "EffectMapOracle":
-        return cls(d.dim, partial(_apply_symmetry, d), label="descriptor")
+        return cls(d.dim, _symmetry_evaluator(d), label="descriptor")
 
     @classmethod
     def from_affine_rep(cls, rep: AffineMapRep) -> "EffectMapOracle":
-        return cls(rep.dim, partial(_apply_affine_rep, rep), label="affine_rep")
+        return cls(rep.dim, _affine_evaluator(rep), label="affine_rep")
 
 
 @dataclass(frozen=True)

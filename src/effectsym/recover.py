@@ -47,9 +47,13 @@ the rank-one checks of a rebuilt unitary, the scaling samples) ask the
 oracle one input at a time in a fixed order, then compute the expected
 side, the residuals and their norms on the whole stack; the norms come
 from one ``linalg.frobenius_norms`` pass, which keeps the bits of a norm
-per matrix.  The rebuild asks its ``RECONSTRUCT_CHECKS`` random rank-one
-projections after the 2 dim it was built from, and compares all of these
-images with its candidate in one such pass.  The affinity probe and the
+per matrix.  The rebuild forms all 2 dim + ``RECONSTRUCT_CHECKS`` of its
+rank-one projections before it asks any, as one broadcast outer product of
+their vectors (the bits of ``np.outer`` of each), asks them one at a time
+in order (so a refusal asks nothing past it), and compares every image
+with its candidate in one such pass over that stack.  The preservation
+probe builds its 5 projections per trial as one ``sampling`` slice stack.
+The affinity probe and the
 triple identity stop at their first violation: both are the identity
 walk of :mod:`effectsym.extension`, the triple one forming ABA as
 ``A @ B @ A`` on the block (the bits of ``a.dot(b).dot(a)``) and its
@@ -87,10 +91,8 @@ from .linalg import (
 )
 from .rng import Stream
 from .sampling import (
-    _frame_nested,
-    _frame_orthogonal,
-    _frame_projection,
     _frames,
+    _slice_projections,
     random_effects,
     random_hermitians,
     random_unit_vector,
@@ -220,9 +222,14 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
     check_run(trials)
     dim = phi.dim
     eye = np.eye(dim, dtype=complex)
-    frames = list(_frames(dim, Stream(seed).u64_block(3 * trials)))
-    samples = [((_frame_projection(*frames[i]),), _frame_nested(*frames[i + 1]), _frame_orthogonal(*frames[i + 2]))
-               for i in range(0, 3 * trials, 3)]  # the inputs of each check: (P,), the nested and the orthogonal pair
+    u, rank, y = _frames(dim, Stream(seed).u64_block(3 * trials))
+    (r_p, r_n, r_o), (_, y_n, y_o) = rank.reshape(trials, 3).T, y.reshape(trials, 3).T
+    f, zero = 3 * np.arange(trials), np.zeros_like(r_o)
+    # per trial P from frame 3t, the nested pair from frame 3t + 1, the orthogonal pair from frame 3t + 2
+    proj = _slice_projections(  # P, P_low, P_high, Q1, Q2 of every trial
+        u, np.concatenate((f, f + 1, f + 1, f + 2, f + 2)), np.concatenate((zero, zero, zero, zero, r_o)),
+        np.concatenate((r_p, 1 + y_n % r_n, r_n, r_o, 1 + y_o % (dim - r_o)))).reshape(5, trials, dim, dim)
+    samples = list(zip(zip(proj[0]), zip(*proj[1:3]), zip(*proj[3:])))  # per trial (P,), the nested and orthogonal pair
     img = np.empty((trials, 6, dim, dim), dtype=complex)  # φ of P, I - P, P_low, P_high, Q1, Q2
     order = {}  # the order defect of each trial checked in the loop: its skew, or minus its least eigenvalue
 
@@ -290,20 +297,20 @@ def reconstruct_unitary_from_projection_action(
     if dim < 2:
         raise ValueError("reconstruction needs dim >= 2")
     eye = np.eye(dim, dtype=complex)
-    inputs, images = [], []  # every projection asked, and its image
-
-    def ask(p: np.ndarray) -> np.ndarray:
-        inputs.append(p)
-        images.append(phi(p))
-        return images[-1]
-
-    frame = [_rank_one_vector(ask(np.outer(eye[i], eye[i])), f"image of basis projection {i}")
-             for i in range(dim)]
-
     sqrt2 = np.sqrt(2.0)
+    # the unit vectors of the projections asked, in order: e_i, (e_0 + e_j)/sqrt2, (e_0 + i e_1)/sqrt2, the checks
+    x = np.concatenate((eye, (eye[0] + eye[1:]) / sqrt2, [(eye[0] + 1j * eye[1]) / sqrt2],
+                        random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS))))
+    inputs = x[:, :, None] * np.concatenate((eye, x[dim:].conj()))[:, None, :]  # np.outer of each, bit for bit
+    images = np.empty_like(inputs)
+
+    frame = []
+    for i in range(dim):
+        img = images[i] = phi(inputs[i])
+        frame.append(_rank_one_vector(img, f"image of basis projection {i}"))
+
     for j in range(1, dim):
-        x = (eye[0] + eye[j]) / sqrt2
-        r = ask(np.outer(x, np.conj(x)))
+        r = images[dim - 1 + j] = phi(inputs[dim - 1 + j])
         z = np.vdot(frame[j], r @ frame[0])
         if not abs(z) >= PHASE_CUTOFF:  # true on NaN
             raise ReconstructionError(
@@ -311,8 +318,7 @@ def reconstruct_unitary_from_projection_action(
             )
         frame[j] = (z / abs(z)) * frame[j]
 
-    x = (eye[0] + 1j * eye[1]) / sqrt2
-    s_img = ask(np.outer(x, np.conj(x)))
+    s_img = images[2 * dim - 1] = phi(inputs[2 * dim - 1])
     plus = (frame[0] + 1j * frame[1]) / sqrt2
     minus = (frame[0] - 1j * frame[1]) / sqrt2
     d_plus = frobenius_norm(s_img - np.outer(plus, np.conj(plus)))
@@ -321,10 +327,9 @@ def reconstruct_unitary_from_projection_action(
 
     w, _, vh = np.linalg.svd(np.column_stack(frame))  # the nearest unitary to the frame
     d = gauge_normalize(SymmetryDescriptor(kind, w @ vh))
-    xs = random_unit_vectors(dim, Stream(seed).u64_block(RECONSTRUCT_CHECKS))
-    for p in xs[:, :, None] * xs.conj()[:, None, :]:
-        ask(p)
-    worst = nan_max(*frobenius_norms(np.array(images) - _apply_symmetry(d, np.array(inputs))).tolist())
+    for k in range(2 * dim, len(inputs)):
+        images[k] = phi(inputs[k])
+    worst = nan_max(*frobenius_norms(images - _apply_symmetry(d, inputs)).tolist())
     if not worst <= tol:
         raise ReconstructionError(
             f"reconstruction verification failed: rank-one residual {worst:.3e} "

@@ -20,9 +20,14 @@ result per seed; result i is bit for bit the per-seed sampler (the
 one-row case) at ``seeds[i]``, each row drawing its stream as above, in
 one ``u64_grid`` pass, Box-Muller pass, stacked QR, phase fix and
 ``(u * lam) @ u*``.  Unit vectors divide by one ``frobenius_norms``
-pass, whose rows keep the per-vector bits; projection rank slicing would
-not stay bit-identical stacked and runs per frame, by private builders
-that the preservation probe shares over one ``_frames`` pass.
+pass, whose rows keep the per-vector bits.  Projections come from column
+slices of their frames, built by one private ``_slice_projections`` call
+that the preservation probe also uses over its ``_frames`` pass: the
+projections taking one slice (start, width) form one stacked
+``hermitize(cols @ adjoint(cols))`` of the frames' own column views,
+which keeps the per-frame bits.  Mixed widths in one stack would not: a
+stack has one width, so narrower slices would need zero-padded columns,
+and a longer inner dimension can sum in another order.
 """
 
 from __future__ import annotations
@@ -81,34 +86,36 @@ def random_effect(dim: int, seed: int) -> np.ndarray:
     return random_effects(dim, [seed])[0]
 
 
-def _frames(dim: int, seeds):
+def _frames(dim: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per seed: the Haar frame of the stream's first output, the rank its second picks, its third output."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
     raw = u64_grid(seeds, 3)
-    return zip(haar_unitaries(dim, raw[:, 0]), (1 + raw[:, 1] % (dim - 1)).tolist(), raw[:, 2].tolist())
+    return haar_unitaries(dim, raw[:, 0]), 1 + raw[:, 1] % (dim - 1), raw[:, 2]
 
 
-def _projection(cols: np.ndarray) -> np.ndarray:
-    return hermitize(cols @ adjoint(cols))
+def _slice_projections(frames: np.ndarray, which, starts, widths) -> np.ndarray:
+    """Stack of the projections onto columns ``starts[k]`` to ``starts[k] + widths[k] - 1``
+    of frame ``which[k]``, each ``hermitize(cols @ adjoint(cols))`` of that column view.
+    The projections that take one slice are one stacked product of such views, which
+    keeps each one's bits; one ``hermitize`` serves the whole stack."""
+    n, dim = len(which), frames.shape[-1]
+    keys = np.asarray(starts, dtype=np.intp) * (dim + 1) + np.asarray(widths, dtype=np.intp)
+    order = np.argsort(keys, kind="stable")  # each slice's projections in one run
+    runs = keys[order].tolist()
+    firsts = [k for k in range(n) if k == 0 or runs[k] != runs[k - 1]]
+    picked, prod = frames[np.asarray(which, dtype=np.intp)[order]], np.empty((n, dim, dim), dtype=complex)
+    for lo, hi in zip(firsts, [*firsts[1:], n]):
+        start, width = divmod(runs[lo], dim + 1)
+        cols = picked[lo:hi, :, start:start + width]
+        np.matmul(cols, adjoint(cols), out=prod[lo:hi])
+    return np.ascontiguousarray(hermitize(prod)[np.argsort(order)])  # a large stack's sum can come out transposed
 
 
-def _frame_projection(u: np.ndarray, rank: int, _) -> np.ndarray:
-    return _projection(u[:, :rank])
-
-
-def _frame_nested(u: np.ndarray, q: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-    return _projection(u[:, :1 + y % q]), _projection(u[:, :q])
-
-
-def _frame_orthogonal(u: np.ndarray, p: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, Q) with PQ = 0, from disjoint columns of the frame; P has the frame's rank."""
-    return _projection(u[:, :p]), _projection(u[:, p:p + 1 + y % (u.shape[0] - p)])
-
-
-def random_projections(dim: int, seeds) -> list[np.ndarray]:
+def random_projections(dim: int, seeds) -> np.ndarray:
     """Haar-rotated orthogonal projections of random rank in 1..dim-1."""
-    return [_frame_projection(*f) for f in _frames(dim, seeds)]
+    u, rank, _ = _frames(dim, seeds)
+    return _slice_projections(u, np.arange(len(u)), 0, rank)
 
 
 def random_projection(dim: int, seed: int) -> np.ndarray:
@@ -118,7 +125,9 @@ def random_projection(dim: int, seed: int) -> np.ndarray:
 
 def nested_projection_pairs(dim: int, seeds) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs (P, Q) of projections with P <= Q, each sharing one Haar frame; Q has the frame's rank."""
-    return [_frame_nested(*f) for f in _frames(dim, seeds)]
+    u, q, y = _frames(dim, seeds)
+    both = _slice_projections(u, np.tile(np.arange(len(u)), 2), 0, np.concatenate((1 + y % q, q)))
+    return list(zip(*both.reshape(2, -1, dim, dim)))
 
 
 def random_hermitians(dim: int, seeds) -> np.ndarray:

@@ -209,9 +209,10 @@ def hermitian_sign_suite(dim: int, seed: int, descriptors: int, tol: float = RES
 def perturbed_conjugation_oracle(dim: int, seed: int, eps: float = REJECTION_EPS) -> EffectMapOracle:
     """The rejection battery's target: (1-eps) U A U* + eps (U A U*)^2."""
     u = haar_unitary(dim, seed)
+    u_adj = adjoint(u)  # once for every query, as a descriptor binds it
 
     def evaluate(a):
-        x = u @ np.asarray(a, dtype=complex) @ adjoint(u)
+        x = u @ np.asarray(a, dtype=complex) @ u_adj
         return (1.0 - eps) * x + eps * (x @ x)
 
     return EffectMapOracle(dim, evaluate, label="perturbed")

@@ -10,8 +10,15 @@ an overall sign flip (the Hermitian triple family).  ``complement`` and
 
 A descriptor computes U* and the identity once, at construction, for
 every evaluation; an evaluation gives the bits of the plain
-``sign * (U @ M @ U*)`` (:func:`_apply_symmetry` says why its faster
-steps keep them).
+``sign * (U @ M @ U*)`` (:func:`_symmetry_evaluator` says why its faster
+steps keep them).  Each map form has one evaluator factory, which reads
+the map once and returns the function that evaluates it:
+:func:`_symmetry_evaluator` resolves a descriptor's complement, kind,
+sign and ``dot``/``@`` choice, and :func:`_affine_evaluator` binds an
+:class:`AffineMapRep`'s gather tables and constant.  The oracles of
+:mod:`effectsym.extension` hold these evaluators, and
+:func:`_apply_symmetry` and :func:`apply_affine_rep` call them, so each
+rule is written once.
 
 Descriptors carry a gauge: ``U`` and ``exp(i theta) U`` act identically,
 so :func:`gauge_normalize` pins the phase by making the first
@@ -45,8 +52,10 @@ finite input.  Only the encode table writes the basis order: the decode
 table is the encode table read backwards, :func:`hermitian_basis` is
 the decoded identity, and :func:`to_affine_rep` encodes the basis images
 with one gather per block of dim of them.  The rule is private:
-:func:`_encode` and :func:`_decode` evaluate an :class:`AffineMapRep`,
-and their gather tables build :func:`hermitian_basis` and
+:func:`_encode_with` and :func:`_decode_with` evaluate an
+:class:`AffineMapRep` through tables its evaluator binds once (the GEMV
+writes straight into the decode buffer, ahead of its zero slot), and
+their gather tables build :func:`hermitian_basis` and
 :func:`to_affine_rep`.
 """
 
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -132,8 +142,12 @@ def _decode_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _encode(m: np.ndarray) -> np.ndarray:
     """Coordinates of a validated square matrix; see the module docstring."""
+    return _encode_with(m, *_encode_gather(m.shape[0]))
+
+
+def _encode_with(m: np.ndarray, index: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """:func:`_encode` through the gather tables of ``m``'s dim."""
     n = m.shape[0]
-    index, factor = _encode_gather(n)
     terms = m.reshape(-1).view(float)[index] * factor
     out = terms[:n * n]
     out[n:] += terms[n * n:]
@@ -141,14 +155,18 @@ def _encode(m: np.ndarray) -> np.ndarray:
     return out
 
 
-_ZERO = np.zeros(1)
-_ZERO.setflags(write=False)
-
-
 def _decode(c: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix of a coordinate vector of length dim**2."""
-    index, factor = _decode_gather(dim)
-    out = np.concatenate((c, _ZERO))[index] * factor
+    padded = np.zeros(dim * dim + 1)
+    padded[:-1] = c
+    return _decode_with(padded, dim, *_decode_gather(dim))
+
+
+def _decode_with(padded: np.ndarray, dim: int, index: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """:func:`_decode` of ``padded[:-1]`` through the gather tables of dim;
+    the last slot of ``padded`` holds the exact zero that the diagonal's
+    imaginary parts read."""
+    out = padded[index] * factor
     out += 0.0  # as in _encode
     return out.view(complex).reshape(dim, dim)
 
@@ -199,7 +217,12 @@ def apply_symmetry(d: SymmetryDescriptor, a) -> np.ndarray:
 
 def _apply_symmetry(d: SymmetryDescriptor, m: np.ndarray) -> np.ndarray:
     """:func:`apply_symmetry` on a validated square array of dim ``d.dim``,
-    or on each matrix of a stack of them.
+    or on each matrix of a stack of them: :func:`_symmetry_evaluator`'s rule."""
+    return _symmetry_evaluator(d)(m)
+
+
+def _symmetry_evaluator(d: SymmetryDescriptor) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluation of ``d`` on validated arrays, its flags read once.
 
     One matrix of dim >= 2 goes through ``ndarray.dot``, which skips
     ``@``'s gufunc set-up and gives the same bits (at dim 1 ``dot``
@@ -210,16 +233,19 @@ def _apply_symmetry(d: SymmetryDescriptor, m: np.ndarray) -> np.ndarray:
     into +0.0, so skipping it would change those bits.  It is the
     descriptor's ``complex128`` sign, the scalar numpy promotes the int to.
     """
-    if d.complement:
-        m = d._eye - m
-    if d.kind == ANTIUNITARY:
-        m = m.conj()
-    if m.ndim == 2 and m.shape[0] > 1:
-        out = d.unitary.dot(m).dot(d._u_adj)
-    else:
-        out = d.unitary @ m @ d._u_adj
-    out *= d._sign
-    return out
+    u, u_adj, eye, sign = d.unitary, d._u_adj, d._eye, d._sign
+    complement, conj, dot = d.complement, d.kind == ANTIUNITARY, d.dim > 1
+
+    def evaluate(m: np.ndarray) -> np.ndarray:
+        if complement:
+            m = eye - m
+        if conj:
+            m = m.conj()
+        out = u.dot(m).dot(u_adj) if dot and m.ndim == 2 else u @ m @ u_adj
+        out *= sign
+        return out
+
+    return evaluate
 
 
 def gauge_normalize(d: SymmetryDescriptor) -> SymmetryDescriptor:
@@ -297,12 +323,22 @@ class AffineMapRep:
 
 def apply_affine_rep(rep: AffineMapRep, a) -> np.ndarray:
     """Evaluate the represented map; ``a`` is validated once, here."""
-    return _apply_affine_rep(rep, as_square_array(a, rep.dim))
+    return _affine_evaluator(rep)(as_square_array(a, rep.dim))
 
 
-def _apply_affine_rep(rep: AffineMapRep, m: np.ndarray) -> np.ndarray:
-    """:func:`apply_affine_rep` on a validated square array of dim ``rep.dim``."""
-    return _decode(rep.linear @ _encode(m), rep.dim) + rep.constant
+def _affine_evaluator(rep: AffineMapRep) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluation of ``rep`` on validated square arrays, its gather
+    tables and constant bound once.  The GEMV writes the coordinates into a
+    fresh buffer whose last slot is the exact zero :func:`_decode_with` reads."""
+    n, linear, constant = rep.dim, rep.linear, rep.constant
+    encode_tables, decode_tables = _encode_gather(n), _decode_gather(n)
+
+    def evaluate(m: np.ndarray) -> np.ndarray:
+        padded = np.zeros(n * n + 1)
+        np.matmul(linear, _encode_with(m, *encode_tables), out=padded[:-1])
+        return _decode_with(padded, n, *decode_tables) + constant
+
+    return evaluate
 
 
 def to_affine_rep(d: SymmetryDescriptor) -> AffineMapRep:

@@ -32,8 +32,6 @@ from effectsym.recover import (
 )
 from effectsym.rng import Stream, _unit_floats
 from effectsym.sampling import (
-    _frame_orthogonal,
-    _frames,
     haar_unitary,
     nested_projection_pairs,
     random_effect,
@@ -41,6 +39,7 @@ from effectsym.sampling import (
     random_hermitian,
     random_projections,
     random_unit_vector,
+    random_unit_vectors,
 )
 from effectsym.symmetry import (
     AFFINE,
@@ -55,6 +54,7 @@ from effectsym.symmetry import (
     to_affine_rep,
 )
 from effectsym.suites import perturbed_conjugation_oracle, run_verify_suites
+from test_sampling import probe_orthogonal_pairs
 
 
 def oracle(dim, func, label=""):
@@ -122,7 +122,7 @@ def ref_preservation_probe(phi, trials, seed):
     eye = np.eye(dim, dtype=complex)
     seeds = Stream(seed).u64_block(3 * trials).reshape(trials, 3)
     samples = zip(random_projections(dim, seeds[:, 0]), nested_projection_pairs(dim, seeds[:, 1]),
-                  [_frame_orthogonal(*f) for f in _frames(dim, seeds[:, 2])])
+                  probe_orthogonal_pairs(dim, seeds[:, 2]))
     witnesses = []
     for p, (p_low, p_high), (q1, q2) in samples:
         img = phi(p)
@@ -1406,3 +1406,44 @@ def test_one_wrong_shape_answer_is_rejected_with_its_query_as_witness(family, di
         report = route(family)(phi, seed=2)
         assert report.verdict == REJECTED and report.reason.startswith("oracle output has shape"), k
         assert len(asked) == k + 1 and np.array_equal(report.witness[0], asked[k]), k
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_a_refusal_in_the_rebuild_costs_no_extra_query(dim):
+    """The rebuild forms all its inputs before it asks, and still asks one at a
+    time: the shift A -> A + I passes the affinity walk, its φ(0) = I sets the
+    complement, and the complemented map's image of basis projection 0 is
+    -E_00, so the run stops after 192 walk queries, φ(0) and that one image."""
+    eye = np.eye(dim, dtype=complex)
+    asked = []
+    shift = oracle(dim, lambda a: asked.append(a) or np.asarray(a, complex) + eye)
+    for seed in range(3):
+        asked.clear()
+        report = recover_affine(shift, seed=seed)
+        assert report.reason.startswith("image of basis projection 0 is not a rank-one projection"), report.reason
+        assert len(asked) == 3 * AFFINE_PROBE_TRIALS + 2 == 194
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_the_rebuild_asks_np_outer_projections_in_order_and_a_wrong_answer_carries_its_input(dim):
+    """The rebuild's 2 dim + ``RECONSTRUCT_CHECKS`` inputs, formed as one stack,
+    are bit for bit the ``np.outer`` projections onto e_i, (e_0 + e_j)/sqrt2,
+    (e_0 + i e_1)/sqrt2 and the check vectors, asked in that order; a wrong
+    answer to any of them is refused with that input as its witness."""
+    d = random_symmetry(dim, 9, family=AFFINE, complement=False)
+    phi, asked = answer_corrupted_at(d, -1, None)
+    assert recover_affine(phi, seed=4).canonical
+    rebuild = 3 * AFFINE_PROBE_TRIALS + 1  # after the affinity walk and φ(0)
+    eye, sqrt2 = np.eye(dim, dtype=complex), np.sqrt(2.0)
+    rebuild_seed = Stream(4).u64_block(2)[1]  # the affine chain draws the walk's seed, then the rebuild's
+    xs = random_unit_vectors(dim, Stream(int(rebuild_seed)).u64_block(RECONSTRUCT_CHECKS))
+    expected = ([np.outer(eye[i], eye[i]) for i in range(dim)]
+                + [np.outer(x, np.conj(x)) for x in [(eye[0] + eye[j]) / sqrt2 for j in range(1, dim)]]
+                + [np.outer(x, np.conj(x)) for x in [(eye[0] + 1j * eye[1]) / sqrt2, *xs]])
+    assert len(asked) == rebuild + len(expected) + 100  # then the verify stage's samples
+    for k, p in enumerate(expected):
+        assert asked[rebuild + k].tobytes() == p.tobytes(), k
+        phi, asked_now = answer_corrupted_at(d, rebuild + k, lambda x: np.eye(dim + 1))
+        report = recover_affine(phi, seed=4)
+        assert report.reason.startswith("oracle output has shape"), (k, report.reason)
+        assert len(asked_now) == rebuild + k + 1 and report.witness[0].tobytes() == p.tobytes(), k

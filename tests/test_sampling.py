@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from effectsym.linalg import adjoint, frobenius_norm, hermitize
 from effectsym.rng import Stream
 from effectsym.sampling import (
-    _frame_orthogonal,
     _frames,
+    _slice_projections,
     complex_gaussian,
     complex_gaussians,
     haar_unitaries,
@@ -25,8 +25,13 @@ from effectsym.sampling import (
 
 
 def probe_orthogonal_pairs(dim, seeds):
-    """The preservation probe's pairs (P, Q) with PQ = 0, one per seed."""
-    return [_frame_orthogonal(*f) for f in _frames(dim, seeds)]
+    """The preservation probe's pairs (P, Q) with PQ = 0, one per seed: P onto the
+    frame's first ``rank`` columns, Q onto the next 1 + y % (dim - rank)."""
+    u, rank, y = _frames(dim, seeds)
+    n = len(u)
+    both = _slice_projections(u, np.tile(np.arange(n), 2), np.concatenate((0 * rank, rank)),
+                              np.concatenate((rank, 1 + y % (dim - rank))))
+    return list(zip(both[:n], both[n:]))
 
 
 # Frozen from this implementation's own seeded run; guards the whole
@@ -249,3 +254,19 @@ def test_batch_equals_loop_bitwise(name):
 def test_batch_equals_loop_property(dim, seeds, chunk):
     for name in SAMPLERS:
         assert_batch_equals_loop(name, dim, seeds, chunk)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 16])
+def test_slice_stack_equals_per_frame_projections_bitwise(dim):
+    """Every column slice (start, width) of every frame, asked all in one call in
+    a shuffled order, is bit for bit the per-frame hermitize(cols @ adjoint(cols))."""
+    frames = haar_unitaries(dim, range(5))
+    picks = [(f, start, width) for f in range(len(frames)) for start in range(dim)
+             for width in range(1, dim - start + 1)]
+    picks = [picks[k] for k in np.random.default_rng(dim).permutation(len(picks))]
+    which, starts, widths = (np.array(x) for x in zip(*picks))
+    stack = _slice_projections(frames, which, starts, widths)
+    assert stack.shape == (len(picks), dim, dim) and stack.flags.c_contiguous
+    for got, (f, start, width) in zip(stack, picks):
+        cols = frames[f][:, start:start + width]
+        assert got.tobytes() == hermitize(cols @ adjoint(cols)).tobytes(), (f, start, width)

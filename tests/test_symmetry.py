@@ -319,6 +319,55 @@ def test_apply_symmetry_matches_the_plain_formula_on_any_bounded_matrix(m, flags
     assert _apply_symmetry(d, stack).tobytes() == reference_apply(d, stack).tobytes()
 
 
+def reference_bound_symmetry(d, m):
+    """The descriptor's evaluation with its flags read on every call."""
+    if d.complement:
+        m = d._eye - m
+    if d.kind == ANTIUNITARY:
+        m = m.conj()
+    if m.ndim == 2 and m.shape[0] > 1:
+        out = d.unitary.dot(m).dot(d._u_adj)
+    else:
+        out = d.unitary @ m @ d._u_adj
+    out *= d._sign
+    return out
+
+
+def reference_bound_affine_rep(rep, m):
+    """The rep's evaluation with its tables looked up and the zero appended on every call."""
+    index, factor = _decode_gather(rep.dim)
+    out = np.concatenate((rep.linear @ _encode(m), np.zeros(1)))[index] * factor
+    out += 0.0
+    return out.view(complex).reshape(rep.dim, rep.dim) + rep.constant
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16])
+def test_bound_evaluators_match_the_per_call_rules_bitwise(dim):
+    """The evaluators an oracle binds once per map, and the apply functions
+    that go through them, on zeros, -0.0 entries, effects, Gaussian
+    Hermitians, entries whose products overflow (a NaN matches any NaN) and
+    (for descriptors) stacks of them."""
+    s = Stream(dim)
+    inputs = [np.zeros((dim, dim), dtype=complex), np.full((dim, dim), complex(-0.0, -0.0)),
+              _signed_zeros(dim, 11), random_effect(dim, 12), random_effect(dim, 13), random_hermitian(dim, 14),
+              random_hermitian(dim, 15), complex_gaussian(dim, s), np.full((dim, dim), complex(1e308, -1e308))]
+    stack = np.array(inputs)
+    g = np.random.default_rng(dim)
+    free_rep = AffineMapRep(g.standard_normal((dim * dim, dim * dim)), random_hermitian(dim, 16))
+    for seed, (kind, comp, sign) in enumerate(FLAGS):
+        d = SymmetryDescriptor(kind, haar_unitary(dim, seed), complement=comp, sign=sign)
+        bound = EffectMapOracle.from_descriptor(d).evaluator
+        with np.errstate(all="ignore"):
+            for m in [*inputs, stack, stack[:1]]:
+                want = reference_bound_symmetry(d, m)
+                assert _same_bits_nan_as_nan(bound(m), want) and _same_bits_nan_as_nan(_apply_symmetry(d, m), want)
+            for rep in (to_affine_rep(d), free_rep):
+                bound = EffectMapOracle.from_affine_rep(rep).evaluator
+                for m in inputs:
+                    want = reference_bound_affine_rep(rep, m)
+                    assert _same_bits_nan_as_nan(bound(m), want) and _same_bits_nan_as_nan(apply_affine_rep(rep, m), want)
+
+
 def test_a_plus_one_sign_is_still_multiplied():
     """``1 * x`` is a complex product, so an answer that overflows comes
     out with NaN where ``0 * inf`` meets it; skipping the multiply when
