@@ -8,6 +8,9 @@ are enforced by the callers that need them and by the test suites.
 ``as_effect``, ``partial_add`` and ``is_extreme`` bound spectra within
 ``linalg.DEFAULT_TOL = 1e-9``, the tolerance of every Hermiticity check
 here too; ``leq`` takes its tolerance as an argument, with that default.
+Each bound is written ``not (x <= bound)``, so it refuses a NaN spectrum,
+which a finite input whose doubled entries overflow (say diag(1e308, 0))
+gets from the symmetrized matrix it is factored as.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def as_effect(a) -> np.ndarray:
     across long pipelines.
     """
     w, v = eig_hermitian(a)
-    if w[0] < -DEFAULT_TOL or w[-1] > 1.0 + DEFAULT_TOL:
+    if not (-DEFAULT_TOL <= w[0] and w[-1] <= 1.0 + DEFAULT_TOL):  # true on NaN
         raise ValueError(
             f"matrix is not an effect: eigenvalues span [{w[0]:.3e}, {w[-1]:.3e}]"
         )
@@ -68,7 +71,7 @@ def partial_add(a, b) -> np.ndarray:
     ma = as_square_array(a)
     s = ma + as_square_array(b, len(ma))
     top = eigenvalues_hermitian(s)[-1]
-    if top > 1.0 + DEFAULT_TOL:
+    if not top <= 1.0 + DEFAULT_TOL:  # true on NaN
         raise NotSummableError(f"A + B has top eigenvalue {top:.6f} > 1")
     return s
 

@@ -266,6 +266,6 @@ def unit_ball_decomposition(m) -> tuple[np.ndarray, ...]:
     exact to rounding."""
     mat = as_square_array(m)
     nrm = operator_norm(mat)
-    if nrm > 1.0 + DEFAULT_TOL:
+    if not nrm <= 1.0 + DEFAULT_TOL:
         raise ValueError(f"matrix has spectral norm {nrm:.6f} > 1")
     return tuple(_psd_parts(mat[None])[0])

@@ -4,8 +4,10 @@ Given only an evaluator over effects (or over all Hermitian matrices),
 the routines here decide whether the map is one of the canonical
 symmetry families and, if so, recover a :class:`SymmetryDescriptor`
 for it.  Each family is one chain of stages run by one runner.  A stage
-records what it found in ``found``, then raises :class:`ReconstructionError`
-if it refuses the map; the runner builds every report from ``found``.
+records what it found in ``found`` and refuses the map through one path,
+``_require``: unless every defect it is given is ``<= bound``, it raises
+:class:`ReconstructionError` carrying the reason and the stage's witness.
+The runner records that witness and builds every report from ``found``.
 
 * :func:`recover_affine`: affinity probe (``witness``); classify
   φ(0) ∈ {0, I}, fixing the complement flag; rebuild the (anti)unitary
@@ -65,10 +67,15 @@ on the stack of answers, except that a trial whose order check could raise
 check in the loop, so the probe raises where a per-trial loop would.
 
 Every check on answers fails when ``not (defect <= bound)`` and folds with
-``nan_max``, so a NaN defect fails it.  ROADMAP item 1 leaves three sites
-for a benchmark change: the identity walk, which passes over a NaN
-deviation, the verify stage's ``max``, which passes over a NaN norm, and
-the probe's in-loop order check, which raises.
+``nan_max``, so a NaN defect fails it; every refusal is a ``_require`` call.
+A lint over ``src/`` (``tests/test_lint.py``) holds the rule: it fails on a
+``raise ReconstructionError`` outside ``_require``, on a ``<`` or ``>``
+against a bound that is not under ``not``, and on a builtin ``max`` here or
+in :mod:`effectsym.extension`.  Its allowlist is the three sites ROADMAP
+item 1 leaves for a benchmark change: the identity walk's ``max`` and
+``>``, which pass over a NaN deviation, the verify stage's ``max``, which
+passes over a NaN norm, and the probe's in-loop order check, whose
+``skew > PROBE_TOL`` lets a NaN skew through to a raise.
 """
 
 from __future__ import annotations
@@ -129,7 +136,22 @@ HERMITIAN_DOMAIN = "hermitian"
 
 
 class ReconstructionError(RuntimeError):
-    """A recovery stage (the rebuild among them) refuses the map as not canonical."""
+    """A recovery stage (the rebuild among them) refuses the map as not canonical;
+    ``witness`` holds the inputs that show it, when the stage has them."""
+
+    def __init__(self, message: str, witness: tuple | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+def _require(defects, bound, reason: str, *values, witness: tuple | None = None) -> None:
+    """Refuse the map unless every defect (a float, or a tuple of them) is
+    ``<= bound``, so a NaN defect refuses it: raise :class:`ReconstructionError`
+    with ``reason.format(*values)`` and ``witness``.  The one refusal of the
+    module; the reason is formatted only on refusal."""
+    for defect in defects if type(defects) is tuple else (defects,):
+        if not defect <= bound:
+            raise ReconstructionError(reason.format(*values), witness)
 
 
 @dataclass(frozen=True)
@@ -263,17 +285,14 @@ def preservation_probe(phi: EffectMapOracle, trials: int = 20, seed: int = 0) ->
 
 def _rank_one_vector(img: np.ndarray, what: str) -> np.ndarray:
     """Certified top eigenvector of a near rank-one projection image."""
-    if np.count_nonzero(np.isfinite(img)) != img.size:
-        raise ReconstructionError(f"{what} has non-finite entries (projection preservation fails)")
+    _require(img.size - np.count_nonzero(np.isfinite(img)), 0,
+             "{} has non-finite entries (projection preservation fails)", what)
     herm = hermiticity_defect(img)
     w, v = np.linalg.eigh(hermitize(img))
     rest = float(np.max(np.abs(w[:-1]))) if len(w) > 1 else 0.0
-    if not (herm <= RANK_ONE_TOL and abs(w[-1] - 1.0) <= RANK_ONE_TOL and rest <= RANK_ONE_TOL):
-        raise ReconstructionError(
-            f"{what} is not a rank-one projection (projection preservation fails): "
-            f"top eigenvalue {w[-1]:.6f}, residual spectrum {rest:.3e}, "
-            f"hermiticity defect {herm:.3e}"
-        )
+    _require((herm, abs(w[-1] - 1.0), rest), RANK_ONE_TOL,
+             "{} is not a rank-one projection (projection preservation fails): "
+             "top eigenvalue {:.6f}, residual spectrum {:.3e}, hermiticity defect {:.3e}", what, w[-1], rest, herm)
     return v[:, -1]
 
 
@@ -312,10 +331,9 @@ def reconstruct_unitary_from_projection_action(
     for j in range(1, dim):
         r = images[dim - 1 + j] = phi(inputs[dim - 1 + j])
         z = np.vdot(frame[j], r @ frame[0])
-        if not abs(z) >= PHASE_CUTOFF:  # true on NaN
-            raise ReconstructionError(
-                f"phase alignment degenerate for basis column {j} (|overlap| = {abs(z):.3e})"
-            )
+        # a float difference is <= 0 exactly when |z| >= PHASE_CUTOFF; NaN refuses
+        _require(PHASE_CUTOFF - abs(z), 0.0, "phase alignment degenerate for basis column {} (|overlap| = {:.3e})",
+                 j, abs(z))
         frame[j] = (z / abs(z)) * frame[j]
 
     s_img = images[2 * dim - 1] = phi(inputs[2 * dim - 1])
@@ -330,11 +348,7 @@ def reconstruct_unitary_from_projection_action(
     for k in range(2 * dim, len(inputs)):
         images[k] = phi(inputs[k])
     worst = nan_max(*frobenius_norms(images - _apply_symmetry(d, inputs)).tolist())
-    if not worst <= tol:
-        raise ReconstructionError(
-            f"reconstruction verification failed: rank-one residual {worst:.3e} "
-            f"above {tol:g}"
-        )
+    _require(worst, tol, "reconstruction verification failed: rank-one residual {:.3e} above {:g}", worst, tol)
     return d.unitary, kind
 
 
@@ -408,13 +422,13 @@ def check_scaling_identity(samples: ScalingSamples) -> ScalingCheck:
 
 
 def _classify(img: np.ndarray, candidates: tuple, reason: str) -> int:
-    """Index of the first candidate within CLASSIFY_TOL of ``img``; if
-    none is, reject with ``reason`` formatted with every distance."""
+    """Index of the candidate nearest ``img``, which must lie within CLASSIFY_TOL
+    of it (the candidates lie far more than 2 CLASSIFY_TOL apart, so at most one
+    does); if none does, reject with ``reason`` formatted with every distance."""
     dists = [frobenius_norm(img - c) for c in candidates]
-    for i, dist in enumerate(dists):
-        if dist <= CLASSIFY_TOL:
-            return i
-    raise ReconstructionError(reason.format(*dists))
+    i = dists.index(min(dists))
+    _require(dists[i], CLASSIFY_TOL, reason, *dists)
+    return i
 
 
 def _verify(found: dict, phi, d: SymmetryDescriptor, tol: float, trials: int, seed: int,
@@ -423,20 +437,17 @@ def _verify(found: dict, phi, d: SymmetryDescriptor, tol: float, trials: int, se
     d = gauge_normalize(d)
     residual = verify_descriptor(phi, d, trials, seed=seed, domain=domain)
     found.update(descriptor=d, max_residual=residual)
-    if not residual <= tol:
-        where = " on Hermitian samples" if domain == HERMITIAN_DOMAIN else ""
-        raise ReconstructionError(
-            f"canonical-form residual {residual:.3e} above tolerance {tol:g}{where}"
-        )
+    _require(residual, tol, "canonical-form residual {:.3e} above tolerance {:g}{}", residual, tol,
+             " on Hermitian samples" if domain == HERMITIAN_DOMAIN else "")
 
 
 def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
     dim = phi.dim
     eye = np.eye(dim, dtype=complex)
     aff = is_affine(phi, seed=s.next_u64())
-    if not aff:
-        found["witness"] = aff.witness
-        raise ReconstructionError(f"map is not affine: convex-combination defect {aff.max_deviation:.3e}")
+    # the walk's worst deviation is <= PROBE_TOL exactly when it found no witness
+    _require(aff.max_deviation, PROBE_TOL, "map is not affine: convex-combination defect {:.3e}",
+             aff.max_deviation, witness=aff.witness)
     comp = bool(_classify(
         phi(np.zeros((dim, dim))),
         (0, eye),
@@ -452,27 +463,22 @@ def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s:
     action = phi if sign == 1 else phi.then(np.negative)
     worst, witness = _identity_walk(action, s.next_u64(), TRIPLE_PROBE_PAIRS, 0,
                                     lambda _, a, b: a @ b @ a, lambda phi_a, phi_b: phi_a.dot(phi_b).dot(phi_a))
-    if witness:
-        found["witness"] = witness
-        raise ReconstructionError(f"triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {worst:.3e}")
+    _require(worst, PROBE_TOL, "triple identity violated: ‖φ(ABA) − φ(A)φ(B)φ(A)‖ = {:.3e}", worst,
+             witness=witness)
 
     probe = found["probe"] = preservation_probe(action, TRIPLE_PROBE_TRIALS, seed=s.next_u64())
-    if not probe.all_preserved:
-        found["witness"] = probe.witnesses[0].inputs
-        raise ReconstructionError(
-            f"projection-structure probe failed ({', '.join(probe.failed_checks())} not preserved)"
-        )
+    # every witness's defect fails PROBE_TOL, so this refuses exactly when the probe has a witness
+    _require(tuple(w.defect for w in probe.witnesses), PROBE_TOL,
+             "projection-structure probe failed ({} not preserved)", ", ".join(probe.failed_checks()),
+             witness=probe.witnesses[0].inputs if probe.witnesses else None)
 
     u, kind = reconstruct_unitary_from_projection_action(action, tol=tol, seed=s.next_u64())
 
     samples = found["scaling"] = extract_scaling_function(action, s.next_u64())
-    scaling_check = check_scaling_identity(samples)
-    if not scaling_check:
-        raise ReconstructionError(
-            "scaling function deviates from identity: "
-            f"max |f(λ) − λ| = {scaling_check.max_identity_deviation:.3e}, "
-            f"max proportionality residual = {scaling_check.max_proportionality_residual:.3e}"
-        )
+    check = check_scaling_identity(samples)
+    deviations = (check.max_identity_deviation, check.max_proportionality_residual)
+    _require(deviations, PROBE_TOL, "scaling function deviates from identity: "
+             "max |f(λ) − λ| = {:.3e}, max proportionality residual = {:.3e}", *deviations)
 
     _verify(found, phi, SymmetryDescriptor(kind, u, sign=sign), tol, trials, s.next_u64(), EFFECTS_DOMAIN)
 
@@ -503,8 +509,7 @@ def _run(family: str, chain, phi: EffectMapOracle, tol: float, trials: int, seed
     try:
         chain(found, phi, tol, trials, Stream(seed))
     except (OracleError, ReconstructionError) as err:
-        if isinstance(err, OracleError):
-            found["witness"] = (err.query,)
+        found["witness"] = (err.query,) if isinstance(err, OracleError) else err.witness
         return RecoveryReport(REJECTED, family, str(err), **found)
     return RecoveryReport(CANONICAL, family, **found)
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from effectsym.effects import (
     NotSummableError,
@@ -12,7 +15,8 @@ from effectsym.effects import (
     positive_negative_parts,
     rank_one_projection,
 )
-from effectsym.linalg import frobenius_norm, operator_norm
+from effectsym.extension import unit_ball_decomposition
+from effectsym.linalg import DEFAULT_TOL, frobenius_norm, operator_norm, require_hermitian
 from effectsym.rng import Stream
 from effectsym.sampling import random_effect, random_hermitian, random_projection
 
@@ -207,3 +211,69 @@ def test_rank_one_projection_refuses_a_zero_or_non_finite_vector(x):
     """An overflowing norm is refused without a RuntimeWarning."""
     with pytest.raises(ValueError, match="zero or non-finite vector"):
         rank_one_projection(x)
+
+
+# A finite Hermitian matrix whose doubled entries overflow: hermitize's (A + A*)/2 turns
+# them to inf, so the spectrum read from it is NaN.
+OVERFLOWING = np.diag([1e308, 0.0]).astype(complex)
+
+
+def test_as_effect_refuses_a_nan_spectrum():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="matrix is not an effect"):
+            as_effect(OVERFLOWING)
+
+
+def test_partial_add_refuses_a_nan_spectrum():
+    """The sum is finite (its top eigenvalue is 1.1e308), but its spectrum reads NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotSummableError):
+            partial_add(OVERFLOWING, np.diag([1e307, 0.0]))
+
+
+EXPONENTS = st.integers(-300, 308) | st.sampled_from([307, 308])  # the top two, where doubling overflows, often
+
+
+@st.composite
+def scaled_hermitian_pairs(draw):
+    """Two exactly Hermitian matrices of one dim in 1..4, each with entries of modulus
+    at most about 1 scaled by its own 10^k, k in -300..308: finite, but as large as a
+    double allows."""
+    dim = draw(st.integers(1, 4))
+    pair = []
+    for _ in range(2):
+        re, im = (draw(arrays(float, (dim, dim), elements=st.floats(-1.0, 1.0))) for _ in range(2))
+        upper = np.triu(re + 1j * im, 1)
+        pair.append((upper + upper.conj().T + np.diag(np.diag(re))) * 10.0 ** draw(EXPONENTS))
+    return tuple(pair)
+
+
+def _assert_summable(s: np.ndarray) -> None:
+    """The top eigenvalue of a Hermitian ``s`` is at most 1 + DEFAULT_TOL, up to eigvalsh's
+    rounding: it is read from ``s`` over a power of two (an exact scaling, 1 or at most the
+    largest modulus), so that no entry of the factored matrix overflows."""
+    scale = 2.0 ** max(int(np.frexp(np.max(np.abs(s)))[1]) - 1, 0)
+    assert np.linalg.eigvalsh(s / scale)[-1] <= (1.0 + DEFAULT_TOL) / scale + 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(scaled_hermitian_pairs())
+@example((OVERFLOWING, np.zeros((2, 2), dtype=complex)))
+@example((OVERFLOWING, np.diag([1e307, 0.0]).astype(complex)))
+def test_interval_checks_fails_closed_at_every_scale(pair):
+    """Each check on a finite Hermitian input either raises its ``ValueError``
+    (``NotSummableError`` and numpy's ``LinAlgError`` are ones) or returns a finite
+    result, and a sum that ``partial_add`` returns stays below I: none passes a NaN
+    spectrum as an effect, a sum or a decomposition."""
+    a, b = pair
+    calls = [(as_effect, a), (partial_add, a, b), (leq, a, b), (is_extreme, a),
+             (unit_ball_decomposition, a), (require_hermitian, a)]
+    for f, *args in calls:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                out = f(*args)
+            except ValueError:
+                continue
+        assert np.all(np.isfinite(out)), f.__name__
+        if f is partial_add:
+            _assert_summable(out)
