@@ -10,7 +10,9 @@ are enforced by the callers that need them and by the test suites.
 here too; ``leq`` takes its tolerance as an argument, with that default.
 Each bound is written ``not (x <= bound)``, so it refuses a NaN spectrum,
 which a finite input whose doubled entries overflow (say diag(1e308, 0))
-gets from the symmetrized matrix it is factored as.
+gets from the symmetrized matrix it is factored as; ``leq`` and
+``positive_negative_parts`` raise ``ValueError`` on such input too, where
+they would return False or NaN parts.
 """
 
 from __future__ import annotations
@@ -77,10 +79,14 @@ def partial_add(a, b) -> np.ndarray:
 
 
 def leq(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Order predicate A <= B: min eigenvalue of B - A is >= -tol."""
+    """Order predicate A <= B: min eigenvalue of B - A is >= -tol.  Raises
+    ``ValueError`` when that eigenvalue is not finite (the doubled entries of
+    B - A overflow), rather than read it as an order that fails."""
     ma = as_square_array(a)
-    diff = as_square_array(b, len(ma)) - ma
-    return bool(eigenvalues_hermitian(diff)[0] >= -tol)
+    least = eigenvalues_hermitian(as_square_array(b, len(ma)) - ma)[0]
+    if not np.isfinite(least):
+        raise ValueError(f"B - A has no finite least eigenvalue (got {least})")
+    return bool(least >= -tol)
 
 
 def is_extreme(a) -> bool:
@@ -94,8 +100,9 @@ def is_extreme(a) -> bool:
 
 def positive_negative_parts(a) -> tuple[np.ndarray, np.ndarray]:
     """Split a Hermitian matrix as A = A_pos - A_neg with both parts psd
-    and A_pos A_neg = 0."""
-    return psd_parts(require_hermitian(a))
+    and A_pos A_neg = 0.  A part with a non-finite entry (the input's doubled
+    entries overflow) is refused with ``ValueError`` by ``as_square_array``."""
+    return tuple(as_square_array(part) for part in psd_parts(require_hermitian(a)))
 
 
 def rank_one_projection(x) -> np.ndarray:

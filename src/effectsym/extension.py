@@ -5,12 +5,13 @@ from effects to Hermitian matrices; a map derived from one, such as
 A -> phi(A) - phi(0), is the oracle ``phi.then(f)``.  A query validates
 its input once (``as_square_array``), calls the evaluator once and
 raises :class:`OracleError` unless the answer reads as a complex array
-of the input's shape; the oracles built from a descriptor or an
-affine-map rep hold an evaluator bound once to that map (its flags, or
-its gather tables and constant, read at construction) and evaluate the
-validated input directly.  For an oracle that
-is affine and fixes 0, :func:`extend_linear` evaluates the unique linear
-extension to all square matrices along one path: split M into Re M and
+of the input's shape; ``phi.answers(stack)`` asks each matrix of a stack
+so, in order, and returns the answers as one array.  The oracles built
+from a descriptor or an affine-map rep hold an evaluator bound once to
+that map (its flags, or its gather tables and constant, read at
+construction) and evaluate the validated input directly.  For an oracle
+that is affine and fixes 0, :func:`extend_linear` evaluates the unique
+linear extension to all square matrices along one path: split M into Re M and
 Im M, split each into its positive and negative parts, so that
 M = A1 - A2 + i(A3 - A4) with every Aj psd, and scale each part into
 [0, I] by its spectral norm:
@@ -28,10 +29,11 @@ matrices, one ``linalg.psd_parts`` gives the parts, one stacked
 spectral norm their scales and one division the rescaled parts (numpy
 divides a complex entry by a real norm entry by entry, so the bits are
 those of one part at a time), and the oracle is then asked for A1..A4 of
-each matrix in turn, one input at a time, in the order a per-matrix loop
-would ask.  One multiply scales the answers by their norms (a real
-array runs the complex multiply a Python float does) and one expression
-recombines them.  :func:`extend_linear` and :func:`unit_ball_decomposition`
+each matrix in turn through :meth:`EffectMapOracle.answers`, in the order
+a per-matrix loop would ask.  One multiply scales the answers by their
+norms (a real array runs the complex multiply a Python float does) and
+one expression recombines them.
+:func:`extend_linear` and :func:`unit_ball_decomposition`
 are the one-matrix case; :func:`linearity_defect` and :func:`boundedness_check`
 extend all their samples as one stack, since they query every sample
 whatever the answers.  Their norms come from one ``frobenius_norms``
@@ -105,6 +107,13 @@ class EffectMapOracle:
         if out.shape != m.shape:
             raise OracleError(f"oracle output has shape {out.shape}, expected {m.shape}", m.copy())
         return out
+
+    def answers(self, stack: np.ndarray) -> np.ndarray:
+        """phi of each matrix of ``stack``, asked one query at a time (``self(m)``,
+        the call a query counter wraps) in order, as one complex array of the
+        stack's shape; an :class:`OracleError` at one answer asks nothing after it.
+        The one way a stage that asks every sample, whatever the answers, asks."""
+        return np.array([self(m) for m in stack], dtype=complex).reshape(np.shape(stack))
 
     def then(self, f: Callable[[np.ndarray], np.ndarray]) -> "EffectMapOracle":
         """The oracle A -> f(phi(A)); phi's answer is shape-checked before ``f`` sees it."""
@@ -205,10 +214,8 @@ def _extend(phi: EffectMapOracle, mats: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(parts, 2, axis=(-2, -1))
         # each part over its own norm, as one division; a part below the cutoff is never asked
         small = norms < ZERO_NORM_CUTOFF
-        units = parts / np.where(small, 1.0, norms)[..., None, None]
         answers = np.zeros(parts.shape, dtype=complex)  # a finite norm times 0 is +0, as a zero image
-        for k, j in zip(*np.nonzero(~small)):
-            answers[k, j] = phi(units[k, j])
+        answers[~small] = phi.answers(parts[~small] / norms[~small][:, None, None])  # row-major, as a loop asks
         a1, a2, a3, a4 = (norms[..., None, None] * answers).swapaxes(0, 1)
         out[start:start + EXTEND_CHUNK] = (a1 - a2) + 1j * (a3 - a4)
     return out

@@ -45,18 +45,15 @@ seeded samples, never proven.  Runs are deterministic given (seed,
 oracle).
 
 Stages that query every sample whatever the answers (the verify stage,
-the rank-one checks of a rebuilt unitary, the scaling samples) ask the
-oracle one input at a time in a fixed order, then compute the expected
-side, the residuals and their norms on the whole stack; the norms come
-from one ``linalg.frobenius_norms`` pass, which keeps the bits of a norm
-per matrix.  The rebuild forms all 2 dim + ``RECONSTRUCT_CHECKS`` of its
-rank-one projections before it asks any, as one broadcast outer product of
-their vectors (the bits of ``np.outer`` of each), asks them one at a time
-in order (so a refusal asks nothing past it), and compares every image
-with its candidate in one such pass over that stack.  The preservation
-probe builds its 5 projections per trial as one ``sampling`` slice stack.
-The affinity probe and the
-triple identity stop at their first violation: both are the identity
+the rank-one checks of a rebuilt unitary, the scaling samples) ask through
+:meth:`EffectMapOracle.answers`, then take the residuals' norms over the
+whole stack in one ``linalg.frobenius_norms`` pass, which keeps the bits of
+a norm per matrix.  The rebuild forms all 2 dim + ``RECONSTRUCT_CHECKS`` of
+its rank-one projections as one broadcast outer product of their vectors
+(the bits of ``np.outer`` of each) and asks the first 2 dim one at a time,
+checking between them.  The preservation probe builds its 5
+projections per trial as one ``sampling`` slice stack.  The affinity probe
+and the triple identity stop at their first violation: both are the identity
 walk of :mod:`effectsym.extension`, the triple one forming ABA as
 ``A @ B @ A`` on the block (the bits of ``a.dot(b).dot(a)``) and its
 per-trial products with ``ndarray.dot``, which at dim >= 2 gives the bits
@@ -70,12 +67,14 @@ Every check on answers fails when ``not (defect <= bound)`` and folds with
 ``nan_max``, so a NaN defect fails it; every refusal is a ``_require`` call.
 A lint over ``src/`` (``tests/test_lint.py``) holds the rule: it fails on a
 ``raise ReconstructionError`` outside ``_require``, on a ``<`` or ``>``
-against a bound that is not under ``not``, and on a builtin ``max`` here or
-in :mod:`effectsym.extension`.  Its allowlist is the three sites ROADMAP
-item 1 leaves for a benchmark change: the identity walk's ``max`` and
-``>``, which pass over a NaN deviation, the verify stage's ``max``, which
-passes over a NaN norm, and the probe's in-loop order check, whose
-``skew > PROBE_TOL`` lets a NaN skew through to a raise.
+against a bound that is not under ``not``, and on a builtin ``max`` or a
+hand-written full pass (a comprehension calling ``phi``, or a loop whose
+body is one assignment calling it) here or in :mod:`effectsym.extension`.
+Its allowlist is the three sites ROADMAP item 1 leaves for a benchmark
+change: the identity walk's ``max`` and ``>``, which pass over a NaN
+deviation, the verify stage's ``max``, which passes over a NaN norm, and
+the probe's in-loop order check, whose ``skew > PROBE_TOL`` lets a NaN
+skew through to a raise.
 """
 
 from __future__ import annotations
@@ -345,15 +344,14 @@ def reconstruct_unitary_from_projection_action(
 
     w, _, vh = np.linalg.svd(np.column_stack(frame))  # the nearest unitary to the frame
     d = gauge_normalize(SymmetryDescriptor(kind, w @ vh))
-    for k in range(2 * dim, len(inputs)):
-        images[k] = phi(inputs[k])
+    images[2 * dim:] = phi.answers(inputs[2 * dim:])
     worst = nan_max(*frobenius_norms(images - _apply_symmetry(d, inputs)).tolist())
     _require(worst, tol, "reconstruction verification failed: rank-one residual {:.3e} above {:g}", worst, tol)
     return d.unitary, kind
 
 
 def verify_descriptor(
-    phi,
+    phi: EffectMapOracle,
     d: SymmetryDescriptor,
     trials: int = 100,
     seed: int = 0,
@@ -371,12 +369,11 @@ def verify_descriptor(
     check_run(trials)
     sampler = random_effects if domain == EFFECTS_DOMAIN else random_hermitians
     samples = sampler(d.dim, Stream(seed).u64_block(trials))
-    images = np.array([phi(a) for a in samples])
     # ROADMAP item 1: this max passes over a NaN norm, and the bench pins that acceptance
-    return max([0.0, *frobenius_norms(images - _apply_symmetry(d, samples)).tolist()])
+    return max([0.0, *frobenius_norms(phi.answers(samples) - _apply_symmetry(d, samples)).tolist()])
 
 
-def extract_scaling_function(phi, seed: int) -> ScalingSamples:
+def extract_scaling_function(phi: EffectMapOracle, seed: int) -> ScalingSamples:
     """Sample f(lam) = tr(phi(lam P) phi(P)) / tr(phi(P)^2) over ``SCALING_GRID``
     on the rank-one projection P onto the Haar unit vector drawn from ``seed``.
 
@@ -389,7 +386,7 @@ def extract_scaling_function(phi, seed: int) -> ScalingSamples:
     img_p = phi(p)
     _rank_one_vector(img_p, "image of the scaling projection")
     denom = float(np.trace(img_p @ img_p).real)
-    images = np.array([phi(a) for a in SCALING_GRID[:, None, None] * p])
+    images = phi.answers(SCALING_GRID[:, None, None] * p)
     values = np.trace(images @ img_p, axis1=-2, axis2=-1).real / denom
     residuals = frobenius_norms(images - values[:, None, None] * img_p)
     return ScalingSamples(projection=p, values=values, residuals=residuals)

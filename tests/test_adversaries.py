@@ -15,15 +15,26 @@ triple routes accept it and only the Hermitian route's verify on
 unbounded samples refuses it: those cases pin the blind spot that the
 ROADMAP's exact reference (item 10) and frontier search (item 12) are
 meant to close.
+
+The paper's symmetries form a group under composition, so a verdict may
+not depend on which member of the route's family a map is composed with:
+recovering phi o Psi for canonical phi and Psi gives compose(phi, Psi), and
+every adversary keeps its verdict when composed with a canonical Psi on
+either side (ROADMAP item 20).
 """
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from effectsym.extension import EffectMapOracle
+from effectsym.linalg import frobenius_norm
 from effectsym.recover import CANONICAL, REJECTED, route
 from effectsym.sampling import haar_unitary
-from effectsym.symmetry import AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN
+from effectsym.suites import U_MATCH_TOL
+from effectsym.symmetry import (AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN, apply_symmetry, compose, gauge_normalize,
+                                random_symmetry)
 
 FAMILIES = (AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN)
 DIMS = (3, 4, 6)
@@ -91,3 +102,44 @@ def test_adversary_verdict_and_reason(name, dim, family, prefix):
     else:
         assert report.verdict == REJECTED
         assert report.reason.startswith(prefix), report.reason
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+NO_SHRINK = (Phase.explicit, Phase.generate)  # a smaller seed is no simpler map: a failure reports the drawn one
+
+
+def composed(outer, inner, dim):
+    """The black-box map outer o inner; each argument is an oracle or a descriptor."""
+    def ask(f, m):
+        return f(m) if isinstance(f, EffectMapOracle) else apply_symmetry(f, m)
+    return EffectMapOracle(dim, lambda m: ask(outer, ask(inner, m)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(derandomize=True, deadline=None, max_examples=12, phases=NO_SHRINK)
+@given(dim=st.sampled_from(DIMS), phi_seed=SEEDS, psi_seed=SEEDS, seed=SEEDS)
+def test_recovery_commutes_with_the_symmetry_group(family, dim, phi_seed, psi_seed, seed):
+    """Recovering phi o Psi, for canonical phi and Psi of the route's family (kind and
+    flag drawn from their seeds), gives compose(recovered phi, Psi): its kind and
+    flags, and its unitary within U_MATCH_TOL."""
+    phi, psi = random_symmetry(dim, phi_seed, family), random_symmetry(dim, psi_seed, family)
+    alone = route(family)(EffectMapOracle.from_descriptor(phi), seed=seed)
+    report = route(family)(composed(phi, psi, dim), seed=seed)
+    assert alone.canonical and report.canonical, report.reason
+    want, got = compose(alone.descriptor, psi), gauge_normalize(report.descriptor)
+    assert (got.kind, got.complement, got.sign) == (want.kind, want.complement, want.sign)
+    assert frobenius_norm(got.unitary - want.unitary) <= U_MATCH_TOL
+
+
+@settings(derandomize=True, deadline=None, max_examples=2, phases=NO_SHRINK)
+@given(psi_seed=SEEDS)
+def test_corpus_verdicts_are_invariant_under_the_symmetry_group(psi_seed):
+    """Every pinned case keeps its verdict when its map phi is composed with a
+    canonical Psi of the route's family, as phi o Psi and as Psi o phi (each case
+    draws its own Psi, kind and flag from ``psi_seed`` plus its index)."""
+    for i, (name, dim, family, prefix) in enumerate(case.values for case in CASES):
+        phi, psi = CORPUS[name][0](dim), random_symmetry(dim, psi_seed + i, family)
+        want = CANONICAL if prefix is None else REJECTED
+        for label, composite in (("phi o Psi", composed(phi, psi, dim)), ("Psi o phi", composed(psi, phi, dim))):
+            report = route(family)(composite, seed=1)
+            assert report.verdict == want, (name, dim, family, label, psi, report.reason)

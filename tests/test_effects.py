@@ -231,6 +231,13 @@ def test_partial_add_refuses_a_nan_spectrum():
             partial_add(OVERFLOWING, np.diag([1e307, 0.0]))
 
 
+def test_leq_refuses_a_nan_spectrum():
+    """0 <= diag(1e308, 1e308) holds, but B - A's spectrum reads NaN: refused, not False."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="no finite least eigenvalue"):
+            leq(np.zeros((2, 2)), np.diag([1e308, 1e308]))
+
+
 EXPONENTS = st.integers(-300, 308) | st.sampled_from([307, 308])  # the top two, where doubling overflows, often
 
 
@@ -267,7 +274,7 @@ def test_interval_checks_fails_closed_at_every_scale(pair):
     spectrum as an effect, a sum or a decomposition."""
     a, b = pair
     calls = [(as_effect, a), (partial_add, a, b), (leq, a, b), (is_extreme, a),
-             (unit_ball_decomposition, a), (require_hermitian, a)]
+             (unit_ball_decomposition, a), (require_hermitian, a), (positive_negative_parts, a)]
     for f, *args in calls:
         with np.errstate(over="ignore", invalid="ignore"):
             try:

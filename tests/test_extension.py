@@ -17,7 +17,7 @@ from effectsym.extension import (
 )
 from effectsym.linalg import adjoint, frobenius_norm, hermitize, nan_max, operator_norm
 from effectsym.rng import Stream
-from effectsym.sampling import complex_gaussian, haar_unitary, random_effect
+from effectsym.sampling import complex_gaussian, haar_unitary, random_effect, random_effects, random_hermitians
 from effectsym.symmetry import (
     AFFINE,
     ANTIUNITARY,
@@ -501,3 +501,83 @@ def test_extension_input_sequence_is_pinned(check, dim, oracle_queries):
         d = random_symmetry(dim, 6, family=AFFINE)
         boundedness_check(EffectMapOracle(dim, lambda m: apply_symmetry(d, m)), seed=2)
     assert oracle_queries.digest() == EXTENSION_INPUT_SEQUENCES[check, dim]
+
+
+def answer_oracles(dim):
+    """One oracle of each form: a descriptor, its affine-map rep, a plain evaluator and a derived map."""
+    d = random_symmetry(dim, dim, family=AFFINE)
+    yield EffectMapOracle.from_descriptor(d)
+    yield EffectMapOracle.from_affine_rep(to_affine_rep(d))
+    yield EffectMapOracle(dim, lambda a: a @ a, label="squared")
+    yield EffectMapOracle.from_descriptor(d).then(np.negative)
+
+
+def loop_answers(phi, stack):
+    """The verify and scaling stages' per-query loop."""
+    return np.array([phi(a) for a in stack])
+
+
+def loop_answers_past(phi, stack, start):
+    """The rebuild's loop over its checks: one query per index from ``start`` on."""
+    images = np.zeros_like(stack)
+    for k in range(start, len(stack)):
+        images[k] = phi(stack[k])
+    return images
+
+
+def loop_answers_masked(phi, units, small):
+    """The extension's loop over the parts not below the cutoff, in ``np.nonzero`` order."""
+    answers = np.zeros(units.shape, dtype=complex)
+    for k, j in zip(*np.nonzero(~small)):
+        answers[k, j] = phi(units[k, j])
+    return answers
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16])
+def test_answers_equal_the_per_query_loops_bitwise(dim, oracle_queries):
+    """``answers`` asks the inputs a per-query loop asks, in its order, and returns its
+    answers' bits; an empty stack asks nothing; a bad answer at query k raises
+    ``OracleError`` with query k as witness and asks nothing past it."""
+    s = Stream(dim)
+    stack = np.concatenate((random_effects(dim, s.u64_block(5)), random_hermitians(dim, s.u64_block(4))))
+    units, small = stack[:8].reshape(2, 4, dim, dim), np.arange(8).reshape(2, 4) % 3 == 1
+
+    def logged(ask):
+        del oracle_queries[:]
+        out = ask()
+        return out.tobytes(), list(oracle_queries)
+
+    for phi in answer_oracles(dim):
+        assert logged(lambda: phi.answers(stack)) == logged(lambda: loop_answers(phi, stack))
+        for start in (0, 2 * dim % len(stack), len(stack)):
+            images = np.zeros_like(stack)
+
+            def sliced():
+                images[start:] = phi.answers(stack[start:])
+                return images
+
+            assert logged(sliced) == logged(lambda: loop_answers_past(phi, stack, start))
+        answers = np.zeros(units.shape, dtype=complex)
+
+        def masked():
+            answers[~small] = phi.answers(units[~small])
+            return answers
+
+        assert logged(masked) == logged(lambda: loop_answers_masked(phi, units, small))
+        del oracle_queries[:]
+        empty = phi.answers(np.empty((0, dim, dim), dtype=complex))
+        assert empty.shape == (0, dim, dim) and empty.dtype == complex and not oracle_queries
+
+    for bad in (np.ones((dim + 1, dim + 1)), np.ones(dim), "not a matrix", object()):
+        for k in (0, 3, len(stack) - 1):
+            asked = []
+
+            def evaluate(m, k=k, bad=bad):
+                asked.append(m)
+                return bad if len(asked) == k + 1 else m
+
+            del oracle_queries[:]
+            with pytest.raises(OracleError) as err:
+                EffectMapOracle(dim, evaluate).answers(stack)
+            assert err.value.query.tobytes() == stack[k].tobytes()
+            assert len(asked) == k + 1 and len(oracle_queries) == k
