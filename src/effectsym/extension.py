@@ -41,7 +41,9 @@ pass and are folded with a max, bit for bit as in the per-matrix loop.
 :func:`is_affine` is the identity walk (:func:`_identity_walk`) on the
 convex form, forming each block's lam*A + (1 - lam)*B as one stack (a
 float64 lam column runs the complex multiply a Python float does); the
-triple identity of :mod:`effectsym.recover` is the same walk on ABA.
+triple identity of :mod:`effectsym.recover` is the same walk on ABA.  The
+affine route runs the convex walk as ``_affine_walk``, with its φ(0) check
+and rebuild in the walk's hook after the first trial.
 
 The extension checks fail closed on NaN: their comparisons are written
 ``not (x <= bound)`` and their folds are :func:`nan_max`, so an oracle
@@ -144,7 +146,7 @@ class AffinityResult:
         return self.witness is None
 
 
-def _identity_walk(phi: EffectMapOracle, seed: int, trials: int, lead: int, form, combine):
+def _identity_walk(phi: EffectMapOracle, seed: int, trials: int, lead: int, form, combine, after_first=None):
     """(worst deviation, first violating ``(*t, A, B)`` or None) of the identity
     phi(form(t, A, B)) = combine(*t, phi(A), phi(B)) over ``trials`` draws from
     ``Stream(seed)``: ``lead`` uniforms t in [0, 1), as ``Stream.uniform`` maps
@@ -153,7 +155,13 @@ def _identity_walk(phi: EffectMapOracle, seed: int, trials: int, lead: int, form
     stacks stay small at d = 16), ``form`` building a block's inputs as one
     stack; per trial it asks phi(input), phi(A), phi(B) and stops at the first
     deviation above ``PROBE_TOL``.  It passes over a NaN deviation, since the
-    bench pins that acceptance until ROADMAP item 1's benchmark change."""
+    bench pins that acceptance until ROADMAP item 1's benchmark change.
+
+    ``after_first``, when given, is called once with no arguments after the
+    first trial passes and before the next block is drawn; whatever it raises
+    ends the walk.  The affine route runs its cheap refusals there, so a map
+    they refuse never pays for the rest of the walk; the walk's draws, queries
+    and result are those of a walk without it."""
     stream, worst, done = Stream(seed), 0.0, 0
     while done < trials:
         n = min(32 if done else 1, trials - done)
@@ -167,6 +175,8 @@ def _identity_walk(phi: EffectMapOracle, seed: int, trials: int, lead: int, form
             worst = max(worst, dev)
             if dev > PROBE_TOL:
                 return worst, (*head, a.copy(), b.copy())
+        if not done and after_first is not None:
+            after_first()
         done += n
     return worst, None
 
@@ -174,10 +184,16 @@ def _identity_walk(phi: EffectMapOracle, seed: int, trials: int, lead: int, form
 def is_affine(phi: EffectMapOracle, seed: int = 0) -> AffinityResult:
     """Probe phi(lam*A + (1-lam)*B) = lam*phi(A) + (1-lam)*phi(B) on
     random triples; stop at the first violation."""
+    return _affine_walk(phi, seed)
+
+
+def _affine_walk(phi: EffectMapOracle, seed: int, after_first=None) -> AffinityResult:
+    """:func:`is_affine`, calling ``after_first`` once its first trial passes
+    (see :func:`_identity_walk`)."""
     return AffinityResult(*_identity_walk(
         phi, seed, AFFINE_PROBE_TRIALS, 1,
         lambda lams, a, b: lams[..., None] * a + (1.0 - lams[..., None]) * b,
-        lambda lam, phi_a, phi_b: lam * phi_a + (1.0 - lam) * phi_b))
+        lambda lam, phi_a, phi_b: lam * phi_a + (1.0 - lam) * phi_b, after_first))
 
 
 def extend_linear(phi: EffectMapOracle, m) -> np.ndarray:

@@ -9,10 +9,16 @@ records what it found in ``found`` and refuses the map through one path,
 :class:`ReconstructionError` carrying the reason and the stage's witness.
 The runner records that witness and builds every report from ``found``.
 
-* :func:`recover_affine`: affinity probe (``witness``); classify
-  φ(0) ∈ {0, I}, fixing the complement flag; rebuild the (anti)unitary
-  from the action on rank-one projections; verify on random effects
-  (``descriptor``, ``max_residual``).
+* :func:`recover_affine`, cheapest refusal first: the affinity walk's
+  first trial (``witness``); from the walk's hook, classify φ(0) ∈ {0, I},
+  fixing the complement flag, and rebuild the (anti)unitary from the
+  action on rank-one projections; the walk's other trials; verify on
+  random effects (``descriptor``, ``max_residual``).  An automorphism maps
+  rank-one projections to rank-one projections, so φ(0) and the rebuild
+  (1 + 2 dim + 20 queries) refuse an affine map that is not one (a shift,
+  a pinching) before the walk's other 189 queries.  The stage seeds are
+  drawn walk, rebuild, verify, so a map that passes every stage is asked
+  the same queries as in the order walk, φ(0), rebuild, verify.
 * :func:`recover_triple`: triple identity on effect pairs
   (``witness``); preservation probe on projections (``probe``, plus
   the first probe witness); rebuild; the scaling function f with
@@ -85,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import rank_one_projection
-from .extension import PROBE_TOL, EffectMapOracle, OracleError, _identity_walk, _require_count, is_affine
+from .extension import PROBE_TOL, EffectMapOracle, OracleError, _affine_walk, _identity_walk, _require_count
 from .linalg import (
     adjoint,
     eigenvalues_hermitian,
@@ -441,19 +447,23 @@ def _verify(found: dict, phi, d: SymmetryDescriptor, tol: float, trials: int, se
 def _affine_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream) -> None:
     dim = phi.dim
     eye = np.eye(dim, dtype=complex)
-    aff = is_affine(phi, seed=s.next_u64())
+    candidate = []
+
+    def classify_and_rebuild() -> None:  # after the walk's first trial, before its other 63
+        comp = bool(_classify(
+            phi(np.zeros((dim, dim))),
+            (0, eye),
+            "φ(0) not in {{0, I}} (‖φ(0)‖ = {:.3e}, ‖φ(0) − I‖ = {:.3e})",
+        ))
+        action = phi.then(lambda x: eye - x) if comp else phi
+        u, kind = reconstruct_unitary_from_projection_action(action, tol=tol, seed=s.next_u64())
+        candidate.append(SymmetryDescriptor(kind, u, complement=comp))
+
+    aff = _affine_walk(phi, s.next_u64(), classify_and_rebuild)
     # the walk's worst deviation is <= PROBE_TOL exactly when it found no witness
     _require(aff.max_deviation, PROBE_TOL, "map is not affine: convex-combination defect {:.3e}",
              aff.max_deviation, witness=aff.witness)
-    comp = bool(_classify(
-        phi(np.zeros((dim, dim))),
-        (0, eye),
-        "φ(0) not in {{0, I}} (‖φ(0)‖ = {:.3e}, ‖φ(0) − I‖ = {:.3e})",
-    ))
-    action = phi.then(lambda x: eye - x) if comp else phi
-    u, kind = reconstruct_unitary_from_projection_action(action, tol=tol, seed=s.next_u64())
-    _verify(found, phi, SymmetryDescriptor(kind, u, complement=comp), tol, trials,
-            s.next_u64(), EFFECTS_DOMAIN)
+    _verify(found, phi, candidate[0], tol, trials, s.next_u64(), EFFECTS_DOMAIN)
 
 
 def _triple_chain(found: dict, phi: EffectMapOracle, tol: float, trials: int, s: Stream, sign: int = 1) -> None:

@@ -25,16 +25,17 @@ either side (ROADMAP item 20).
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
-from effectsym.extension import EffectMapOracle
+from effectsym.extension import AFFINE_PROBE_TRIALS, EffectMapOracle
 from effectsym.linalg import frobenius_norm
-from effectsym.recover import CANONICAL, REJECTED, route
+from effectsym.recover import CANONICAL, REJECTED, recover_affine, route
 from effectsym.sampling import haar_unitary
-from effectsym.suites import U_MATCH_TOL
+from effectsym.suites import U_MATCH_TOL, perturbed_conjugation_oracle
 from effectsym.symmetry import (AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN, apply_symmetry, compose, gauge_normalize,
                                 random_symmetry)
+from test_recover import old_order_recover_affine, report_bytes
 
 FAMILIES = (AFFINE, TRIPLE_EFFECTS, TRIPLE_HERMITIAN)
 DIMS = (3, 4, 6)
@@ -86,6 +87,18 @@ CORPUS = {
     "spectral_1e-9": (spectral(1e-9), DIMS, (None, None, "canonical-form residual")),
 }
 
+# adversary: oracle queries to the verdict per route, one count per dim; no
+# adversary's count may rise (ROADMAP item 4)
+QUERIES_TO_VERDICT = {
+    "partial_transpose": ((11, 14), (3, 3), (4, 4)),
+    "pinching": ((5, 5, 5), (3, 3, 3), (4, 4, 4)),
+    "determinant": ((3, 3, 3), (144, 144, 144), (145, 145, 145)),
+    "depolarizing_1e-7": ((30, 32, 36), (3, 3, 3), (4, 4, 4)),
+    "depolarizing_1e-10": ((319, 321, 325), (288, 290, 294), (389, 391, 395)),
+    "spectral_1e-7": ((3, 3, 3), (3, 3, 3), (4, 4, 4)),
+    "spectral_1e-9": ((319, 321, 325), (288, 290, 294), (389, 391, 395)),
+}
+
 CASES = [
     pytest.param(name, dim, family, prefix, id=f"{name}-d{dim}-{route(family).__name__}")
     for name, (_, dims, prefixes) in CORPUS.items()
@@ -95,13 +108,14 @@ CASES = [
 
 
 @pytest.mark.parametrize("name, dim, family, prefix", CASES)
-def test_adversary_verdict_and_reason(name, dim, family, prefix):
+def test_adversary_verdict_and_reason(name, dim, family, prefix, oracle_queries):
     report = route(family)(CORPUS[name][0](dim), seed=1)
     if prefix is None:
         assert report.verdict == CANONICAL, report.reason
     else:
         assert report.verdict == REJECTED
         assert report.reason.startswith(prefix), report.reason
+    assert len(oracle_queries) == QUERIES_TO_VERDICT[name][FAMILIES.index(family)][CORPUS[name][1].index(dim)]
 
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -143,3 +157,80 @@ def test_corpus_verdicts_are_invariant_under_the_symmetry_group(psi_seed):
         for label, composite in (("phi o Psi", composed(phi, psi, dim)), ("Psi o phi", composed(psi, phi, dim))):
             report = route(family)(composite, seed=1)
             assert report.verdict == want, (name, dim, family, label, psi, report.reason)
+
+
+CORRUPTIONS = {
+    "NaN": lambda x: np.full(x.shape, np.nan),
+    "times 1e300": lambda x: x * 1e300,
+    "non-Hermitian": lambda x: x + np.triu(np.ones(x.shape), 1),
+    "wrong shape": lambda x: np.eye(len(x) + 1),
+}
+
+
+def corrupted_at(d, query, corrupt):
+    """The descriptor's map with its answer to the input ``query`` (bytes) passed through ``corrupt``."""
+    def evaluate(m):
+        out = apply_symmetry(d, m)
+        return corrupt(out) if m.tobytes() == query else out
+    return evaluate
+
+
+@st.composite
+def affine_route_cases(draw):
+    """(label, map, recovery seed): a corpus map composed with a canonical Psi on
+    either side, a reject_mix map (a perturbed conjugation, the shift A -> A + I,
+    a canonical map that answers NaN when tr A > 1.5), or a canonical map with
+    the answer to one input its recovery asks corrupted."""
+    source, seed = draw(st.sampled_from(("corpus", "perturbed", "shift", "nan_above_trace", "corrupted"))), draw(SEEDS)
+    if source == "corpus":
+        name = draw(st.sampled_from(sorted(CORPUS)))
+        dim = draw(st.sampled_from(CORPUS[name][1]))
+        phi, psi = CORPUS[name][0](dim), random_symmetry(dim, draw(SEEDS), AFFINE)
+        if draw(st.booleans()):
+            return f"{name} o Psi", composed(phi, psi, dim), seed
+        return f"Psi o {name}", composed(psi, phi, dim), seed
+    dim = draw(st.sampled_from((4, 5, 6)))
+    if source == "perturbed":
+        return source, perturbed_conjugation_oracle(dim, draw(SEEDS), 1e-2), seed
+    if source == "shift":
+        return source, EffectMapOracle(dim, lambda a: a + np.eye(dim)), seed
+    d = random_symmetry(dim, draw(SEEDS), AFFINE)
+    if source == "nan_above_trace":
+        return source, EffectMapOracle(
+            dim, lambda a: np.full((dim, dim), np.nan) if np.trace(a).real > 1.5 else apply_symmetry(d, a)), seed
+    asked = []
+    recover_affine(EffectMapOracle(dim, lambda m: asked.append(m.tobytes()) or apply_symmetry(d, m)), seed=seed)
+    corruption = draw(st.sampled_from(sorted(CORRUPTIONS)))
+    query = asked[draw(st.integers(0, len(asked) - 1))]
+    return f"{corruption} answer", EffectMapOracle(dim, corrupted_at(d, query, CORRUPTIONS[corruption])), seed
+
+
+def counted(phi):
+    """``phi`` and a list that grows by one entry per query it is asked."""
+    calls = []
+    return EffectMapOracle(phi.dim, lambda m: calls.append(1) or phi(m)), calls
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, phases=NO_SHRINK)
+@given(case=affine_route_cases())
+def test_affine_route_fails_closed_in_either_stage_order(case):
+    """The affine route in its stage order (the walk's first trial, φ(0), the rebuild,
+    the walk's other trials, the verify) gives the verdict of the former order (the
+    whole walk first), and the same report bytes unless the former order refused in
+    the walk after its first trial, where the new order may refuse at φ(0) or in the
+    rebuild first; the statistics count those cases."""
+    label, phi, seed = case
+    with np.errstate(all="ignore"):  # corrupted answers make NaN and infinite products
+        new, new_calls = counted(phi)
+        report = recover_affine(new, seed=seed)
+        old, old_calls = counted(phi)
+        ref = old_order_recover_affine(old, seed=seed)
+    assert report.verdict == ref.verdict, (label, report.reason, ref.reason)
+    if 3 < len(old_calls) <= 3 * AFFINE_PROBE_TRIALS:  # refused in the walk after its first trial
+        event("the former order refused in the walk after its first trial")
+        assert report.verdict == REJECTED, label
+        if report.reason != ref.reason:
+            event(f"reason changed: {label}")
+    else:  # the same stages refuse or pass; φ(0) and the rebuild refuse before the walk's last 63 trials
+        assert report_bytes(report) == report_bytes(ref), label
+        assert len(new_calls) <= len(old_calls), label

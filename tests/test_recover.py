@@ -10,6 +10,8 @@ from effectsym.extension import AFFINE_PROBE_TRIALS, PROBE_TOL, EffectMapOracle,
 from effectsym.linalg import (adjoint, eigenvalues_hermitian, frobenius_norm, hermiticity_defect, hermitize,
                               nan_max, operator_norm)
 from effectsym.recover import (
+    ACCEPT_TOL,
+    EFFECTS_DOMAIN,
     MIN_DIM,
     RECONSTRUCT_CHECKS,
     REJECTED,
@@ -19,6 +21,10 @@ from effectsym.recover import (
     SCALING_GRID,
     TRIPLE_PROBE_PAIRS,
     TRIPLE_PROBE_TRIALS,
+    _classify,
+    _require,
+    _run,
+    _verify,
     check_run,
     check_scaling_identity,
     extract_scaling_function,
@@ -901,10 +907,13 @@ def test_hermitian_sign_costs_no_extra_oracle_calls(monkeypatch):
 # implementation; the triple routes omit the second φ(A) query that each
 # triple-identity pair used to make, and nothing else changed.  The answers
 # were pinned from the evaluation written as ``sign * (U @ M @ U*)`` with a
-# fresh identity per query, so each answer keeps its bits.
+# fresh identity per query, so each answer keeps its bits.  The affine pins
+# were re-pinned when the route moved φ(0) and the rebuild to after the walk's
+# first trial: the same queries in a new order, which
+# test_affine_stage_order_is_a_reordering_bitwise checks.
 INPUT_SEQUENCES = {
-    (AFFINE, 1): (321, "d4e113b85b82e16a067d5532062a7593fa4944d2d124f58454993dae806b5b7b",
-                  "00a489677d087c6c1874d828385a351a45d84740196ef88271753e88cd66c288"),
+    (AFFINE, 1): (321, "47cd24081c3bbce870580d5dcd80d3ee15c2c98a111b797ce20ce984432f9b9b",
+                  "ce698d2f9e226e77d39c4a4549079d6145cdf3564cc2a104d43634eaf0769b0b"),
     (TRIPLE_EFFECTS, 1): (290, "35767757064219916e77caed2e28cc8bf29b048aa905dcc141acef57f22e98e5",
                           "08f4f9f6da34674a6cd1f1ea74ad4f0adc3a0a2a75ead979c4ce54e63df049ab"),
     (TRIPLE_HERMITIAN, -1): (391, "e8d6d31b2ffbb2ece97b325fd36df43f791bfe69c16c05810558f88a560bb036",
@@ -921,8 +930,8 @@ def test_oracle_input_sequence_is_pinned(family, sign, oracle_queries):
 
 # The affine route on the affine-form oracle of the same map with the
 # complement set: the same inputs, the answers of the affine-map evaluation.
-AFFINE_REP_SEQUENCE = (321, "d4e113b85b82e16a067d5532062a7593fa4944d2d124f58454993dae806b5b7b",
-                       "b6a57d5aa606f346ac85a93f534f6910d110674c6d9ce45dbb3c76c42761be72")
+AFFINE_REP_SEQUENCE = (321, "47cd24081c3bbce870580d5dcd80d3ee15c2c98a111b797ce20ce984432f9b9b",
+                       "add77a4bed3619e3594d4773b5f28ade250d369e1a454ea60990f122f5761afd")
 
 
 def test_affine_rep_oracle_sequence_is_pinned(oracle_queries):
@@ -934,16 +943,17 @@ def test_affine_rep_oracle_sequence_is_pinned(oracle_queries):
 # The same at dims 3 and 6, for random_symmetry(dim, 7, family) with the
 # complement set on the affine route and sign -1 on the Hermitian one, and
 # seed 11, taken from the one-matrix-at-a-time verify and reconstruction
-# checks: the stacked checks ask the same inputs in the same order.
+# checks: the stacked checks ask the same inputs in the same order.  The
+# affine pins were re-pinned with the route's new stage order, as above.
 STACKED_INPUT_SEQUENCES = {
-    (AFFINE, 3): (319, "c81f94262ebe6aef01223ea8f60be3c6dee3aba012242c5c88be2cd87abe4974",
-                  "0c93f38da4f630efc1cbba48821ca5af57ba03e5eff585477546d16fd0c8eccd"),
+    (AFFINE, 3): (319, "28f9a8798f4d2a9dd49b97658f2a561b5b8eafbf81934d87e17fbbf758502ad7",
+                  "1e97e80b8cb8196f47759633d81fbd3da8fada8cc90aa4b7f3ecbb5b7a4c5b87"),
     (TRIPLE_EFFECTS, 3): (288, "0d41dd99bedbcf7ab40f2b3f41b262b4f1f61be91268f013647fbbd9528a9ef4",
                           "41b6453656656cb4cf718816a308e71f616d559958b5900ce25bfff2f04001f8"),
     (TRIPLE_HERMITIAN, 3): (389, "c3340f40e85bd35d880a3b717e3040ed208e22461a96c8720114f4730259134b",
                             "6e1e7ba0dceb78edd2d32943b2a11656f28f2ea8c19f8360066cce7174024312"),
-    (AFFINE, 6): (325, "5fdc17eadbe225523e47e5e7c91ce0f876a847fadf8d42fac0737b30a85cb13f",
-                  "48d3ae76d3e3df4744f64f25ec0765d6498cf58c59281dc0ecc9af050231e3ca"),
+    (AFFINE, 6): (325, "a2be0b68408c15255f00024578cd30bcb91c4e86556584121a55ddd80a213c44",
+                  "c37d2a143d626d58d5d4d99445444e9f08667d9e691e884639cf91e058502c59"),
     (TRIPLE_EFFECTS, 6): (294, "7239bc641e0b0518ba77f39e1b46a1e19c74f26346f2b5804d52cd8f4a8d9188",
                           "f6b7b8af8f87fb047e72fc0eb37820c685a047f5ea24460e1b76e5cc95905314"),
     (TRIPLE_HERMITIAN, 6): (395, "5a4d1bf656692a851c653dc688d0b7d1bdf0efbe3e1f1180ca4e49601ead589a",
@@ -957,6 +967,56 @@ def test_stacked_checks_keep_the_input_sequence(family, dim, oracle_queries):
     d = random_symmetry(dim, 7, family=family, **ROUTE_FLAGS[family])
     assert route(family)(oracle(dim, lambda m: apply_symmetry(d, m)), seed=11).canonical
     assert oracle_queries.digest() == STACKED_INPUT_SEQUENCES[family, dim]
+
+
+def old_order_affine_chain(found, phi, tol, trials, s):
+    """The affine chain in its former stage order, kept as a reference: the
+    whole walk, then φ(0), the rebuild and the verify."""
+    dim = phi.dim
+    eye = np.eye(dim, dtype=complex)
+    aff = is_affine(phi, seed=s.next_u64())
+    _require(aff.max_deviation, PROBE_TOL, "map is not affine: convex-combination defect {:.3e}",
+             aff.max_deviation, witness=aff.witness)
+    comp = bool(_classify(phi(np.zeros((dim, dim))), (0, eye),
+                          "φ(0) not in {{0, I}} (‖φ(0)‖ = {:.3e}, ‖φ(0) − I‖ = {:.3e})"))
+    action = phi.then(lambda x: eye - x) if comp else phi
+    u, kind = reconstruct_unitary_from_projection_action(action, tol=tol, seed=s.next_u64())
+    _verify(found, phi, SymmetryDescriptor(kind, u, complement=comp), tol, trials, s.next_u64(), EFFECTS_DOMAIN)
+
+
+def old_order_recover_affine(phi, seed):
+    """``recover_affine(phi, seed=seed)`` with the former stage order."""
+    return _run(AFFINE, old_order_affine_chain, phi, ACCEPT_TOL, 100, seed)
+
+
+def report_bytes(report):
+    """A report's verdict and reason, its descriptor's kind, flag and unitary
+    bytes, its residual's bytes and its witness's bytes."""
+    d = report.descriptor
+    return (report.verdict, report.reason,
+            None if d is None else (d.kind, d.complement, d.unitary.tobytes()),
+            np.float64(report.max_residual).tobytes(),
+            None if report.witness is None else [np.asarray(x).tobytes() for x in report.witness])
+
+
+@pytest.mark.parametrize("form", ["descriptor", "affine_rep"])
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("kind", [UNITARY, ANTIUNITARY])
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 16])
+def test_affine_stage_order_is_a_reordering_bitwise(dim, kind, complement, form, oracle_queries):
+    """The affine route asks the walk's first trial, φ(0), the rebuild, the walk's
+    other trials, then the verify: the queries and answers of the former order
+    (the whole walk first), in a new order, and the same report, bit for bit."""
+    d = random_symmetry(dim, 40 + dim, family=AFFINE, kind=kind, complement=complement)
+    phi = EffectMapOracle.from_descriptor(d) if form == "descriptor" else EffectMapOracle.from_affine_rep(
+        to_affine_rep(d))
+    report = recover_affine(phi, seed=dim)
+    asked = list(oracle_queries)
+    oracle_queries.clear()
+    ref = old_order_recover_affine(phi, seed=dim)
+    assert report.canonical and report_bytes(report) == report_bytes(ref)
+    assert sorted(asked) == sorted(oracle_queries) and asked != oracle_queries
+    assert asked[3][0] == np.zeros((dim, dim), dtype=complex).tobytes()  # φ(0) right after the first trial
 
 
 FIRST_BASIS_PROJECTION = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -1366,10 +1426,10 @@ def check_positions(family, dim):
     routes, the rebuild's ``RECONSTRUCT_CHECKS`` projections, and φ(0) on the
     affine route or φ(I) on the Hermitian one.  Also the position of the
     rebuild's first query, which is the first basis projection."""
-    walk = 3 * (AFFINE_PROBE_TRIALS if family == AFFINE else TRIPLE_PROBE_PAIRS)  # φ(x), φ(A), φ(B) per trial
     if family == AFFINE:
-        positions, rebuild = [walk], walk + 1  # φ(0) follows the affinity walk
+        positions, rebuild = [3], 4  # φ(0) and the rebuild follow the walk's first trial
     else:
+        walk = 3 * TRIPLE_PROBE_PAIRS  # φ(x), φ(A), φ(B) per trial
         first = int(family == TRIPLE_HERMITIAN)  # φ(I) comes first on the Hermitian route
         probe = first + walk  # each probe trial asks P, I - P, P_low, P_high, Q1, Q2
         positions = [0] * first + [probe + 6 * t + i for t in range(TRIPLE_PROBE_TRIALS) for i in (0, 1, 4, 5)]
@@ -1413,7 +1473,8 @@ def test_a_refusal_in_the_rebuild_costs_no_extra_query(dim):
     """The rebuild forms all its inputs before it asks, and still asks one at a
     time: the shift A -> A + I passes the affinity walk, its φ(0) = I sets the
     complement, and the complemented map's image of basis projection 0 is
-    -E_00, so the run stops after 192 walk queries, φ(0) and that one image."""
+    -E_00, so the run stops after the walk's first trial (3 queries), φ(0) and
+    that one image."""
     eye = np.eye(dim, dtype=complex)
     asked = []
     shift = oracle(dim, lambda a: asked.append(a) or np.asarray(a, complex) + eye)
@@ -1421,7 +1482,7 @@ def test_a_refusal_in_the_rebuild_costs_no_extra_query(dim):
         asked.clear()
         report = recover_affine(shift, seed=seed)
         assert report.reason.startswith("image of basis projection 0 is not a rank-one projection"), report.reason
-        assert len(asked) == 3 * AFFINE_PROBE_TRIALS + 2 == 194
+        assert len(asked) == 3 + 2
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -1433,14 +1494,15 @@ def test_the_rebuild_asks_np_outer_projections_in_order_and_a_wrong_answer_carri
     d = random_symmetry(dim, 9, family=AFFINE, complement=False)
     phi, asked = answer_corrupted_at(d, -1, None)
     assert recover_affine(phi, seed=4).canonical
-    rebuild = 3 * AFFINE_PROBE_TRIALS + 1  # after the affinity walk and φ(0)
+    rebuild = 4  # after the walk's first trial and φ(0)
     eye, sqrt2 = np.eye(dim, dtype=complex), np.sqrt(2.0)
     rebuild_seed = Stream(4).u64_block(2)[1]  # the affine chain draws the walk's seed, then the rebuild's
     xs = random_unit_vectors(dim, Stream(int(rebuild_seed)).u64_block(RECONSTRUCT_CHECKS))
     expected = ([np.outer(eye[i], eye[i]) for i in range(dim)]
                 + [np.outer(x, np.conj(x)) for x in [(eye[0] + eye[j]) / sqrt2 for j in range(1, dim)]]
                 + [np.outer(x, np.conj(x)) for x in [(eye[0] + 1j * eye[1]) / sqrt2, *xs]])
-    assert len(asked) == rebuild + len(expected) + 100  # then the verify stage's samples
+    # then the walk's other trials and the verify stage's samples
+    assert len(asked) == rebuild + len(expected) + 3 * (AFFINE_PROBE_TRIALS - 1) + 100
     for k, p in enumerate(expected):
         assert asked[rebuild + k].tobytes() == p.tobytes(), k
         phi, asked_now = answer_corrupted_at(d, rebuild + k, lambda x: np.eye(dim + 1))
